@@ -35,6 +35,13 @@ echo "== serve loopback suite (MALY_PLAN=0, planner disabled)"
 # second time with cross-request fusion switched off.
 MALY_OBS=1 MALY_PLAN=0 cargo test -q -p maly-serve --test loopback
 
+echo "== perfbench (the benchmark's own tests and determinism self-test)"
+# perfbench builds against crates/* by path in a workspace of its own,
+# so the workspace test runs above never compile it: a crate API change
+# that breaks the benchmark must fail here, not at benchmark time.
+cargo test --release --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --selftest
+
 echo "== trace-check (serve protocol trace via query --file)"
 mkdir -p target
 cat > target/ci_requests.jsonl <<'REQ'

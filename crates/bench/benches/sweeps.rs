@@ -128,8 +128,8 @@ fn bench_fig8_surface() {
         stats.exact_points() as u64,
     );
 
-    // The 4×-denser window: big enough that the tuned executor leaves
-    // the serial path even after the lane-kernel speedup, so this is
+    // The 4×-denser window: big enough that the executor's grain policy
+    // fans it out even after the lane-kernel speedup, so this is
     // the record the multi-core speedup gate watches.
     let large = |exec: &Executor| {
         CostSurface::compute_with(

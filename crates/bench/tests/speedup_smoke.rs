@@ -2,15 +2,19 @@
 //! sweep entry point must run at least ~as fast on the parallel
 //! executor as on the serial one (speedup ≥ 0.95), at any core count.
 //!
-//! On small machines the overhead-aware `Executor::tuned_for` wiring
-//! collapses the parallel path to the serial loop, so the two sides
-//! execute identical code and only measurement noise separates them.
-//! To keep CPU-throttle drift from failing the test spuriously, the
-//! serial and parallel sides are sampled **interleaved** (throttle
-//! phases then hit both sides alike) and the comparison retries a few
-//! times, asserting only on repeated failure.
+//! No call site tunes its executor: `Executor::map_indexed` prices each
+//! map by timing its first items and fans out only past the sequential
+//! cutoff, and backs off while fan-out loses on the host. Small sweeps
+//! therefore run the serial loop on both sides, and only measurement
+//! noise separates them. The sites at the end never had a per-site
+//! hint (the chiplet partition sweep, Monte Carlo, a planned batch), so
+//! they are checked here too. To keep CPU-throttle drift from failing
+//! the test spuriously, the serial and parallel sides are sampled
+//! **interleaved** (throttle phases then hit both sides alike) and the
+//! comparison retries a few times, asserting only on repeated failure.
 
 use std::hint::black_box;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
@@ -44,7 +48,13 @@ fn interleaved_speedup(mut serial: impl FnMut(), mut parallel: impl FnMut()) -> 
 
 /// Retries the interleaved comparison, passing as soon as one attempt
 /// clears [`MIN_SPEEDUP`]; panics with the last ratio otherwise.
+///
+/// Comparisons hold one lock, so the tests of this binary time one
+/// pair at a time: another test's threads competing for the cores
+/// would land on whichever side happened to overlap them.
 fn assert_not_slower(label: &str, mut serial: impl FnMut(), mut parallel: impl FnMut()) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let mut last = 0.0;
     for _ in 0..ATTEMPTS {
         last = interleaved_speedup(&mut serial, &mut parallel);
@@ -59,8 +69,8 @@ fn assert_not_slower(label: &str, mut serial: impl FnMut(), mut parallel: impl F
 }
 
 /// The parallel side mirrors the bench baseline: at least 4 threads so
-/// the tuned-executor wiring — not a lucky 1-thread ambient default —
-/// is what keeps small sweeps off the thread pool.
+/// the executor's own grain policy — not a lucky 1-thread ambient
+/// default — is what keeps small sweeps off extra threads.
 fn parallel_executor() -> Executor {
     Executor::with_threads(maly_par::default_parallelism().max(4))
 }
@@ -175,6 +185,115 @@ fn partition_search_parallel_not_slower() {
         },
         || {
             black_box(optimize_with(&parallel, &system, &context, &ladder).unwrap());
+        },
+    );
+}
+
+#[test]
+fn chiplet_sweep_parallel_not_slower() {
+    use maly_chiplet::{ChipletParameters, SweepSpec};
+    use maly_units::{Microns, TransistorCount};
+
+    let params = ChipletParameters::fig8_mcm();
+    // The bench's 31 λ × 16 n × 4 s grid.
+    let spec = SweepSpec {
+        system_transistors: TransistorCount::new(2.0e6).unwrap(),
+        volume: 50_000,
+        lambda_min: Microns::new(0.5).unwrap(),
+        lambda_max: Microns::new(1.2).unwrap(),
+        lambda_steps: 31,
+        max_chiplets: 16,
+        max_spares: 3,
+    };
+    let serial = Executor::serial();
+    let parallel = parallel_executor();
+    assert_not_slower(
+        "chiplet_sweep",
+        || {
+            black_box(params.sweep(&spec, &serial).unwrap());
+        },
+        || {
+            black_box(params.sweep(&spec, &parallel).unwrap());
+        },
+    );
+}
+
+#[test]
+fn monte_carlo_parallel_not_slower() {
+    use maly_fabline_sim::cost::FabEconomics;
+    use maly_fabline_sim::mc::{run_with, McConfig};
+    use maly_fabline_sim::process::ProcessFlow;
+
+    let economics = FabEconomics::default();
+    let demand = vec![
+        (ProcessFlow::for_generation("cmos-0.8", 0.8), 20_000.0),
+        (ProcessFlow::for_generation("cmos-1.2", 1.2), 5_000.0),
+    ];
+    let config = McConfig {
+        replications: 64,
+        ..McConfig::default()
+    };
+    let serial = Executor::serial();
+    let parallel = parallel_executor();
+    assert_not_slower(
+        "monte_carlo",
+        || {
+            black_box(run_with(&serial, &economics, &demand, &config).unwrap());
+        },
+        || {
+            black_box(run_with(&parallel, &economics, &demand, &config).unwrap());
+        },
+    );
+}
+
+#[test]
+fn planned_batch_parallel_not_slower() {
+    use maly_model::{EvalContext, Query};
+
+    // Cold surface tiles (a fresh context per call), a partition sweep,
+    // a Monte Carlo study and Table 3 in one planned batch: the planner
+    // maps its unique queries, and each query's own maps run inline.
+    let mut batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
+        .iter()
+        .map(|&lo| Query::SurfaceTile {
+            lambda_min: lo,
+            lambda_max: lo + 0.5,
+            lambda_steps: 9,
+            n_tr_min: 2.0e4,
+            n_tr_max: 4.0e6,
+            n_tr_steps: 24,
+        })
+        .collect();
+    batch.push(Query::ChipletPartitionSweep {
+        transistors: 2.0e6,
+        volume: 50_000,
+        lambda_min: 0.5,
+        lambda_max: 1.2,
+        lambda_steps: 15,
+        max_chiplets: 8,
+        max_spares: 1,
+    });
+    batch.push(Query::McYield {
+        products: 3,
+        volume_each: 2_000.0,
+        replications: 16,
+        jitter: 0.3,
+        seed: 11,
+    });
+    batch.push(Query::Table3);
+    let serial = Executor::serial();
+    let parallel = parallel_executor();
+    assert_not_slower(
+        "planned_batch",
+        || {
+            black_box(Query::evaluate_batch(&serial, &EvalContext::new(), &batch));
+        },
+        || {
+            black_box(Query::evaluate_batch(
+                &parallel,
+                &EvalContext::new(),
+                &batch,
+            ));
         },
     );
 }

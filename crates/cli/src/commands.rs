@@ -429,7 +429,7 @@ fn serve(flags: &Flags) -> Result<String, String> {
     // Announce the bound address before blocking — with `:0` the picked
     // port is unknowable otherwise.
     println!("serving on {bound} with {threads} worker threads (ctrl-c to stop)");
-    server.serve(&Executor::from_env());
+    server.serve();
     Ok(format!("server on {bound} stopped"))
 }
 
@@ -452,11 +452,10 @@ fn query(flags: &Flags) -> Result<String, String> {
         None => {
             // No server: evaluate in-process through the same protocol
             // path, so offline output is byte-identical to served output.
-            let exec = Executor::from_env();
             let ctx = EvalContext::process();
             lines
                 .iter()
-                .map(|l| protocol::handle_line(&exec, ctx, l))
+                .map(|l| protocol::handle_line(ctx, l))
                 .collect()
         }
     };
@@ -613,7 +612,7 @@ mod tests {
         let server = Server::bind(config).unwrap();
         let handle = server.handle().unwrap();
         let addr = handle.addr().to_string();
-        let join = std::thread::spawn(move || server.serve(&Executor::with_threads(2)));
+        let join = std::thread::spawn(move || server.serve());
         let path = std::env::temp_dir().join("maly_cli_live_query_test.jsonl");
         std::fs::write(
             &path,
@@ -634,7 +633,7 @@ mod tests {
         let server = Server::bind(config).unwrap();
         let handle = server.handle().unwrap();
         let addr = handle.addr().to_string();
-        let join = std::thread::spawn(move || server.serve(&Executor::with_threads(2)));
+        let join = std::thread::spawn(move || server.serve());
         // Put some traffic on the ledger before asking for the snapshot.
         let warm = client::query_lines(
             &addr,

@@ -52,7 +52,7 @@ use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
 
 use crate::surface::{
-    linear_axis, log_axis, CostSurface, Eq1Kernel, PointEval, SurfaceParameters, CELL_EVAL_HINT_NS,
+    eval_in_blocks, linear_axis, log_axis, CostSurface, Eq1Kernel, PointEval, SurfaceParameters,
 };
 
 /// Process totals of the per-computation [`AdaptiveStats`] fields,
@@ -248,7 +248,7 @@ impl AdaptiveSurface {
 
     /// [`AdaptiveSurface::compute`] on an explicit executor. Each
     /// refinement wave batches its new points through the SoA kernels
-    /// and tiles them across the tuned executor; results are
+    /// and tiles them in fixed blocks across the executor; results are
     /// bit-identical at every thread count.
     ///
     /// # Panics
@@ -468,20 +468,11 @@ impl<'a> Engine<'a> {
         )
     }
 
-    /// Batch-evaluates eq. (1) at grid points, tiling chunks across the
-    /// tuned executor. Chunks map back in index order, so the output is
+    /// Batch-evaluates eq. (1) at grid points in fixed blocks across
+    /// the executor. Blocks map back in index order, so the output is
     /// independent of the thread count.
     fn eval_points(&self, indices: &[(usize, usize)]) -> Vec<PointEval> {
-        let exec = self.exec.tuned_for(indices.len(), CELL_EVAL_HINT_NS);
-        if exec.threads() <= 1 {
-            return self.eval_slice(indices);
-        }
-        let chunk = indices.len().div_ceil(exec.threads());
-        let chunks: Vec<&[(usize, usize)]> = indices.chunks(chunk).collect();
-        exec.map(&chunks, |c| self.eval_slice(c))
-            .into_iter()
-            .flatten()
-            .collect()
+        eval_in_blocks(self.exec, indices, |block| self.eval_slice(block))
     }
 
     /// The serial kernel under [`Engine::eval_points`]: one

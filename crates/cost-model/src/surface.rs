@@ -18,15 +18,32 @@ use maly_yield_model::ScaledPoissonYield;
 
 use crate::{CostError, DiesPerWaferMethod, TransistorCostModel, WaferCostModel};
 
-/// Estimated serial cost of one eq. (1) grid-cell evaluation through
-/// the lane kernel with a warm eq. (4) memo — the executor cost hint
-/// for surface sweeps (measured on the committed BENCH_sweeps.json
-/// baseline: dense `surface_56x48` median ÷ 2688 grid points).
-pub(crate) const CELL_EVAL_HINT_NS: f64 = 80.0;
+/// Grid cells per executor work item in the lane-kernel sweeps. The
+/// block is fixed, not one per thread: the executor prices a block like
+/// any other map item, and the work split never depends on the thread
+/// count. Each block pays its own eq. (4) memo lock round trip and
+/// buffers, a few percent of a 56 × 48 surface at 512 cells, so blocks
+/// are 1024 cells and a serial executor takes one call.
+pub(crate) const CELL_BLOCK: usize = 1024;
 
-/// Estimated per-cell cost of a pure in-memory column scan (no eq. (1)
-/// evaluation, just comparisons over already-computed values).
-const SCAN_HINT_NS: f64 = 3.0;
+/// Evaluates `indices` through `eval` in [`CELL_BLOCK`]-sized blocks on
+/// `exec`, concatenated in index order (one block on a serial
+/// executor). Cells are independent, so the result is bit-identical to
+/// a single `eval(indices)` call.
+pub(crate) fn eval_in_blocks<F>(
+    exec: &Executor,
+    indices: &[(usize, usize)],
+    eval: F,
+) -> Vec<PointEval>
+where
+    F: Fn(&[(usize, usize)]) -> Vec<PointEval> + Sync,
+{
+    if exec.threads() <= 1 {
+        return eval(indices);
+    }
+    let blocks: Vec<&[(usize, usize)]> = indices.chunks(CELL_BLOCK).collect();
+    exec.map(&blocks, |block| eval(block)).concat()
+}
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
 /// thread-count-invariant Work counter: every consumer (dense scans,
@@ -298,24 +315,16 @@ impl Eq1Kernel {
         out
     }
 
-    /// [`Eq1Kernel::eq1_for_slice`] tiled across a tuned executor.
-    /// Chunks map back in index order and elements are independent, so
-    /// the output is bit-identical at every thread count.
+    /// [`Eq1Kernel::eq1_for_slice`] over [`CELL_BLOCK`]-sized blocks on
+    /// `exec`. Blocks map back in index order and elements are
+    /// independent, so the output is bit-identical at every thread
+    /// count.
     pub(crate) fn eval_indices_with(
         &self,
         exec: &Executor,
         indices: &[(usize, usize)],
     ) -> Vec<PointEval> {
-        let exec = exec.tuned_for(indices.len(), CELL_EVAL_HINT_NS);
-        if exec.threads() <= 1 {
-            return self.eq1_for_slice(indices);
-        }
-        let chunk = indices.len().div_ceil(exec.threads());
-        let chunks: Vec<&[(usize, usize)]> = indices.chunks(chunk).collect();
-        exec.map(&chunks, |c| self.eq1_for_slice(c))
-            .into_iter()
-            .flatten()
-            .collect()
+        eval_in_blocks(exec, indices, |block| self.eq1_for_slice(block))
     }
 }
 
@@ -498,10 +507,6 @@ impl CostSurface {
                 .map(|row| row.iter().map(|&(c, _)| c).collect())
                 .collect()
         } else {
-            // Overhead-aware scheduling: small grids run serial, large
-            // ones use at most as many threads as the workload
-            // justifies.
-            let exec = exec.tuned_for(lambda_steps * n_tr_steps, CELL_EVAL_HINT_NS);
             exec.grid(lambda_steps, n_tr_steps, |i, j| {
                 // Grid points interpolate validated positive bounds.
                 let lambda = Microns::clamped(lambda_axis[i]);
@@ -565,13 +570,6 @@ impl CostSurface {
     /// tie-break, so the locus is bit-identical at every thread count.
     #[must_use]
     pub fn optimal_lambda_per_n_tr_with(&self, exec: &Executor) -> Vec<Option<(f64, f64)>> {
-        // A column scan is pure comparisons over computed values; the
-        // hint keeps typical surfaces on the serial path (threads never
-        // pay off below hundreds of thousands of cells).
-        let exec = exec.tuned_for(
-            self.n_tr_axis.len(),
-            self.lambda_axis.len() as f64 * SCAN_HINT_NS,
-        );
         exec.map_indexed(self.n_tr_axis.len(), |j| {
             let mut best: Option<(f64, f64)> = None;
             for (i, &l) in self.lambda_axis.iter().enumerate() {

@@ -4,13 +4,6 @@ use maly_cost_model::adaptive::AdaptiveSurface;
 use maly_cost_model::surface::CostSurface;
 use maly_par::Executor;
 
-/// Estimated serial cost of marching one grid cell (classify + at most
-/// two edge interpolations), used to tune the executor: the PR-2
-/// baseline showed parallel contour extraction *losing* to serial on
-/// small surfaces because thread spawn overhead exceeded the whole
-/// march.
-const MARCH_CELL_HINT_NS: f64 = 40.0;
-
 /// A contour line: the level and the polyline points `(λ, N_tr)` tracing
 /// it (segments concatenated; may contain several disconnected runs).
 #[derive(Debug, Clone, PartialEq)]
@@ -75,11 +68,9 @@ pub fn extract_contours_with(
     let ys = surface.n_tr_axis();
     let values = surface.values();
     let rows = xs.len().saturating_sub(1);
-    let cell_cols = ys.len().saturating_sub(1);
 
-    // One work item per (level, row-of-cells) strip; tuned so small
-    // surfaces march serially instead of paying thread spawns.
-    let exec = exec.tuned_for(levels.len() * rows, cell_cols as f64 * MARCH_CELL_HINT_NS);
+    // One work item per (level, row-of-cells) strip; the executor
+    // prices the map, so small surfaces march serially.
     let strips = exec.grid(levels.len(), rows.max(1), |li, i| {
         let level = levels[li];
         let mut segments = Vec::new();
@@ -164,7 +155,6 @@ pub fn extract_contours_adaptive_with(
     let rows = xs.len().saturating_sub(1);
     let cell_cols = ys.len().saturating_sub(1);
 
-    let exec = exec.tuned_for(levels.len() * rows, cell_cols as f64 * MARCH_CELL_HINT_NS);
     let strips = exec.grid(levels.len(), rows.max(1), |li, i| {
         let level = levels[li];
         let mut segments = Vec::new();

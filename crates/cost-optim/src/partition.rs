@@ -12,11 +12,6 @@ use maly_cost_model::CostError;
 use maly_par::Executor;
 use maly_units::Microns;
 
-/// Estimated serial cost of pricing one grouping (per-die λ scan plus a
-/// full system evaluation), used to tune the executor: small systems
-/// (Bell(3) = 5 groupings) must not pay thread spawns.
-const GROUPING_HINT_NS: f64 = 5_000.0;
-
 /// The optimizer's result: the winning assignment and its cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSolution {
@@ -74,7 +69,6 @@ pub fn optimize_with(
     }
 
     let groupings = set_partitions(n);
-    let exec = exec.tuned_for(groupings.len(), GROUPING_HINT_NS);
     let candidates = exec.map(&groupings, |grouping| {
         price_grouping(system, context, candidate_lambdas, grouping)
     });

@@ -5,14 +5,6 @@ use maly_cost_model::CostError;
 use maly_par::Executor;
 use maly_units::Microns;
 
-/// Estimated serial cost of one grid-minimization sample (a memoized
-/// eq. (1) stack), used to tune the executor so small scans run serial.
-const GRID_SAMPLE_HINT_NS: f64 = 200.0;
-
-/// Estimated serial cost of evaluating one candidate node in the shrink
-/// study (a full [`ProductScenario::evaluate_at`]).
-const NODE_EVAL_HINT_NS: f64 = 300.0;
-
 /// Golden-section minimization of a unimodal function on `[a, b]`.
 ///
 /// Returns `(x_min, f(x_min))` after converging to `tolerance` in `x`.
@@ -95,7 +87,6 @@ pub fn grid_min_with(
 ) -> (f64, f64) {
     assert!(a < b, "invalid interval [{a}, {b}]");
     assert!(steps >= 2, "need at least 2 samples");
-    let exec = exec.tuned_for(steps, GRID_SAMPLE_HINT_NS);
     let samples = exec.map_indexed(steps, |i| {
         let x = a + (b - a) * i as f64 / (steps - 1) as f64;
         (x, f(x))
@@ -160,7 +151,6 @@ pub fn optimal_feature_size_with(
             max: lambda_max,
         }));
     }
-    let exec = exec.tuned_for(steps, NODE_EVAL_HINT_NS);
     let evaluated = exec.map_indexed(steps, |i| -> Result<Option<(Microns, f64)>, CostError> {
         let l = lambda_min + (lambda_max - lambda_min) * i as f64 / (steps - 1) as f64;
         let lambda = Microns::new(l)?;

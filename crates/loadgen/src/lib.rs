@@ -185,14 +185,13 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, Error> {
             let server = Server::bind(ServeConfig::bind("127.0.0.1:0").workers(config.workers))?;
             let handle = server.handle()?;
             let addr = handle.addr().to_string();
-            let exec = Executor::with_threads(config.workers.max(1));
             let outcome: Mutex<Option<Result<LoadgenReport, Error>>> = Mutex::new(None);
             // Worker 0 (the calling thread) blocks in the accept loop;
             // worker 1 drives the load and then releases worker 0 with
             // a cooperative shutdown.
             Executor::with_threads(2).run_workers(|w| {
                 if w == 0 {
-                    server.serve(&exec);
+                    server.serve();
                 } else {
                     let result = drive(&addr, config);
                     handle.shutdown();

@@ -138,8 +138,13 @@ pub fn set_enabled(on: bool) {
 /// Nanoseconds since the process-wide monotonic epoch (the first call
 /// into the clock). All span timestamps share this origin, so traces
 /// from one process are directly comparable across threads.
+///
+/// This is the workspace's one clock outside the measurement harnesses:
+/// code that must time something to make a decision (the `maly-par`
+/// executor pricing a map by its first item) reads it here instead of
+/// calling `Instant::now()` itself.
 #[must_use]
-pub(crate) fn now_ns() -> u64 {
+pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)

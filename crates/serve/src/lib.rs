@@ -3,8 +3,10 @@
 //!
 //! The server speaks line-delimited JSON on a plain `TcpListener`:
 //! one request per line, one response line per request, batches as
-//! JSON-array lines evaluated together on the `maly-par` executor (see
-//! [`protocol`] for the wire format). Everything is `std`-only — the
+//! JSON-array lines evaluated together through the evaluation planner
+//! (see [`protocol`] for the wire format). Parallelism comes from
+//! connections: each worker answers its requests serially, with no
+//! per-request thread fan-out. Everything is `std`-only — the
 //! JSON codec is `maly_model::json`, the threads come from
 //! [`maly_par::Executor::run_workers`], and there is no async runtime.
 //!
@@ -15,16 +17,15 @@
 //! via the `model.tile_cells` Work counter, not wall clock).
 //!
 //! Determinism: served responses are bit-identical to direct
-//! [`maly_model::Query::evaluate_with`] evaluation at every worker
-//! and executor width — the loopback suite runs 1/2/8 workers against
-//! the same mixed workload and compares bytes.
+//! [`maly_model::Query::evaluate_with`] evaluation at every executor
+//! width and worker count — the loopback suite runs 1/2/8 workers
+//! against the same mixed workload and compares bytes.
 //!
 //! ```no_run
-//! use maly_par::Executor;
 //! use maly_serve::{ServeConfig, Server};
 //!
 //! let server = Server::bind(ServeConfig::bind("127.0.0.1:7878").workers(4)).unwrap();
-//! server.serve(&Executor::from_env()); // blocks until handle().shutdown()
+//! server.serve(); // blocks until handle().shutdown()
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! A line holding a JSON *array* of such objects is a batch: the server
-//! evaluates its queries together on the `maly-par` executor and
+//! evaluates its queries together through the evaluation planner and
 //! answers with one JSON array line, element `i` answering request `i`.
 //!
 //! The envelope is versioned: `v` names the protocol version, and an
@@ -26,10 +26,15 @@
 //! {"id": 7, "error": {"kind": "invalid-field", "message": "..."}}
 //! ```
 //!
+//! Every request evaluates on [`Executor::serial`]: a server's
+//! parallelism comes from its connection workers, which already hold
+//! the cores, so fanning one request out into more threads only adds
+//! spawn cost and contention.
+//!
 //! Serialization is deterministic — the same request against the same
-//! context produces the same bytes at every worker/executor width —
-//! which is what lets the loopback tests compare served output against
-//! direct in-process evaluation bit for bit.
+//! context produces the same bytes at every worker count — which is
+//! what lets the loopback tests compare served output against direct
+//! in-process evaluation bit for bit.
 
 use maly_model::json::{self, Json};
 use maly_model::{Error, EvalContext, Query, QueryResponse};
@@ -210,8 +215,8 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
     (id, query)
 }
 
-/// Answers one request line: parse, evaluate (batching array lines
-/// across the executor), serialize. Always returns exactly one line of
+/// Answers one request line: parse, evaluate on [`Executor::serial`],
+/// serialize. Always returns exactly one line of
 /// output (no trailing newline) — transport errors aside, a client can
 /// match responses to requests by line position alone.
 ///
@@ -220,7 +225,8 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
 /// overlapping surface tiles fuse their shared grid work
 /// (`maly_model::plan`); the served bytes are identical either way.
 #[must_use]
-pub fn handle_line(exec: &Executor, ctx: &EvalContext, line: &str) -> String {
+pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
+    let exec = &Executor::serial();
     let _span = maly_obs::span("serve.request").with_histogram(&REQUEST_NS);
     REQUEST_LINES.incr();
     let parsed = {
@@ -283,10 +289,8 @@ mod tests {
 
     #[test]
     fn single_request_round_trips() {
-        let exec = Executor::serial();
         let ctx = EvalContext::new();
         let out = handle_line(
-            &exec,
             &ctx,
             "{\"id\": 7, \"query\": {\"type\": \"table3_row\", \"id\": 1}}",
         );
@@ -298,10 +302,8 @@ mod tests {
 
     #[test]
     fn batch_line_answers_in_order_with_per_element_errors() {
-        let exec = Executor::with_threads(4);
         let ctx = EvalContext::new();
         let out = handle_line(
-            &exec,
             &ctx,
             concat!(
                 "[{\"id\": 1, \"query\": {\"type\": \"table3_row\", \"id\": 2}},",
@@ -335,10 +337,9 @@ mod tests {
 
     #[test]
     fn malformed_line_is_a_parse_error_with_null_id() {
-        let exec = Executor::serial();
         let ctx = EvalContext::new();
         for bad in ["not json", "{\"id\": 1", "{} trailing", ""] {
-            let out = handle_line(&exec, &ctx, bad);
+            let out = handle_line(&ctx, bad);
             let v = json::parse(&out).unwrap();
             assert!(matches!(v.get("id"), Some(Json::Null)), "{bad:?} -> {out}");
             assert_eq!(
@@ -353,9 +354,8 @@ mod tests {
 
     #[test]
     fn missing_query_field_is_typed() {
-        let exec = Executor::serial();
         let ctx = EvalContext::new();
-        let out = handle_line(&exec, &ctx, "{\"id\": 4}");
+        let out = handle_line(&ctx, "{\"id\": 4}");
         let v = json::parse(&out).unwrap();
         assert_eq!(
             v.get("error")
@@ -390,15 +390,12 @@ mod tests {
 
     #[test]
     fn explicit_version_1_is_byte_identical_to_versionless() {
-        let exec = Executor::serial();
         let ctx = EvalContext::new();
         let versionless = handle_line(
-            &exec,
             &ctx,
             "{\"id\": 7, \"query\": {\"type\": \"table3_row\", \"id\": 1}}",
         );
         let versioned = handle_line(
-            &exec,
             &ctx,
             "{\"v\": 1, \"id\": 7, \"query\": {\"type\": \"table3_row\", \"id\": 1}}",
         );
@@ -407,10 +404,8 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_rejected_with_a_stable_kind() {
-        let exec = Executor::serial();
         let ctx = EvalContext::new();
         let out = handle_line(
-            &exec,
             &ctx,
             "{\"v\": 2, \"id\": 9, \"query\": {\"type\": \"table3\"}}",
         );
@@ -429,7 +424,7 @@ mod tests {
             "{\"v\": \"1\", \"id\": 1, \"query\": {\"type\": \"table3\"}}",
             "{\"v\": -1, \"id\": 1, \"query\": {\"type\": \"table3\"}}",
         ] {
-            let out = handle_line(&exec, &ctx, bad);
+            let out = handle_line(&ctx, bad);
             let v = json::parse(&out).unwrap();
             assert_eq!(
                 v.get("error")
@@ -442,7 +437,6 @@ mod tests {
         // Batch elements carry their own envelopes: one bad version
         // fails only its element.
         let out = handle_line(
-            &exec,
             &ctx,
             concat!(
                 "[{\"v\": 1, \"id\": 1, \"query\": {\"type\": \"table3_row\", \"id\": 1}},",
@@ -463,12 +457,33 @@ mod tests {
 
     #[test]
     fn responses_are_bit_identical_across_executor_widths() {
+        // The server evaluates serially; direct evaluation on any
+        // executor width must serialize to the same bytes.
         let line = concat!(
             "[{\"id\": 1, \"query\": {\"type\": \"scenario2_sweep\", \"x\": 2.4}},",
             " {\"id\": 2, \"query\": {\"type\": \"table3\"}}]",
         );
-        let serial = handle_line(&Executor::serial(), &EvalContext::new(), line);
-        let wide = handle_line(&Executor::with_threads(8), &EvalContext::new(), line);
-        assert_eq!(serial, wide);
+        let served = handle_line(&EvalContext::new(), line);
+        let queries = [
+            Query::from_json(&json::parse("{\"type\": \"scenario2_sweep\", \"x\": 2.4}").unwrap())
+                .unwrap(),
+            Query::Table3,
+        ];
+        for threads in [1, 2, 8] {
+            let results = Query::evaluate_batch(
+                &Executor::with_threads(threads),
+                &EvalContext::new(),
+                &queries,
+            );
+            let direct = Json::Arr(
+                results
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| response_json(&Json::Num(i as f64 + 1.0), r))
+                    .collect(),
+            )
+            .write();
+            assert_eq!(served, direct, "threads = {threads}");
+        }
     }
 }

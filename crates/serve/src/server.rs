@@ -126,17 +126,18 @@ impl Server {
     /// Serves until [`ServerHandle::shutdown`] is called, blocking the
     /// caller (which doubles as the accept loop).
     ///
-    /// Queries evaluate on `exec` against the process-wide
+    /// Each request evaluates serially on its connection worker (the
+    /// workers are the server's parallelism) against the process-wide
     /// [`EvalContext`], so every worker shares one warm tile cache and
-    /// results are bit-identical at every worker and executor width.
-    pub fn serve(&self, exec: &Executor) {
+    /// results are bit-identical at every worker count.
+    pub fn serve(&self) {
         let _span = maly_obs::span("serve.run");
         let workers = Executor::with_threads(self.config.workers.max(1) + 1);
         workers.run_workers(|w| {
             if w == 0 {
                 self.accept_loop();
             } else {
-                self.worker_loop(exec);
+                self.worker_loop();
             }
         });
     }
@@ -180,7 +181,7 @@ impl Server {
         self.shared.ready.notify_all();
     }
 
-    fn worker_loop(&self, exec: &Executor) {
+    fn worker_loop(&self) {
         loop {
             let stream = {
                 let Ok(mut queue) = self.shared.queue.lock() else {
@@ -202,14 +203,14 @@ impl Server {
             };
             let Some(stream) = stream else { return };
             INFLIGHT.incr();
-            handle_connection(stream, exec, self.config.max_line_bytes);
+            handle_connection(stream, self.config.max_line_bytes);
             INFLIGHT.decr();
         }
     }
 }
 
 /// Serves one connection until EOF or a fatal protocol violation.
-fn handle_connection(stream: TcpStream, exec: &Executor, max_line_bytes: usize) {
+fn handle_connection(stream: TcpStream, max_line_bytes: usize) {
     let _span = maly_obs::span("serve.connection");
     let ctx = EvalContext::process();
     let Ok(read_half) = stream.try_clone() else {
@@ -252,7 +253,7 @@ fn handle_connection(stream: TcpStream, exec: &Executor, max_line_bytes: usize) 
         if trimmed.is_empty() {
             continue;
         }
-        let response = protocol::handle_line(exec, ctx, trimmed);
+        let response = protocol::handle_line(ctx, trimmed);
         if write_line(&mut writer, &response).is_err() {
             return;
         }

@@ -23,7 +23,7 @@ fn lock() -> MutexGuard<'static, ()> {
 fn start(config: ServeConfig) -> (ServerHandle, std::thread::JoinHandle<()>) {
     let server = Server::bind(config).expect("bind 127.0.0.1:0");
     let handle = server.handle().expect("local addr");
-    let join = std::thread::spawn(move || server.serve(&Executor::with_threads(2)));
+    let join = std::thread::spawn(move || server.serve());
     (handle, join)
 }
 
@@ -163,11 +163,10 @@ fn mixed_workload() -> Vec<String> {
 /// Direct in-process evaluation of the same workload: the reference
 /// bytes every served configuration must reproduce exactly.
 fn direct_reference(lines: &[String]) -> Vec<String> {
-    let exec = Executor::serial();
     let ctx = EvalContext::new();
     lines
         .iter()
-        .map(|line| protocol::handle_line(&exec, &ctx, line))
+        .map(|line| protocol::handle_line(&ctx, line))
         .collect()
 }
 
@@ -180,6 +179,96 @@ fn served_responses_are_bit_identical_at_1_2_8_workers() {
         let (handle, join) = start(ServeConfig::default().workers(workers));
         let addr = handle.addr().to_string();
         let got = client::query_lines(&addr, &lines).expect("loopback round trip");
+        assert_eq!(
+            got, expected,
+            "served bytes must match direct evaluation at {workers} workers"
+        );
+        handle.shutdown();
+        join.join().expect("server thread exits cleanly");
+    }
+}
+
+/// A process-wide `maly-par` scheduling counter (0 before first use).
+fn par_counter(name: &str) -> u64 {
+    maly_obs::counters_snapshot()
+        .iter()
+        .find(|c| c.name == name)
+        .map_or(0, |c| c.value)
+}
+
+/// The heavy request shapes: a cold surface-tile batch, a partition
+/// sweep over a 31 × 16 × 4 grid, and a mixed batch. Each is priced
+/// well over the executor's sequential cutoff, so a server that
+/// evaluated requests on a multi-threaded executor would fan them out.
+fn heavy_workload() -> Vec<String> {
+    let element =
+        |id: f64, q: &Query| Json::obj(vec![("id", Json::Num(id)), ("query", q.to_json())]).write();
+    let tile = |id: f64, lambda_min: f64| {
+        element(
+            id,
+            &Query::SurfaceTile {
+                lambda_min,
+                lambda_max: lambda_min + 0.8,
+                lambda_steps: 48,
+                n_tr_min: 4.0e4,
+                n_tr_max: 3.0e6,
+                n_tr_steps: 40,
+            },
+        )
+    };
+    let sweep = Query::ChipletPartitionSweep {
+        transistors: 3.0e6,
+        volume: 80_000,
+        lambda_min: 0.5,
+        lambda_max: 1.2,
+        lambda_steps: 31,
+        max_chiplets: 16,
+        max_spares: 3,
+    };
+    vec![
+        format!(
+            "[{}, {}, {}]",
+            tile(1.0, 0.41),
+            tile(2.0, 0.47),
+            tile(3.0, 0.41)
+        ),
+        request_line(4.0, &sweep),
+        format!(
+            "[{}, {}, {}, {}]",
+            element(5.0, &Query::Table3),
+            element(6.0, &sweep),
+            element(
+                7.0,
+                &Query::McYield {
+                    products: 3,
+                    volume_each: 2_000.0,
+                    replications: 24,
+                    jitter: 0.3,
+                    seed: 5,
+                }
+            ),
+            tile(8.0, 0.53),
+        ),
+    ]
+}
+
+#[test]
+fn serving_heavy_requests_never_fans_out_and_matches_at_1_2_8_workers() {
+    let _guard = lock();
+    let lines = heavy_workload();
+    let expected = direct_reference(&lines);
+    for workers in [1usize, 2, 8] {
+        let (handle, join) = start(ServeConfig::default().workers(workers));
+        let addr = handle.addr().to_string();
+        let parallel0 = par_counter("par.parallel_maps");
+        let chunks0 = par_counter("par.chunks");
+        let got = client::query_lines(&addr, &lines).expect("loopback round trip");
+        assert_eq!(
+            par_counter("par.parallel_maps"),
+            parallel0,
+            "a served request fanned out at {workers} workers"
+        );
+        assert_eq!(par_counter("par.chunks"), chunks0);
         assert_eq!(
             got, expected,
             "served bytes must match direct evaluation at {workers} workers"

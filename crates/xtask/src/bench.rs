@@ -64,7 +64,7 @@ pub const MIN_PARALLEL_SPEEDUP: f64 = 1.1;
 /// machines. The gate keys on the **best** eligible speedup record per
 /// group (names containing `_vs_` compare engines, not thread counts,
 /// and are excluded): small workloads may legitimately stay on the
-/// tuned executor's serial path, but each of these groups carries at
+/// executor's serial path, but each of these groups carries at
 /// least one workload big enough to scale.
 pub const PARALLEL_GATED_GROUPS: &[&str] = &["sweeps/fig8_surface", "sweeps/contours", "sweeps/mc"];
 
