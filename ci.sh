@@ -77,6 +77,12 @@ for T in 1 2 8; do
 done
 MALY_OBS=1 cargo test -q -p maly-model --test wire_golden
 
+echo "== f64 writer vs Display (16 M random bit patterns, release)"
+# The wire codec's own shortest-round-trip formatter must spell every
+# double exactly as `format!("{v}")` does; the ignored variant widens
+# the tier-1 sweep from 1 M to 16 M seeded bit patterns.
+cargo test --release -q -p maly-model --test f64_format -- --include-ignored
+
 echo "== trace-check (sample CLI --trace-out ndjson)"
 mkdir -p target
 cargo run -q -p maly-cli -- sweep --transistors 3.1e6 --lambda 0.8 \

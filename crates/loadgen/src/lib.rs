@@ -333,7 +333,13 @@ fn write_loop(
     send_ns: &[AtomicU64],
 ) -> Result<(), Error> {
     let mut writer = stream;
+    let mut line = String::new();
     for (i, request) in requests.iter().enumerate() {
+        // One write per line, newline included: with TCP_NODELAY a
+        // separate newline write is a second syscall and segment.
+        line.clear();
+        line.push_str(&request.line);
+        line.push('\n');
         let due = (i as u64).saturating_mul(pace_ns);
         loop {
             let now = elapsed_since(epoch);
@@ -343,8 +349,7 @@ fn write_loop(
             std::thread::sleep(std::time::Duration::from_nanos(due - now));
         }
         send_ns[i].store(elapsed_since(epoch), Ordering::Release);
-        writer.write_all(request.line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        writer.write_all(line.as_bytes())?;
         writer.flush()?;
     }
     Ok(())

@@ -159,6 +159,14 @@ impl From<CostError> for Error {
     }
 }
 
+impl From<crate::json::ParseError> for Error {
+    fn from(e: crate::json::ParseError) -> Self {
+        Error::Parse {
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e.to_string())

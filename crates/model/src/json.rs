@@ -12,11 +12,18 @@
 //!   response serializes identically on every run and at every thread
 //!   count — the loopback determinism tests compare raw bytes.
 //!
-//! Writing uses Rust's shortest-round-trip `f64` formatting: the
-//! parsed value is bit-identical to the written one, which is what
-//! lets a served response be compared bit-for-bit against a direct
-//! library evaluation. Non-finite numbers have no JSON spelling and
-//! serialize as `null`.
+//! Numbers are written by the crate's own shortest-round-trip
+//! formatter (a Ryu port, `shortest.rs`): the parsed value is
+//! bit-identical to the written one, which is what lets a served
+//! response be compared bit-for-bit against a direct library
+//! evaluation. Its output is byte-identical to `f64`'s `Display`, which
+//! it replaces for speed only; `format!("{v}")` stays as the test
+//! oracle (`tests/f64_format.rs`). Non-finite numbers have no JSON
+//! spelling and serialize as `null`.
+//!
+//! The parser is strict RFC 8259 and linear in the input: a string is
+//! copied a run at a time up to its next quote or escape. Errors are a
+//! typed [`ParseError`] carrying the byte offset.
 
 use std::fmt::Write as _;
 
@@ -97,7 +104,7 @@ impl Json {
                 if v.is_finite() {
                     // Shortest round-trip representation: parsing it
                     // back yields the same bits.
-                    let _ = write!(out, "{v}");
+                    crate::shortest::push_f64(out, *v);
                 } else {
                     out.push_str("null");
                 }
@@ -148,184 +155,317 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Why a line is not one JSON document, and the byte offset where the
+/// parser gave up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset into the input.
+    pub offset: usize,
+    /// What was wrong there.
+    pub kind: ParseErrorKind,
+}
+
+/// The kinds of [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input ended inside a value.
+    UnexpectedEnd,
+    /// A complete value is followed by more than whitespace.
+    TrailingData,
+    /// Arrays and objects nest deeper than 64 levels.
+    TooDeep,
+    /// A byte that cannot start a value.
+    UnexpectedByte,
+    /// A bareword that is not `true`, `false` or `null`.
+    InvalidLiteral,
+    /// A number outside the JSON grammar (`+1`, `.5`, `1.`, `01`, …).
+    InvalidNumber,
+    /// A well-formed number too large for an `f64` (`1e400`).
+    NumberOutOfRange,
+    /// A raw control character (below U+0020) inside a string.
+    ControlCharacter,
+    /// A backslash escape JSON does not define, or a short `\u`.
+    InvalidEscape,
+    /// The input ended inside a string.
+    UnterminatedString,
+    /// An array element is followed by neither `,` nor `]`.
+    ExpectedCommaOrBracket,
+    /// An object member is followed by neither `,` nor `}`.
+    ExpectedCommaOrBrace,
+    /// An object member does not start with a string key.
+    ExpectedKey,
+    /// An object key is not followed by `:`.
+    ExpectedColon,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = match self.kind {
+            ParseErrorKind::UnexpectedEnd => "unexpected end of input",
+            ParseErrorKind::TrailingData => "trailing data",
+            ParseErrorKind::TooDeep => "nesting deeper than 64",
+            ParseErrorKind::UnexpectedByte => "unexpected byte",
+            ParseErrorKind::InvalidLiteral => "invalid literal",
+            ParseErrorKind::InvalidNumber => "invalid number",
+            ParseErrorKind::NumberOutOfRange => "number out of f64 range",
+            ParseErrorKind::ControlCharacter => "raw control character in string",
+            ParseErrorKind::InvalidEscape => "invalid escape",
+            ParseErrorKind::UnterminatedString => "unterminated string",
+            ParseErrorKind::ExpectedCommaOrBracket => "expected `,` or `]`",
+            ParseErrorKind::ExpectedCommaOrBrace => "expected `,` or `}`",
+            ParseErrorKind::ExpectedKey => "expected object key",
+            ParseErrorKind::ExpectedColon => "expected `:`",
+        };
+        write!(f, "{what} at byte {}", self.offset)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
 /// Parses one JSON document. Trailing non-whitespace is an error —
 /// the wire protocol is strictly one value per line.
 ///
+/// The grammar is strict RFC 8259: numbers are
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` and must fit an
+/// `f64`, and strings may not hold raw control characters.
+///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error, with its byte
-/// offset.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// Returns the first syntax error and its byte offset.
+pub fn parse(input: &str) -> Result<Json, ParseError> {
+    let mut p = Parser { src: input, pos: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != input.len() {
+        return Err(p.error(ParseErrorKind::TrailingData));
     }
     Ok(value)
 }
 
 /// Nesting depth bound: a malicious request cannot blow the stack of a
-/// server worker thread.
+/// server worker thread. [`ParseErrorKind::TooDeep`] names it.
 const MAX_DEPTH: usize = 64;
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
+struct Parser<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, kind: ParseErrorKind) -> ParseError {
+        ParseError {
+            offset: self.pos,
+            kind,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.error(ParseErrorKind::TooDeep));
+        }
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.error(ParseErrorKind::UnexpectedEnd)),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(self.error(ParseErrorKind::UnexpectedByte)),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
         } else {
-            break;
+            Err(self.error(ParseErrorKind::InvalidLiteral))
         }
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
+    /// Consumes ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number")?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    // Caller guarantees bytes[*pos] == b'"'.
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        // Surrogates and other unpaired code points fold
-                        // to the replacement character; the protocol
-                        // never emits them.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {pos}", pos = *pos)),
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        let invalid = |pos| ParseError {
+            offset: pos,
+            kind: ParseErrorKind::InvalidNumber,
+        };
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                    return Err(invalid(start)); // leading zero
                 }
-                *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let rest = &bytes[*pos..];
-                let text = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                let ch = text.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid(start)),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(invalid(start));
             }
         }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid(start));
+            }
+        }
+        let text = self.src.get(start..self.pos).ok_or(invalid(start))?;
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(ParseError {
+                offset: start,
+                kind: ParseErrorKind::NumberOutOfRange,
+            }),
+            Err(_) => Err(invalid(start)),
+        }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+    fn string(&mut self) -> Result<String, ParseError> {
+        // Caller guarantees the current byte is `"`.
+        self.pos += 1;
+        let bytes = self.src.as_bytes();
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. Those bytes are ASCII, so the run ends on
+            // a char boundary of the (already valid UTF-8) input.
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(bytes.len(), |n| self.pos + n);
+            if let Some(text) = self.src.get(self.pos..run) {
+                out.push_str(text);
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
+            self.pos = run;
+            match self.peek() {
+                None => return Err(self.error(ParseErrorKind::UnterminatedString)),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                }
+                Some(_) => return Err(self.error(ParseErrorKind::ControlCharacter)),
+            }
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
+    /// Decodes the escape after a backslash (the current byte).
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        let ch = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .src
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or(self.error(ParseErrorKind::InvalidEscape))?;
+                self.pos += 4;
+                // Surrogates and other unpaired code points fold to the
+                // replacement character; the protocol never emits them.
+                char::from_u32(code).unwrap_or('\u{fffd}')
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
+            _ => return Err(self.error(ParseErrorKind::InvalidEscape)),
+        };
+        out.push(ch);
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1; // consume '['
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.error(ParseErrorKind::ExpectedCommaOrBracket)),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.pos += 1; // consume '{'
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.error(ParseErrorKind::ExpectedKey));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.error(ParseErrorKind::ExpectedColon));
+            }
+            self.pos += 1;
+            let value = self.value(depth + 1)?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(self.error(ParseErrorKind::ExpectedCommaOrBrace)),
+            }
         }
     }
 }
@@ -377,8 +517,135 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"k\" 1}", "tru", "1.2.3", "[1] x", "nan"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"k\" 1}",
+            "tru",
+            "1.2.3",
+            "[1] x",
+            "nan",
+            "\"open",
+        ] {
             assert!(parse(bad).is_err(), "{bad} should not parse");
+        }
+    }
+
+    fn error_of(text: &str) -> ParseError {
+        match parse(text) {
+            Ok(v) => panic!("{text:?} parsed as {v:?}"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn rejects_leading_plus() {
+        let e = error_of("[+1]");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::UnexpectedByte, 1));
+    }
+
+    #[test]
+    fn rejects_bare_fraction() {
+        let e = error_of("[.5]");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::UnexpectedByte, 1));
+    }
+
+    #[test]
+    fn rejects_trailing_decimal_point() {
+        let e = error_of("{\"x\":1.}");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::InvalidNumber, 5));
+    }
+
+    #[test]
+    fn rejects_leading_zero() {
+        let e = error_of("[0, 01]");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::InvalidNumber, 4));
+        let e = error_of("-01");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::InvalidNumber, 0));
+    }
+
+    #[test]
+    fn rejects_overflowing_numbers() {
+        let e = error_of("[1, 1e400]");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::NumberOutOfRange, 4));
+        let e = error_of("-1e400");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::NumberOutOfRange, 0));
+        // Underflow is not an error: the nearest double is zero.
+        assert_eq!(parse("1e-400").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        let e = error_of("[\"a\tb\"]");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::ControlCharacter, 3));
+        let e = error_of("\"\u{1f}\"");
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::ControlCharacter, 1));
+        // The escaped spelling is fine.
+        assert_eq!(parse("\"a\\tb\"").unwrap(), Json::Str("a\tb".into()));
+    }
+
+    #[test]
+    fn accepts_every_number_production() {
+        for (text, v) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("12", 12.0),
+            ("-3.25", -3.25),
+            ("1e3", 1e3),
+            ("1E+3", 1e3),
+            ("25e-1", 2.5),
+            ("0.5e0", 0.5),
+        ] {
+            let Json::Num(got) = parse(text).unwrap() else {
+                panic!("{text} is not a number");
+            };
+            assert_eq!(got.to_bits(), v.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn errors_display_their_offset() {
+        let e = error_of("[1] x");
+        assert_eq!(e.to_string(), "trailing data at byte 4");
+        assert_eq!(
+            error_of("").to_string(),
+            "unexpected end of input at byte 0"
+        );
+    }
+
+    #[test]
+    fn multibyte_utf8_round_trips_with_every_escape() {
+        let text = r#""µm é \u00e9 \n \" \\ \/ \t \r \b \f \u00b5 ∑ 😀""#;
+        let expected = "µm é é \n \" \\ / \t \r \u{8} \u{c} µ ∑ 😀";
+        let v = parse(text).unwrap();
+        assert_eq!(v.as_str(), Some(expected));
+        assert_eq!(parse(&v.write()).unwrap(), v);
+        let key = parse(r#"{"é\u00e9µ": "x"}"#).unwrap();
+        assert_eq!(key.get("ééµ"), Some(&Json::Str("x".into())));
+    }
+
+    #[test]
+    fn long_mixed_string_parses_exactly() {
+        // 256 KiB of ASCII runs broken by multi-byte characters and
+        // escapes: pins the run-copy path (and stays linear).
+        let unit = r#"abcdefgh µ é ∑ 😀 \\ \"q\" \u00e9\n"#;
+        let decoded = "abcdefgh µ é ∑ 😀 \\ \"q\" é\n";
+        let reps = (256 * 1024) / unit.len() + 1;
+        let text = format!("\"{}\"", unit.repeat(reps));
+        assert!(text.len() >= 256 * 1024);
+        assert_eq!(parse(&text).unwrap(), Json::Str(decoded.repeat(reps)));
+    }
+
+    #[test]
+    fn rejects_bad_escapes() {
+        for (text, offset) in [("\"\\x\"", 2), ("\"\\u12\"", 2), ("\"\\u+123\"", 2)] {
+            let e = error_of(text);
+            assert_eq!(
+                (e.kind, e.offset),
+                (ParseErrorKind::InvalidEscape, offset),
+                "{text}"
+            );
         }
     }
 

@@ -36,6 +36,7 @@ pub mod json;
 pub mod plan;
 pub(crate) mod planner;
 pub mod query;
+mod shortest;
 
 pub use context::{shared, EvalContext, SharedContext, FIG8_LAMBDA_RANGE, FIG8_N_TR_RANGE};
 pub use error::Error;

@@ -49,9 +49,13 @@ pub fn query_lines(addr: &str, lines: &[String]) -> Result<Vec<String>, Error> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut responses = Vec::with_capacity(lines.len());
+    let mut request = String::new();
     for line in lines {
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        // One write per line, newline included (see `server::write_line`).
+        request.clear();
+        request.push_str(line);
+        request.push('\n');
+        writer.write_all(request.as_bytes())?;
         writer.flush()?;
         let mut response = String::new();
         if reader.read_line(&mut response)? == 0 {
@@ -86,7 +90,7 @@ pub fn query_one(addr: &str, query: &Query) -> Result<Json, Error> {
 /// reported kind and message for kinds that only the transport layer
 /// produces), or [`Error::Parse`] for malformed protocol lines.
 pub fn decode_response(line: &str) -> Result<Json, Error> {
-    let v = json::parse(line).map_err(|message| Error::Parse { message })?;
+    let v = json::parse(line)?;
     if let Some(ok) = v.get("ok") {
         return Ok(ok.clone());
     }

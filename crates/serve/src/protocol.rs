@@ -56,7 +56,9 @@ pub static PARSE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution(
 /// Evaluation latency for the line's queries (`serve.evaluate` span).
 pub static EVALUATE_NS: maly_obs::Histogram =
     maly_obs::Histogram::high_resolution("serve.evaluate_ns");
-/// Response serialization latency (`serve.write` span).
+/// Response serialization latency (`serve.write` span): building and
+/// printing the response JSON only. The socket write that follows is
+/// `serve.socket_write_ns` in `server.rs`.
 pub static WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("serve.write_ns");
 
 /// The response object for one evaluated request.
@@ -235,7 +237,7 @@ pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
     };
     let parsed = match parsed {
         Ok(v) => v,
-        Err(message) => return error_line(&Error::Parse { message }),
+        Err(e) => return error_line(&Error::from(e)),
     };
     match parsed {
         Json::Arr(items) => {

@@ -41,6 +41,10 @@ pub static REJECTED_OVERSIZE: maly_obs::Counter =
 pub static QUEUE_DEPTH: maly_obs::Gauge = maly_obs::Gauge::new("serve.queue_depth");
 /// Connections currently being served by a worker.
 pub static INFLIGHT: maly_obs::Gauge = maly_obs::Gauge::new("serve.inflight");
+/// Time to hand one response line to the socket (`serve.socket_write`
+/// span). Serialization is timed apart, by `serve.write_ns`.
+pub static SOCKET_WRITE_NS: maly_obs::Histogram =
+    maly_obs::Histogram::high_resolution("serve.socket_write_ns");
 
 /// State shared between the accept loop, the workers, and handles.
 #[derive(Debug)]
@@ -173,7 +177,7 @@ impl Server {
                     // without bound.
                     REFUSED.incr();
                     let line = protocol::error_line(&Error::Overloaded);
-                    drop(write_line(&mut stream, &line));
+                    drop(write_line(&mut stream, line));
                 }
             }
         }
@@ -245,7 +249,7 @@ fn handle_connection(stream: TcpStream, max_line_bytes: usize) {
                     limit: max_line_bytes,
                 },
             );
-            drop(write_line(&mut writer, &line));
+            drop(write_line(&mut writer, line));
             return; // The rest of the oversized line is unrecoverable.
         }
         let text = String::from_utf8_lossy(&buf);
@@ -254,14 +258,18 @@ fn handle_connection(stream: TcpStream, max_line_bytes: usize) {
             continue;
         }
         let response = protocol::handle_line(ctx, trimmed);
-        if write_line(&mut writer, &response).is_err() {
+        if write_line(&mut writer, response).is_err() {
             return;
         }
     }
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
+/// Sends one response line with its newline in a single write: with
+/// `TCP_NODELAY` set, a separate newline write would cost a second
+/// syscall and a 1-byte segment.
+fn write_line(writer: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    let _span = maly_obs::span("serve.socket_write").with_histogram(&SOCKET_WRITE_NS);
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }

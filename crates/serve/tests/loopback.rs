@@ -536,6 +536,36 @@ fn request_work_counters_track_lines_and_batches() {
     join.join().expect("server thread exits cleanly");
 }
 
+#[test]
+fn socket_writes_are_timed_apart_from_serialization() {
+    let _guard = lock();
+    let was_enabled = maly_obs::enabled();
+    maly_obs::set_enabled(true);
+    let (handle, join) = start(ServeConfig::default().workers(1));
+    let addr = handle.addr().to_string();
+    let lines = vec![
+        request_line(1.0, &Query::Table3Row { id: 1 }),
+        request_line(2.0, &Query::Table3Row { id: 2 }),
+        "{not json".to_string(),
+    ];
+    let socket_before = maly_serve::server::SOCKET_WRITE_NS.count();
+    let serialize_before = protocol::WRITE_NS.count();
+    let got = client::query_lines(&addr, &lines).expect("round trip");
+    // Joining the server lets the last span close before the counts.
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+    maly_obs::set_enabled(was_enabled);
+    assert_eq!(got.len(), 3);
+    assert!(got[2].contains("\"kind\":\"parse\""), "{}", got[2]);
+    // Every response line is one timed socket write; the unparseable
+    // line never reaches the serializer's span.
+    assert_eq!(
+        maly_serve::server::SOCKET_WRITE_NS.count() - socket_before,
+        3
+    );
+    assert_eq!(protocol::WRITE_NS.count() - serialize_before, 2);
+}
+
 /// Polls `cond` for up to ~2 s; panics (naming `what`) on timeout.
 fn wait_until(cond: impl Fn() -> bool, what: &str) {
     for _ in 0..400 {
