@@ -42,6 +42,15 @@ echo "== perfbench (the benchmark's own tests and determinism self-test)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --selftest
 
+echo "== repro all vs the committed EXPERIMENTS.md (1 and 8 threads)"
+# EXPERIMENTS.md is `repro all`'s stdout: any change to a report (or
+# drift between the two) must come with a regenerated file, and the
+# output must not depend on the executor width.
+cargo build -q --release -p maly-repro --bin all
+for T in 1 8; do
+    MALY_PAR_THREADS=$T ./target/release/all | cmp - EXPERIMENTS.md
+done
+
 echo "== trace-check (serve protocol trace via query --file)"
 mkdir -p target
 cat > target/ci_requests.jsonl <<'REQ'

@@ -1,7 +1,7 @@
 //! Enforces the maly-obs determinism contract with observability ON:
 //!
-//! * golden outputs (adaptive surface, Monte Carlo report) stay
-//!   bit-identical at 1 / 2 / 8 threads while spans and counters are
+//! * golden outputs (dense surface, its contours, Monte Carlo report)
+//!   stay bit-identical at 1 / 2 / 8 threads while spans and counters are
 //!   being collected;
 //! * Work-kind counter totals are thread-count-invariant — they count
 //!   model evaluations fixed by the configuration, not scheduling;
@@ -11,8 +11,8 @@
 //! A single `#[test]` owns the whole sequence because the obs enabled
 //! flag, counter registry, and span list are process-global.
 
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface, DEFAULT_TOL};
-use maly_cost_model::surface::SurfaceParameters;
+use maly_cost_model::surface::{CostSurface, SurfaceParameters};
+use maly_cost_optim::contour::{extract_contours_with, ContourLine};
 use maly_fabline_sim::cost::FabEconomics;
 use maly_fabline_sim::mc::{run_with, McConfig, McReport};
 use maly_fabline_sim::process::ProcessFlow;
@@ -21,17 +21,22 @@ use maly_par::Executor;
 
 const WINDOW: ((f64, f64, usize), (f64, f64, usize)) = ((0.4, 1.5, 32), (2.0e4, 4.0e6, 24));
 
-/// One traced run at a given thread count: adaptive surface + MC study.
-fn traced_run(threads: usize) -> (AdaptiveSurface, McReport, Vec<(&'static str, u64)>) {
+/// What one traced run produces: the dense surface, its contours, the
+/// MC report and the Work counter totals.
+type TracedRun = (
+    CostSurface,
+    Vec<ContourLine>,
+    McReport,
+    Vec<(&'static str, u64)>,
+);
+
+/// One traced run at a given thread count: dense surface + contours +
+/// MC study.
+fn traced_run(threads: usize) -> TracedRun {
     maly_obs::reset_metrics();
     let exec = Executor::with_threads(threads);
-    let surface = AdaptiveSurface::compute_with(
-        &exec,
-        &SurfaceParameters::fig8(),
-        WINDOW.0,
-        WINDOW.1,
-        &AdaptiveConfig::new(DEFAULT_TOL),
-    );
+    let surface = CostSurface::compute_with(&exec, &SurfaceParameters::fig8(), WINDOW.0, WINDOW.1);
+    let contours = extract_contours_with(&exec, &surface, &[1.0e-5, 3.0e-5, 1.0e-4]);
     let economics = FabEconomics::default();
     let demand = vec![
         (ProcessFlow::for_generation("cmos-0.8", 0.8), 20_000.0),
@@ -49,36 +54,36 @@ fn traced_run(threads: usize) -> (AdaptiveSurface, McReport, Vec<(&'static str, 
         .filter(|c| c.kind == CounterKind::Work)
         .map(|c| (c.name, c.value))
         .collect();
-    (surface, report, work)
+    (surface, contours, report, work)
 }
 
 #[test]
 fn traced_runs_are_bit_identical_across_thread_counts() {
     maly_obs::set_enabled(true);
-    let (surface_1, report_1, work_1) = traced_run(1);
+    let (surface_1, contours_1, report_1, work_1) = traced_run(1);
     assert!(
         work_1
             .iter()
             .any(|(name, v)| *name == "mc.replications" && *v == 64),
         "expected mc.replications = 64 in {work_1:?}"
     );
+    let cells = (WINDOW.0 .2 * WINDOW.1 .2) as u64;
     assert!(
         work_1
             .iter()
-            .any(|(name, v)| name.starts_with("adaptive.") && *v > 0),
-        "expected adaptive work counters in {work_1:?}"
+            .any(|(name, v)| *name == "eq1.cells" && *v == cells),
+        "expected eq1.cells = {cells} in {work_1:?}"
+    );
+    assert!(
+        contours_1.iter().any(|c| !c.is_empty()),
+        "the traced levels must cross the surface"
     );
     for threads in [2usize, 8] {
-        let (surface_t, report_t, work_t) = traced_run(threads);
+        let (surface_t, contours_t, report_t, work_t) = traced_run(threads);
+        assert_eq!(surface_1, surface_t, "surface differs at {threads} threads");
         assert_eq!(
-            surface_1.surface(),
-            surface_t.surface(),
-            "surface differs at {threads} threads"
-        );
-        assert_eq!(
-            surface_1.stats(),
-            surface_t.stats(),
-            "adaptive stats differ at {threads} threads"
+            contours_1, contours_t,
+            "contours differ at {threads} threads"
         );
         assert_eq!(report_1, report_t, "MC report differs at {threads} threads");
         assert_eq!(

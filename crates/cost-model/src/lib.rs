@@ -21,8 +21,8 @@
 //! * [`scenario`] — the paper's Scenario #1 (eq. 8, Fig 6) and
 //!   Scenario #2 (eq. 9, Fig 7) trend studies;
 //! * [`product`] — [`product::ProductScenario`], one row of Table 3;
-//! * [`surface`] — the `C_tr(λ, N_tr)` cost surface of Fig 8, and
-//!   [`adaptive`] — its coarse-to-fine quadtree engine;
+//! * [`surface`] — the `C_tr(λ, N_tr)` cost surface of Fig 8, one
+//!   lane-batched eq. (1) kernel over the whole grid;
 //! * [`system`] — multi-partition system cost (Sec. IV.B).
 //!
 //! # Calibration note (eq. 3 exponent)
@@ -65,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod density;
 mod error;
 pub mod mpw;

@@ -24,30 +24,11 @@ use crate::{CostError, DiesPerWaferMethod, TransistorCostModel, WaferCostModel};
 /// count. Each block pays its own eq. (4) memo lock round trip and
 /// buffers, a few percent of a 56 × 48 surface at 512 cells, so blocks
 /// are 1024 cells and a serial executor takes one call.
-pub(crate) const CELL_BLOCK: usize = 1024;
-
-/// Evaluates `indices` through `eval` in [`CELL_BLOCK`]-sized blocks on
-/// `exec`, concatenated in index order (one block on a serial
-/// executor). Cells are independent, so the result is bit-identical to
-/// a single `eval(indices)` call.
-pub(crate) fn eval_in_blocks<F>(
-    exec: &Executor,
-    indices: &[(usize, usize)],
-    eval: F,
-) -> Vec<PointEval>
-where
-    F: Fn(&[(usize, usize)]) -> Vec<PointEval> + Sync,
-{
-    if exec.threads() <= 1 {
-        return eval(indices);
-    }
-    let blocks: Vec<&[(usize, usize)]> = indices.chunks(CELL_BLOCK).collect();
-    exec.map(&blocks, |block| eval(block)).concat()
-}
+const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
-/// thread-count-invariant Work counter: every consumer (dense scans,
-/// the adaptive engine, planned batch fusion) routes whole index sets
+/// thread-count-invariant Work counter: every consumer (dense scans
+/// and planned batch fusion) routes whole index sets
 /// through [`Eq1Kernel::eq1_for_slice`], so this is the ground truth
 /// for "how many eq. (1) evaluations actually ran" — the fusion
 /// goldens diff it directly instead of trusting wall clock.
@@ -173,12 +154,6 @@ impl SurfaceParameters {
     }
 }
 
-/// One evaluated grid point of the batched eq. (1) kernel: the cost per
-/// transistor (`None` when infeasible) and the eq. (4) die count the
-/// adaptive zone classifier keys on (`u32::MAX` when the dies-per-wafer
-/// method has no batched kernel).
-pub(crate) type PointEval = (Option<f64>, u32);
-
 /// Per-λ-row hoisted state of [`Eq1Kernel`]: the wafer cost `C_w(λ)`
 /// and the eq. (7) exponent scale `−D/λ^p` — both depend only on λ, so
 /// computing them once per row removes two `powf` calls from every
@@ -192,10 +167,9 @@ struct Eq1Row {
 }
 
 /// The shared lane-batched eq. (1) kernel over a fixed `(λ × N_tr)`
-/// grid: the dense scan and the adaptive engine's mesh and exact-zone
-/// paths all dispatch whole node sets through
-/// [`Eq1Kernel::eq1_for_slice`], so every consumer computes
-/// bit-identical values by construction.
+/// grid: the dense scan and the batch planner both dispatch whole node
+/// sets through [`Eq1Kernel::eq1_for_slice`], so every consumer
+/// computes bit-identical values by construction.
 ///
 /// Construction hoists everything that depends on one axis alone: the
 /// wafer cost `C_w(λ)` and the effective defect density `D/λ^p` per
@@ -203,7 +177,7 @@ struct Eq1Row {
 /// point), and the clamped [`TransistorCount`] per column. The
 /// per-point work is then one eq. (4) memo lookup and one lane-`exp`
 /// element — no scalar transcendentals on the hot path.
-pub(crate) struct Eq1Kernel {
+struct Eq1Kernel {
     wafer: Wafer,
     density: DesignDensity,
     rows: Vec<Eq1Row>,
@@ -216,11 +190,7 @@ impl Eq1Kernel {
     /// eq. (4) kernel or the eq. (7) calibration is invalid (where the
     /// scalar path errors on every point); callers then fall back to
     /// the scalar path.
-    pub(crate) fn new(
-        params: &SurfaceParameters,
-        lambda_axis: &[f64],
-        n_tr_axis: &[f64],
-    ) -> Option<Self> {
+    fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Option<Self> {
         // Same calibration validation as yields_for_slice: a bad (D, p)
         // makes every point infeasible, exactly like the scalar path.
         const PROBE_LAMBDA: Microns = Microns::const_new(1.0);
@@ -268,9 +238,9 @@ impl Eq1Kernel {
     /// [`ScaledPoissonYield::yields_for_slice`] (relative error vs the
     /// scalar path ≈ `(1 + |ln Y|) · 1e-14`). Every element is computed
     /// independently, so any chunking of `indices` produces
-    /// bit-identical values — thread counts and mesh orders cannot
+    /// bit-identical values — thread counts and plan orders cannot
     /// change results.
-    pub(crate) fn eq1_for_slice(&self, indices: &[(usize, usize)]) -> Vec<PointEval> {
+    fn eq1_for_slice(&self, indices: &[(usize, usize)]) -> Vec<Option<f64>> {
         EQ1_CELLS.add(indices.len() as u64);
         let dies: Vec<DieDimensions> = indices
             .iter()
@@ -295,36 +265,30 @@ impl Eq1Kernel {
         let mut out = Vec::with_capacity(indices.len());
         for (k, &(i, j)) in indices.iter().enumerate() {
             let n_ch = counts[k];
-            if n_ch.is_zero() {
-                out.push((None, 0));
-                continue;
-            }
             let y = Probability::clamped(yields[k]).value();
-            if y <= 0.0 {
-                out.push((None, n_ch.value()));
+            if n_ch.is_zero() || y <= 0.0 {
+                out.push(None);
                 continue;
             }
             // Same operation order as TransistorCostModel::evaluate.
             let good_dies = n_ch.as_f64() * y;
             let cost_per_good_die = self.rows[i].wafer_cost / good_dies;
-            out.push((
-                Some((cost_per_good_die / self.cols[j].value()).value()),
-                n_ch.value(),
-            ));
+            out.push(Some((cost_per_good_die / self.cols[j].value()).value()));
         }
         out
     }
 
     /// [`Eq1Kernel::eq1_for_slice`] over [`CELL_BLOCK`]-sized blocks on
-    /// `exec`. Blocks map back in index order and elements are
-    /// independent, so the output is bit-identical at every thread
-    /// count.
-    pub(crate) fn eval_indices_with(
-        &self,
-        exec: &Executor,
-        indices: &[(usize, usize)],
-    ) -> Vec<PointEval> {
-        eval_in_blocks(exec, indices, |block| self.eq1_for_slice(block))
+    /// `exec` (one block on a serial executor). Blocks map back in index
+    /// order and elements are independent, so the output is
+    /// bit-identical at every thread count.
+    fn eval_indices_with(&self, exec: &Executor, indices: &[(usize, usize)]) -> Vec<Option<f64>> {
+        if exec.threads() <= 1 {
+            return self.eq1_for_slice(indices);
+        }
+        let blocks: Vec<&[(usize, usize)]> = indices.chunks(CELL_BLOCK).collect();
+        exec.map(&blocks, |block| self.eq1_for_slice(block))
+            .concat()
     }
 }
 
@@ -367,11 +331,7 @@ impl PlannedEq1 {
     /// ordering of `cells`.
     #[must_use]
     pub fn eval_cells_with(&self, exec: &Executor, cells: &[(usize, usize)]) -> Vec<Option<f64>> {
-        self.kernel
-            .eval_indices_with(exec, cells)
-            .into_iter()
-            .map(|(cost, _)| cost)
-            .collect()
+        self.kernel.eval_indices_with(exec, cells)
     }
 }
 
@@ -435,7 +395,11 @@ pub fn surface_from_grid(
     {
         return None;
     }
-    Some(CostSurface::from_parts(lambda_axis, n_tr_axis, values))
+    Some(CostSurface {
+        lambda_axis,
+        n_tr_axis,
+        values,
+    })
 }
 
 /// A computed cost surface: `values[i][j]` is `C_tr` at
@@ -497,15 +461,13 @@ impl CostSurface {
 
         let values = if let Some(kernel) = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis) {
             // The lane-batched path: every grid node through one kernel
-            // dispatch, shared with the adaptive engine so dense and
-            // adaptive values agree bit-for-bit.
+            // dispatch, shared with the batch planner so served tiles
+            // and dense surfaces agree bit-for-bit.
             let indices: Vec<(usize, usize)> = (0..lambda_steps)
                 .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
                 .collect();
             let flat = kernel.eval_indices_with(exec, &indices);
-            flat.chunks(n_tr_steps)
-                .map(|row| row.iter().map(|&(c, _)| c).collect())
-                .collect()
+            flat.chunks(n_tr_steps).map(<[_]>::to_vec).collect()
         } else {
             exec.grid(lambda_steps, n_tr_steps, |i, j| {
                 // Grid points interpolate validated positive bounds.
@@ -515,23 +477,6 @@ impl CostSurface {
             })
         };
 
-        Self {
-            lambda_axis,
-            n_tr_axis,
-            values,
-        }
-    }
-
-    /// Assembles a surface from already-computed parts (the adaptive
-    /// engine's exit path). The axes and the value grid must agree in
-    /// shape.
-    pub(crate) fn from_parts(
-        lambda_axis: Vec<f64>,
-        n_tr_axis: Vec<f64>,
-        values: Vec<Vec<Option<f64>>>,
-    ) -> Self {
-        debug_assert_eq!(values.len(), lambda_axis.len());
-        debug_assert!(values.iter().all(|row| row.len() == n_tr_axis.len()));
         Self {
             lambda_axis,
             n_tr_axis,
@@ -601,15 +546,15 @@ impl CostSurface {
     }
 }
 
-/// The linearly spaced λ axis shared by the dense and adaptive engines.
-pub(crate) fn linear_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
+/// The linearly spaced λ axis of [`CostSurface::compute`] and [`grid_axes`].
+fn linear_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
     (0..steps)
         .map(|i| min + (max - min) * i as f64 / (steps - 1) as f64)
         .collect()
 }
 
-/// The log-spaced `N_tr` axis shared by the dense and adaptive engines.
-pub(crate) fn log_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
+/// The log-spaced `N_tr` axis of [`CostSurface::compute`] and [`grid_axes`].
+fn log_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
     let log_lo = min.ln();
     let log_hi = max.ln();
     (0..steps)

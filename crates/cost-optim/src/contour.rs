@@ -1,8 +1,10 @@
 //! Marching-squares contour extraction (Fig 8's constant-cost curves).
 
-use maly_cost_model::adaptive::AdaptiveSurface;
 use maly_cost_model::surface::CostSurface;
 use maly_par::Executor;
+
+/// One [`ContourLine`] segment.
+type Segment = ((f64, f64), (f64, f64));
 
 /// A contour line: the level and the polyline points `(λ, N_tr)` tracing
 /// it (segments concatenated; may contain several disconnected runs).
@@ -58,6 +60,11 @@ pub fn extract_contours(surface: &CostSurface, levels: &[f64]) -> Vec<ContourLin
 /// independent per `(level, row)` strip; strips come back in `(level,
 /// row, column)` order, so the segment lists are bit-identical to the
 /// serial pass at every thread count.
+///
+/// No cell visit allocates: corners are read as a tuple, the
+/// marching-squares case index is computed first, and cells the level
+/// does not cross (cases 0 and 15) are skipped before the corner
+/// coordinates are read.
 #[must_use]
 pub fn extract_contours_with(
     exec: &Executor,
@@ -77,108 +84,24 @@ pub fn extract_contours_with(
         if i >= rows {
             return segments;
         }
-        for j in 0..ys.len().saturating_sub(1) {
+        let (lo, hi) = (&values[i], &values[i + 1]);
+        for (j, (l, h)) in lo.windows(2).zip(hi.windows(2)).enumerate() {
             // Cell corners: (i,j), (i+1,j), (i+1,j+1), (i,j+1).
-            let corners = [
-                (xs[i], ys[j], values[i][j]),
-                (xs[i + 1], ys[j], values[i + 1][j]),
-                (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
-                (xs[i], ys[j + 1], values[i][j + 1]),
-            ];
-            let Some(vals) = corners
-                .iter()
-                .map(|(_, _, v)| *v)
-                .collect::<Option<Vec<f64>>>()
-            else {
+            let (Some(a), Some(b), Some(c), Some(d)) = (l[0], h[0], h[1], l[1]) else {
                 continue;
             };
-            segments.extend(march_cell(&corners, &vals, level));
-        }
-        segments
-    });
-
-    levels
-        .iter()
-        .zip(strips)
-        .map(|(&level, rows)| ContourLine {
-            level,
-            segments: rows.into_iter().flatten().collect(),
-        })
-        .collect()
-}
-
-/// Contour extraction over an adaptively computed surface: only cells in
-/// the surface's march mask ([`AdaptiveSurface::cell_is_exact`]) are
-/// visited. The mask covers every cell that can carry a segment of a
-/// protected level — cells with exact corners plus accepted cells whose
-/// values straddle a level — so for levels the surface was refined
-/// against, the result equals marching every cell of the same surface,
-/// at a fraction of the visits (see `exact_cell_count`).
-///
-/// # Panics
-///
-/// Panics if any requested level is not among the surface's
-/// [`AdaptiveSurface::protected_levels`] — marching an unprotected level
-/// against the mask could silently drop segments.
-#[must_use]
-pub fn extract_contours_adaptive(surface: &AdaptiveSurface, levels: &[f64]) -> Vec<ContourLine> {
-    extract_contours_adaptive_with(&Executor::from_env(), surface, levels)
-}
-
-/// [`extract_contours_adaptive`] on an explicit executor. Strips come
-/// back in `(level, row, column)` order — the same order as
-/// [`extract_contours_with`] — so segment lists are bit-identical to the
-/// serial pass at every thread count.
-///
-/// # Panics
-///
-/// As for [`extract_contours_adaptive`].
-#[must_use]
-pub fn extract_contours_adaptive_with(
-    exec: &Executor,
-    surface: &AdaptiveSurface,
-    levels: &[f64],
-) -> Vec<ContourLine> {
-    for level in levels {
-        assert!(
-            surface
-                .protected_levels()
-                .iter()
-                .any(|protected| protected == level),
-            "level {level} was not protected when the surface was computed"
-        );
-    }
-    let grid = surface.surface();
-    let xs = grid.lambda_axis();
-    let ys = grid.n_tr_axis();
-    let values = grid.values();
-    let rows = xs.len().saturating_sub(1);
-    let cell_cols = ys.len().saturating_sub(1);
-
-    let strips = exec.grid(levels.len(), rows.max(1), |li, i| {
-        let level = levels[li];
-        let mut segments = Vec::new();
-        if i >= rows {
-            return segments;
-        }
-        for j in 0..cell_cols {
-            if !surface.cell_is_exact(i, j) {
+            let vals = [a, b, c, d];
+            let case = cell_case(&vals, level);
+            if case == 0 || case == 0b1111 {
                 continue;
             }
             let corners = [
-                (xs[i], ys[j], values[i][j]),
-                (xs[i + 1], ys[j], values[i + 1][j]),
-                (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
-                (xs[i], ys[j + 1], values[i][j + 1]),
+                (xs[i], ys[j]),
+                (xs[i + 1], ys[j]),
+                (xs[i + 1], ys[j + 1]),
+                (xs[i], ys[j + 1]),
             ];
-            let Some(vals) = corners
-                .iter()
-                .map(|(_, _, v)| *v)
-                .collect::<Option<Vec<f64>>>()
-            else {
-                continue;
-            };
-            segments.extend(march_cell(&corners, &vals, level));
+            march_cell(&corners, &vals, case, level, &mut segments);
         }
         segments
     });
@@ -193,28 +116,31 @@ pub fn extract_contours_adaptive_with(
         .collect()
 }
 
-/// Marches one cell: finds level crossings on its four edges and pairs
-/// them into segments (standard 16-case table, ambiguous saddles split
-/// by the cell-average rule).
-fn march_cell(
-    corners: &[(f64, f64, Option<f64>); 4],
-    vals: &[f64],
-    level: f64,
-) -> Vec<((f64, f64), (f64, f64))> {
-    let mut case = 0usize;
+/// The marching-squares case index of a cell: bit `k` is set when
+/// corner `k` is at or above `level`.
+fn cell_case(vals: &[f64; 4], level: f64) -> usize {
+    let mut case = 0;
     for (bit, v) in vals.iter().enumerate() {
-        if *v >= level {
-            case |= 1 << bit;
-        }
+        case |= usize::from(*v >= level) << bit;
     }
-    if case == 0 || case == 0b1111 {
-        return Vec::new();
-    }
+    case
+}
 
+/// Marches one cell of case `case` (from [`cell_case`]): finds level
+/// crossings on its four edges and pushes them, paired into segments,
+/// onto `out` (standard 16-case table, ambiguous saddles split by the
+/// cell-average rule; cases 0 and 15 push nothing).
+fn march_cell(
+    corners: &[(f64, f64); 4],
+    vals: &[f64; 4],
+    case: usize,
+    level: f64,
+    out: &mut Vec<Segment>,
+) {
     // Edge k joins corner k and corner (k+1)%4.
     let crossing = |k: usize| -> (f64, f64) {
-        let (x0, y0, _) = corners[k];
-        let (x1, y1, _) = corners[(k + 1) % 4];
+        let (x0, y0) = corners[k];
+        let (x1, y1) = corners[(k + 1) % 4];
         let v0 = vals[k];
         let v1 = vals[(k + 1) % 4];
         let t = if (v1 - v0).abs() < f64::EPSILON {
@@ -250,21 +176,16 @@ fn march_cell(
                 &[(0, 1), (2, 3)]
             }
         }
-        // audit:allow(panic): the 4-bit marching-squares index is
-        // exhaustive — cases 0 and 15 returned early above.
-        _ => unreachable!("cases 0 and 15 early-returned"),
+        _ => &[],
     };
 
-    edge_pairs
-        .iter()
-        .map(|&(a, b)| (crossing(a), crossing(b)))
-        .collect()
+    out.extend(edge_pairs.iter().map(|&(a, b)| (crossing(a), crossing(b))));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maly_cost_model::surface::SurfaceParameters;
+    use maly_cost_model::surface::{surface_from_grid, SurfaceParameters};
 
     fn fig8_surface() -> CostSurface {
         CostSurface::compute(
@@ -317,22 +238,83 @@ mod tests {
 
     #[test]
     fn crossing_points_interpolate_the_level() {
-        // Synthetic planar surface via a tiny grid check: contour of
-        // f(x,y) = x at level 0.5 must be the vertical line x = 0.5.
-        // (Exercised through the public API on a cost surface is
-        // impractical; the planar check uses march_cell directly.)
-        let corners = [
-            (0.0, 0.0, Some(0.0)),
-            (1.0, 0.0, Some(1.0)),
-            (1.0, 1.0, Some(1.0)),
-            (0.0, 1.0, Some(0.0)),
+        // Cells marched directly on the unit square (corners 0..4 run
+        // counter-clockwise from the origin). Dyadic values keep every
+        // crossing exact.
+        type Case = (&'static str, [f64; 4], f64, usize, &'static [Segment]);
+        let table: [Case; 7] = [
+            // f(x, y) = x at level 0.5 is the vertical line x = 0.5.
+            (
+                "planar",
+                [0.0, 1.0, 1.0, 0.0],
+                0.5,
+                0b0110,
+                &[((0.5, 0.0), (0.5, 1.0))],
+            ),
+            // `v >= level` puts the max corners above: still marched.
+            (
+                "level at max",
+                [0.0, 1.0, 1.0, 0.0],
+                1.0,
+                0b0110,
+                &[((1.0, 0.0), (1.0, 1.0))],
+            ),
+            // Every corner is at or above the min: case 15, skipped.
+            ("level at min", [0.0, 1.0, 1.0, 0.0], 0.0, 0b1111, &[]),
+            // Saddles: the center average (0.5) picks the pairing.
+            (
+                "saddle 0101, center above",
+                [1.0, 0.0, 1.0, 0.0],
+                0.25,
+                0b0101,
+                &[((0.75, 0.0), (1.0, 0.25)), ((0.25, 1.0), (0.0, 0.75))],
+            ),
+            (
+                "saddle 0101, center below",
+                [1.0, 0.0, 1.0, 0.0],
+                0.75,
+                0b0101,
+                &[((0.25, 0.0), (0.0, 0.25)), ((1.0, 0.75), (0.75, 1.0))],
+            ),
+            (
+                "saddle 1010, center above",
+                [0.0, 1.0, 0.0, 1.0],
+                0.25,
+                0b1010,
+                &[((0.25, 0.0), (0.0, 0.25)), ((1.0, 0.75), (0.75, 1.0))],
+            ),
+            (
+                "saddle 1010, center below",
+                [0.0, 1.0, 0.0, 1.0],
+                0.75,
+                0b1010,
+                &[((0.75, 0.0), (1.0, 0.25)), ((0.25, 1.0), (0.0, 0.75))],
+            ),
         ];
-        let vals = [0.0, 1.0, 1.0, 0.0];
-        let segs = march_cell(&corners, &vals, 0.5);
-        assert_eq!(segs.len(), 1);
-        let ((ax, _), (bx, _)) = segs[0];
-        assert!((ax - 0.5).abs() < 1e-12);
-        assert!((bx - 0.5).abs() < 1e-12);
+        let corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)];
+        for (name, vals, level, case, expected) in table {
+            assert_eq!(cell_case(&vals, level), case, "{name}");
+            let mut segments = Vec::new();
+            march_cell(&corners, &vals, case, level, &mut segments);
+            assert_eq!(segments, expected, "{name}");
+        }
+
+        // A cell with one infeasible corner gives no segment, though
+        // its feasible corners straddle the level.
+        let grid = |corner: Option<f64>| {
+            surface_from_grid(
+                vec![0.5, 1.0],
+                vec![1.0e5, 2.0e5],
+                vec![vec![Some(0.0), corner], vec![Some(1.0), Some(1.0)]],
+            )
+            .expect("2 × 2 grid")
+        };
+        let exec = Executor::serial();
+        assert_eq!(
+            extract_contours_with(&exec, &grid(Some(0.0)), &[0.5])[0].len(),
+            1
+        );
+        assert!(extract_contours_with(&exec, &grid(None), &[0.5])[0].is_empty());
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! case pins its executor with `Executor::with_threads`, which is the
 //! same code path `from_env` configures.
 
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface};
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_cost_model::system::{ManufacturingContext, Partition, SystemDesign};
 use maly_cost_model::WaferCostModel;
-use maly_cost_optim::contour::{extract_contours_adaptive_with, extract_contours_with};
+use maly_cost_optim::contour::{extract_contours_with, ContourLine};
 use maly_cost_optim::partition::optimize_with;
 use maly_cost_optim::search::{grid_min_with, optimal_feature_size_with};
 use maly_par::Executor;
@@ -67,42 +66,53 @@ fn contour_segments_are_bit_identical() {
     }
 }
 
-#[test]
-fn adaptive_tol_zero_golden_matches_dense_at_every_thread_count() {
-    // The tol = 0 degenerate path must be bit-identical to the dense
-    // scan whether the engine runs serial or tiled across threads.
-    let dense = fig8_surface(&Executor::with_threads(1));
-    for threads in THREAD_COUNTS {
-        let adaptive = AdaptiveSurface::compute_with(
-            &Executor::with_threads(threads),
-            &SurfaceParameters::fig8(),
-            (0.4, 1.5, 40),
-            (2.0e4, 4.0e6, 32),
-            &AdaptiveConfig::exact(),
-        );
-        assert_eq!(adaptive.surface(), &dense, "threads = {threads}");
-    }
+/// FNV-1a over every contour's level, per-level segment count and
+/// segment endpoint bits, in output order.
+fn contour_digest(lines: &[ContourLine]) -> u64 {
+    let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+    lines.iter().fold(0xcbf2_9ce4_8422_2325, |h, line| {
+        let h = fnv(fnv(h, line.level.to_bits()), line.segments.len() as u64);
+        line.segments.iter().fold(h, |h, ((a, b), (c, d))| {
+            [a, b, c, d].iter().fold(h, |h, v| fnv(h, v.to_bits()))
+        })
+    })
 }
 
 #[test]
-fn adaptive_contours_at_tol_zero_match_dense_contours() {
-    // At tol = 0 every cell is in the march mask and every value is the
-    // dense value, so masked marching must reproduce the dense contour
-    // segments bit for bit — at every thread count.
-    let levels = [3.0e-6, 10.0e-6, 30.0e-6, 100.0e-6];
-    let dense = fig8_surface(&Executor::with_threads(1));
-    let reference = extract_contours_with(&Executor::with_threads(1), &dense, &levels);
-    for threads in THREAD_COUNTS {
-        let adaptive = AdaptiveSurface::compute_with(
-            &Executor::with_threads(threads),
-            &SurfaceParameters::fig8(),
-            (0.4, 1.5, 40),
-            (2.0e4, 4.0e6, 32),
-            &AdaptiveConfig::exact().with_levels(&levels),
-        );
-        let contours =
-            extract_contours_adaptive_with(&Executor::with_threads(threads), &adaptive, &levels);
-        assert_eq!(reference, contours, "threads = {threads}");
+fn contour_bytes_match_the_recorded_golden() {
+    // Digests recorded from the per-cell-allocating marcher this one
+    // replaced: the rewrite must not move a single bit, at any thread
+    // count. Windows are the Fig 8 benchmark grid and its 4×-denser
+    // twin.
+    let levels = [3.0e-6, 1.0e-5, 3.0e-5, 1.0e-4, 3.0e-4];
+    let goldens = [
+        (
+            (0.4, 1.5, 56),
+            (2.0e4, 4.0e6, 48),
+            [6, 72, 74, 76, 77],
+            0x3f31_b4cc_53aa_76f1_u64,
+        ),
+        (
+            (0.4, 1.5, 112),
+            (2.0e4, 4.0e6, 96),
+            [11, 149, 151, 154, 155],
+            0x7f65_39c3_3276_e23f,
+        ),
+    ];
+    for (lambda, n_tr, counts, digest) in goldens {
+        for threads in THREAD_COUNTS {
+            let exec = Executor::with_threads(threads);
+            let surface =
+                CostSurface::compute_with(&exec, &SurfaceParameters::fig8(), lambda, n_tr);
+            let contours = extract_contours_with(&exec, &surface, &levels);
+            let lens: Vec<usize> = contours.iter().map(ContourLine::len).collect();
+            assert_eq!(lens, counts, "{lambda:?} × {n_tr:?}, threads = {threads}");
+            assert_eq!(
+                contour_digest(&contours),
+                digest,
+                "{lambda:?} × {n_tr:?}, threads = {threads}"
+            );
+        }
     }
 }
 

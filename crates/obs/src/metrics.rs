@@ -422,7 +422,7 @@ impl Histogram {
 /// One counter's name, kind, and total at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Registry name (dotted, e.g. `adaptive.mesh_evals`).
+    /// Registry name (dotted, e.g. `eq1.cells`).
     pub name: &'static str,
     /// Work or diagnostic (see [`CounterKind`]).
     pub kind: CounterKind,

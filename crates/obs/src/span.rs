@@ -27,7 +27,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Parent span id, if any.
     pub parent: Option<u64>,
-    /// Static span name (e.g. `par.chunk`, `adaptive.surface`).
+    /// Static span name (e.g. `par.chunk`, `mc.replication`).
     pub name: &'static str,
     /// Dense ordinal of the recording thread (first-touch order).
     pub thread: u64,
