@@ -54,7 +54,7 @@ pub struct ProductScenario {
     wafer: Wafer,
     reference_yield: Probability,
     wafer_cost_model: WaferCostModel,
-    dies_method: DiesPerWaferMethod,
+    dies_per_wafer_method: DiesPerWaferMethod,
 }
 
 impl ProductScenario {
@@ -132,7 +132,7 @@ impl ProductScenario {
             wafer_cost,
             AreaScaledYield::per_square_centimeter(self.reference_yield),
         )
-        .dies_per_wafer_method(self.dies_method);
+        .dies_per_wafer_method(self.dies_per_wafer_method);
         model.evaluate(self.die(), self.transistors)
     }
 
@@ -175,7 +175,7 @@ pub struct ProductScenarioBuilder {
     reference_cost: Option<Dollars>,
     escalation: Option<f64>,
     generation_rate: f64,
-    dies_method: DiesPerWaferMethod,
+    dies_per_wafer_method: DiesPerWaferMethod,
 }
 
 impl ProductScenarioBuilder {
@@ -190,7 +190,7 @@ impl ProductScenarioBuilder {
             reference_cost: None,
             escalation: None,
             generation_rate: WaferCostModel::CALIBRATED_GENERATION_RATE,
-            dies_method: DiesPerWaferMethod::default(),
+            dies_per_wafer_method: DiesPerWaferMethod::default(),
         }
     }
 
@@ -272,7 +272,7 @@ impl ProductScenarioBuilder {
     /// Overrides the dies-per-wafer method (defaults to eq. 4).
     #[must_use]
     pub fn dies_per_wafer_method(mut self, method: DiesPerWaferMethod) -> Self {
-        self.dies_method = method;
+        self.dies_per_wafer_method = method;
         self
     }
 
@@ -301,7 +301,7 @@ impl ProductScenarioBuilder {
             wafer,
             reference_yield,
             wafer_cost_model,
-            dies_method: self.dies_method,
+            dies_per_wafer_method: self.dies_per_wafer_method,
         })
     }
 }

@@ -16,7 +16,7 @@ use maly_units::{
 use maly_wafer_geom::{DieDimensions, Wafer};
 use maly_yield_model::ScaledPoissonYield;
 
-use crate::{CostError, DiesPerWaferMethod, TransistorCostModel, WaferCostModel};
+use crate::{CostError, TransistorCostModel, WaferCostModel};
 
 /// Grid cells per executor work item in the lane-kernel sweeps. The
 /// block is fixed, not one per thread: the executor prices a block like
@@ -29,7 +29,7 @@ const CELL_BLOCK: usize = 1024;
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
 /// thread-count-invariant Work counter: every consumer (dense scans
 /// and planned batch fusion) routes whole index sets
-/// through [`Eq1Kernel::eq1_for_slice`], so this is the ground truth
+/// through [`Eq1Kernel::eval_cells_with`], so this is the ground truth
 /// for "how many eq. (1) evaluations actually ran" — the fusion
 /// goldens diff it directly instead of trusting wall clock.
 pub static EQ1_CELLS: maly_obs::Counter = maly_obs::Counter::work("eq1.cells");
@@ -47,8 +47,6 @@ pub struct SurfaceParameters {
     pub defect_d: ReferenceDefectDensity,
     /// Eq. (7) defect size exponent `p`.
     pub defect_p: f64,
-    /// Dies-per-wafer method.
-    pub dies_method: DiesPerWaferMethod,
 }
 
 impl SurfaceParameters {
@@ -65,11 +63,11 @@ impl SurfaceParameters {
             density: FIG8_DENSITY,
             defect_d: ScaledPoissonYield::FIG8_D,
             defect_p: ScaledPoissonYield::FIG8_P,
-            dies_method: DiesPerWaferMethod::MalyEq4,
         }
     }
 
-    /// Cost per transistor at one `(λ, N_tr)` point.
+    /// Cost per transistor at one `(λ, N_tr)` point, with eq. (4) row
+    /// packing for the dies per wafer.
     ///
     /// # Errors
     ///
@@ -81,8 +79,7 @@ impl SurfaceParameters {
     ) -> Result<Dollars, CostError> {
         let yield_model = ScaledPoissonYield::new(self.defect_d, self.defect_p, lambda)?;
         let model =
-            TransistorCostModel::new(self.wafer, self.wafer_cost.wafer_cost(lambda), yield_model)
-                .dies_per_wafer_method(self.dies_method);
+            TransistorCostModel::new(self.wafer, self.wafer_cost.wafer_cost(lambda), yield_model);
         let area = crate::density::die_area(transistors, self.density, lambda);
         let die = maly_wafer_geom::DieDimensions::square_with_area(area);
         Ok(model.evaluate(die, transistors)?.cost_per_transistor)
@@ -93,9 +90,9 @@ impl SurfaceParameters {
     /// large, yield collapsed) — exactly [`SurfaceParameters::cost_at`]
     /// per element, `Err → None`.
     ///
-    /// For the default eq. (4) dies-per-wafer method this runs the
-    /// batched kernels underneath — one memo-cache pass for the die
-    /// counts ([`maly_wafer_geom::cache::dies_per_wafer_batch`]) and one
+    /// This runs the batched kernels underneath — one memo-cache pass
+    /// for the die counts
+    /// ([`maly_wafer_geom::cache::dies_per_wafer_batch`]) and one
     /// eq. (7) yield pass
     /// ([`ScaledPoissonYield::yields_for_slice`]) — instead of
     /// re-deriving the full model object per point. Die counts and the
@@ -105,14 +102,6 @@ impl SurfaceParameters {
     /// whole Fig 8 window).
     #[must_use]
     pub fn costs_for_points(&self, points: &[(Microns, TransistorCount)]) -> Vec<Option<f64>> {
-        if !matches!(self.dies_method, DiesPerWaferMethod::MalyEq4) {
-            // Non-default packing methods have no batched kernel; fall
-            // back to the scalar path per point.
-            return points
-                .iter()
-                .map(|&(lambda, n)| self.cost_at(lambda, n).ok().map(|d| d.value()))
-                .collect();
-        }
         let dies: Vec<DieDimensions> = points
             .iter()
             .map(|&(lambda, n)| {
@@ -166,10 +155,19 @@ struct Eq1Row {
     neg_d_eff: f64,
 }
 
-/// The shared lane-batched eq. (1) kernel over a fixed `(λ × N_tr)`
-/// grid: the dense scan and the batch planner both dispatch whole node
-/// sets through [`Eq1Kernel::eq1_for_slice`], so every consumer
-/// computes bit-identical values by construction.
+/// The lane-batched eq. (1) kernel over a fixed `(λ × N_tr)` grid of
+/// caller-supplied axis values. The dense scan dispatches a whole
+/// surface through it, and `maly-model`'s batch planner unions the λ
+/// and `N_tr` axis values of every cold tile in a query batch,
+/// evaluates each unique `(λ, N_tr)` cell exactly once, and scatters
+/// the results back per tile.
+///
+/// Per-cell values depend only on the cell's own `(λ, N_tr)` pair —
+/// never on which axes, tiles, or chunks surround it — so any tile
+/// whose axis values appear bit-equal in these sets receives values
+/// bit-identical to a direct [`CostSurface::compute_with`] over that
+/// tile alone. That independence is what makes cross-request fusion
+/// safe under the workspace's bit-identical-output contract.
 ///
 /// Construction hoists everything that depends on one axis alone: the
 /// wafer cost `C_w(λ)` and the effective defect density `D/λ^p` per
@@ -177,28 +175,26 @@ struct Eq1Row {
 /// point), and the clamped [`TransistorCount`] per column. The
 /// per-point work is then one eq. (4) memo lookup and one lane-`exp`
 /// element — no scalar transcendentals on the hot path.
-struct Eq1Kernel {
+pub struct Eq1Kernel {
     wafer: Wafer,
     density: DesignDensity,
+    /// Whether the eq. (7) `(D, p)` calibration is valid. When it is
+    /// not, [`SurfaceParameters::cost_at`] errs on every point, so
+    /// every cell of this kernel is `None`.
+    calibrated: bool,
     rows: Vec<Eq1Row>,
     cols: Vec<TransistorCount>,
 }
 
 impl Eq1Kernel {
-    /// Builds the kernel for a parameter set over the given axes.
-    /// Returns `None` when the dies-per-wafer method has no batched
-    /// eq. (4) kernel or the eq. (7) calibration is invalid (where the
-    /// scalar path errors on every point); callers then fall back to
-    /// the scalar path.
-    fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Option<Self> {
-        // Same calibration validation as yields_for_slice: a bad (D, p)
-        // makes every point infeasible, exactly like the scalar path.
+    /// Builds the kernel for a parameter set over explicit axis values
+    /// (λ in µm, both axes positive).
+    #[must_use]
+    pub fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Self {
+        // Same calibration validation as yields_for_slice.
         const PROBE_LAMBDA: Microns = Microns::const_new(1.0);
-        let calibrated = matches!(params.dies_method, DiesPerWaferMethod::MalyEq4)
-            && ScaledPoissonYield::new(params.defect_d, params.defect_p, PROBE_LAMBDA).is_ok();
-        if !calibrated {
-            return None;
-        }
+        let calibrated =
+            ScaledPoissonYield::new(params.defect_d, params.defect_p, PROBE_LAMBDA).is_ok();
         let rows = lambda_axis
             .iter()
             .map(|&l| {
@@ -219,12 +215,13 @@ impl Eq1Kernel {
             .iter()
             .map(|&n| TransistorCount::clamped(n))
             .collect();
-        Some(Self {
+        Self {
             wafer: params.wafer,
             density: params.density,
+            calibrated,
             rows,
             cols,
-        })
+        }
     }
 
     /// Batched eq. (1) over grid indices `(i, j)` into the row/column
@@ -242,6 +239,9 @@ impl Eq1Kernel {
     /// change results.
     fn eq1_for_slice(&self, indices: &[(usize, usize)]) -> Vec<Option<f64>> {
         EQ1_CELLS.add(indices.len() as u64);
+        if !self.calibrated {
+            return vec![None; indices.len()];
+        }
         let dies: Vec<DieDimensions> = indices
             .iter()
             .map(|&(i, j)| {
@@ -278,89 +278,35 @@ impl Eq1Kernel {
         out
     }
 
-    /// [`Eq1Kernel::eq1_for_slice`] over [`CELL_BLOCK`]-sized blocks on
-    /// `exec` (one block on a serial executor). Blocks map back in index
-    /// order and elements are independent, so the output is
-    /// bit-identical at every thread count.
-    fn eval_indices_with(&self, exec: &Executor, indices: &[(usize, usize)]) -> Vec<Option<f64>> {
+    /// Evaluates the given `(λ index, N_tr index)` cells across the
+    /// executor in fixed-size blocks (one block on a serial executor);
+    /// `None` marks infeasible cells (die too large, yield collapsed).
+    /// Blocks map back in index order and elements are independent, so
+    /// the output is bit-identical at every thread count and under any
+    /// chunking or ordering of `cells`.
+    #[must_use]
+    pub fn eval_cells_with(&self, exec: &Executor, cells: &[(usize, usize)]) -> Vec<Option<f64>> {
         if exec.threads() <= 1 {
-            return self.eq1_for_slice(indices);
+            return self.eq1_for_slice(cells);
         }
-        let blocks: Vec<&[(usize, usize)]> = indices.chunks(CELL_BLOCK).collect();
+        let blocks: Vec<&[(usize, usize)]> = cells.chunks(CELL_BLOCK).collect();
         exec.map(&blocks, |block| self.eq1_for_slice(block))
             .concat()
     }
-}
-
-/// The lane-batched eq. (1) kernel over caller-supplied axis value
-/// sets — the entry point for *externally planned* node sets.
-/// `maly-model`'s batch planner unions the λ and `N_tr` axis values of
-/// every cold tile in a query batch, evaluates each unique
-/// `(λ, N_tr)` cell exactly once through this kernel, and scatters the
-/// results back per tile.
-///
-/// Per-cell values depend only on the cell's own `(λ, N_tr)` pair —
-/// never on which axes, tiles, or chunks surround it — so any tile
-/// whose axis values appear bit-equal in these sets receives values
-/// bit-identical to a direct [`CostSurface::compute_with`] over that
-/// tile alone. That independence is what makes cross-request fusion
-/// safe under the workspace's bit-identical-output contract.
-pub struct PlannedEq1 {
-    kernel: Eq1Kernel,
-}
-
-impl PlannedEq1 {
-    /// Builds the kernel over explicit axis values (λ in µm, both axes
-    /// positive). Returns `None` when the dies-per-wafer method has no
-    /// batched eq. (4) kernel or the eq. (7) calibration is invalid;
-    /// callers then fall back to [`CostSurface::compute_with`] per
-    /// tile, exactly like the dense scan's scalar fallback.
-    #[must_use]
-    pub fn new(
-        params: &SurfaceParameters,
-        lambda_values: &[f64],
-        n_tr_values: &[f64],
-    ) -> Option<Self> {
-        Eq1Kernel::new(params, lambda_values, n_tr_values).map(|kernel| Self { kernel })
-    }
-
-    /// Evaluates the given `(λ index, N_tr index)` cells across the
-    /// executor; `None` marks infeasible cells (die too large, yield
-    /// collapsed). Elements are independent, so the output is
-    /// bit-identical at every thread count and under any chunking or
-    /// ordering of `cells`.
-    #[must_use]
-    pub fn eval_cells_with(&self, exec: &Executor, cells: &[(usize, usize)]) -> Vec<Option<f64>> {
-        self.kernel.eval_indices_with(exec, cells)
-    }
-}
-
-/// The exact grid axes [`CostSurface::compute`] derives for these
-/// ranges — λ linear, `N_tr` logarithmic — or `None` when a range is
-/// degenerate (not ascending-positive, or fewer than 2 steps). The
-/// planner keys its cell-level fusion on bit-equality of these values,
-/// so they must come from the same arithmetic as the compute path; the
-/// panicking contract stays with `compute`.
-#[must_use]
-pub fn grid_axes(
-    lambda_range: (f64, f64, usize),
-    n_tr_range: (f64, f64, usize),
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    Some((
-        lambda_axis_values(lambda_range)?,
-        n_tr_axis_values(n_tr_range)?,
-    ))
 }
 
 fn ascending_positive(lo: f64, hi: f64) -> bool {
     lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi
 }
 
-/// The λ half of [`grid_axes`] alone — linear spacing, same validation.
-/// Split out so a batch planner whose tiles repeat one axis range (the
-/// usual sliding-window shape) can compute each distinct axis once; the
-/// `N_tr` half's log spacing is the expensive one (one `exp` per
-/// point).
+/// The exact λ axis [`CostSurface::compute`] derives for this range —
+/// linear spacing — or `None` when the range is degenerate (not
+/// ascending-positive, or fewer than 2 steps). The planner keys its
+/// cell-level fusion on bit-equality of axis values, so they must come
+/// from the same arithmetic as the compute path; the panicking contract
+/// stays with `compute`. The two axes are separate functions so a batch
+/// planner whose tiles repeat one axis range (the usual sliding-window
+/// shape) can compute each distinct axis once.
 #[must_use]
 pub fn lambda_axis_values((min, max, steps): (f64, f64, usize)) -> Option<Vec<f64>> {
     if steps < 2 || !ascending_positive(min, max) {
@@ -369,8 +315,9 @@ pub fn lambda_axis_values((min, max, steps): (f64, f64, usize)) -> Option<Vec<f6
     Some(linear_axis(min, max, steps))
 }
 
-/// The `N_tr` half of [`grid_axes`] alone — logarithmic spacing, same
-/// validation.
+/// The exact `N_tr` axis [`CostSurface::compute`] derives for this
+/// range — logarithmic spacing, one `exp` per point — with the same
+/// validation as [`lambda_axis_values`].
 #[must_use]
 pub fn n_tr_axis_values((min, max, steps): (f64, f64, usize)) -> Option<Vec<f64>> {
     if steps < 2 || !ascending_positive(min, max) {
@@ -459,23 +406,18 @@ impl CostSurface {
         let lambda_axis = linear_axis(lambda_min, lambda_max, lambda_steps);
         let n_tr_axis = log_axis(n_tr_min, n_tr_max, n_tr_steps);
 
-        let values = if let Some(kernel) = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis) {
-            // The lane-batched path: every grid node through one kernel
-            // dispatch, shared with the batch planner so served tiles
-            // and dense surfaces agree bit-for-bit.
-            let indices: Vec<(usize, usize)> = (0..lambda_steps)
-                .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
-                .collect();
-            let flat = kernel.eval_indices_with(exec, &indices);
-            flat.chunks(n_tr_steps).map(<[_]>::to_vec).collect()
-        } else {
-            exec.grid(lambda_steps, n_tr_steps, |i, j| {
-                // Grid points interpolate validated positive bounds.
-                let lambda = Microns::clamped(lambda_axis[i]);
-                let n_tr = TransistorCount::clamped(n_tr_axis[j]);
-                params.cost_at(lambda, n_tr).ok().map(|d| d.value())
-            })
-        };
+        // Every grid node through one kernel dispatch, shared with the
+        // batch planner so served tiles and dense surfaces agree
+        // bit-for-bit.
+        let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis);
+        let cells: Vec<(usize, usize)> = (0..lambda_steps)
+            .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
+            .collect();
+        let values = kernel
+            .eval_cells_with(exec, &cells)
+            .chunks(n_tr_steps)
+            .map(<[_]>::to_vec)
+            .collect();
 
         Self {
             lambda_axis,
@@ -546,14 +488,14 @@ impl CostSurface {
     }
 }
 
-/// The linearly spaced λ axis of [`CostSurface::compute`] and [`grid_axes`].
+/// The linearly spaced λ axis of [`CostSurface::compute`].
 fn linear_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
     (0..steps)
         .map(|i| min + (max - min) * i as f64 / (steps - 1) as f64)
         .collect()
 }
 
-/// The log-spaced `N_tr` axis of [`CostSurface::compute`] and [`grid_axes`].
+/// The log-spaced `N_tr` axis of [`CostSurface::compute`].
 fn log_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
     let log_lo = min.ln();
     let log_hi = max.ln();
@@ -645,6 +587,44 @@ mod tests {
             TransistorCount::new(5.0e9).unwrap(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn invalid_eq7_calibration_is_infeasible_at_every_point() {
+        // p ≤ 2 is outside eq. (7)'s domain, so `cost_at` errs on every
+        // point; the batched paths must report every point infeasible.
+        // 48 × 40 cells span two kernel blocks on a parallel executor.
+        let params = SurfaceParameters {
+            defect_p: 2.0,
+            ..SurfaceParameters::fig8()
+        };
+        let (lambda_range, n_tr_range) = ((0.3, 1.5, 48), (1.0e5, 2.0e7, 40));
+        for threads in [1, 2, 8] {
+            let s = CostSurface::compute_with(
+                &Executor::with_threads(threads),
+                &params,
+                lambda_range,
+                n_tr_range,
+            );
+            assert!(
+                s.values().iter().flatten().all(Option::is_none),
+                "feasible cell at {threads} threads"
+            );
+        }
+        let n_tr_axis = n_tr_axis_values(n_tr_range).unwrap();
+        let points: Vec<(Microns, TransistorCount)> = lambda_axis_values(lambda_range)
+            .unwrap()
+            .into_iter()
+            .flat_map(|l| n_tr_axis.iter().map(move |&n| (l, n)))
+            .map(|(l, n)| (Microns::clamped(l), TransistorCount::clamped(n)))
+            .collect();
+        assert!(params.costs_for_points(&points).iter().all(Option::is_none));
+        for &(lambda, n) in &points {
+            assert!(
+                params.cost_at(lambda, n).is_err(),
+                "cost_at({lambda:?}, {n:?})"
+            );
+        }
     }
 
     #[test]

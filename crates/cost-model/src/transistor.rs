@@ -96,7 +96,7 @@ pub struct TransistorCostModel<Y> {
     wafer: Wafer,
     wafer_cost: Dollars,
     yield_model: Y,
-    dies_method: DiesPerWaferMethod,
+    dies_per_wafer_method: DiesPerWaferMethod,
 }
 
 impl<Y: YieldModel> TransistorCostModel<Y> {
@@ -107,14 +107,14 @@ impl<Y: YieldModel> TransistorCostModel<Y> {
             wafer,
             wafer_cost,
             yield_model,
-            dies_method: DiesPerWaferMethod::default(),
+            dies_per_wafer_method: DiesPerWaferMethod::default(),
         }
     }
 
     /// Selects a different dies-per-wafer method (builder style).
     #[must_use]
     pub fn dies_per_wafer_method(mut self, method: DiesPerWaferMethod) -> Self {
-        self.dies_method = method;
+        self.dies_per_wafer_method = method;
         self
     }
 
@@ -147,7 +147,7 @@ impl<Y: YieldModel> TransistorCostModel<Y> {
         die: DieDimensions,
         transistors: TransistorCount,
     ) -> Result<CostBreakdown, CostError> {
-        let n_ch = self.dies_method.dies_per_wafer(&self.wafer, die);
+        let n_ch = self.dies_per_wafer_method.dies_per_wafer(&self.wafer, die);
         if n_ch.is_zero() {
             return Err(CostError::NoDiesFit {
                 die_area_cm2: die.area().value(),

@@ -15,8 +15,8 @@
 //! * [`plan`] — the evaluation-plan IR behind [`Query::evaluate_batch`]:
 //!   a batch compiles to deduplicated queries plus unique grid nodes,
 //!   and cold surface-tile nodes across *all* requests fuse into one
-//!   lane-batched kernel dispatch (`MALY_PLAN=0` restores the direct
-//!   path; both are bit-identical by contract).
+//!   lane-batched kernel dispatch (bit-identical by contract to the
+//!   direct per-query oracle [`Query::evaluate_batch_unplanned`]).
 //! * [`error`] — the consolidated [`Error`] type with `From` impls for
 //!   every subsystem failure, mapped to stable wire `kind` tags.
 //! * [`json`] — a std-only, deterministic, line-oriented JSON value

@@ -16,32 +16,15 @@
 //! equality* of the axis values, so fusion can never change a single
 //! output bit.
 //!
-//! Planning is on by default; `MALY_PLAN=0` (or `false`) restores the
-//! direct per-query batch path. Both paths are bit-identical by
-//! contract, enforced by the `plan_fusion` property tests and the serve
-//! loopback suite running under both settings.
+//! Every batch is planned. The planned path is bit-identical to the
+//! direct per-query oracle [`crate::Query::evaluate_batch_unplanned`]
+//! by contract, enforced by the `plan_fusion` property tests and the
+//! serve loopback suite, which diff the two.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use crate::context::TileKey;
 use crate::query::{ProductSpec, Query};
-
-/// Environment toggle for the batch planner: unset or any value other
-/// than `0`/`false`/empty enables planning.
-pub const PLAN_ENV_VAR: &str = "MALY_PLAN";
-
-/// Whether batch evaluation routes through the planner. Read once per
-/// process: the toggle exists for A/B runs and CI, not for flipping
-/// mid-flight.
-#[must_use]
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var(PLAN_ENV_VAR) {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.is_empty()),
-        Err(_) => true,
-    })
-}
 
 /// Grid nodes a batch asked for, before dedup/fusion: every cell of
 /// every surface-tile query plus one node per non-tile query. Work

@@ -5,7 +5,7 @@
 //! [`Query::evaluate_batch_unplanned`] at every executor width.
 //! Three facts carry the proof:
 //!
-//! 1. **Per-cell independence.** `PlannedEq1` cells depend only on
+//! 1. **Per-cell independence.** `Eq1Kernel` cells depend only on
 //!    their own `(λ, N_tr)` bits (the PR 7 kernel contract), and cells
 //!    only fuse when their axis values are *bit-equal*, so a fused
 //!    evaluation produces exactly the bytes a per-tile
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use maly_cost_model::surface::{self, CostSurface, PlannedEq1};
+use maly_cost_model::surface::{self, Eq1Kernel};
 use maly_par::Executor;
 
 use crate::context::{self, EvalContext};
@@ -187,49 +187,33 @@ fn prefetch_fused(exec: &Executor, ctx: &EvalContext, cold: &[&TileNode]) {
         }
         (cells, slot)
     };
-    if let Some(kernel) = PlannedEq1::new(params, &lambda_union, &n_tr_union) {
-        plan::NODES_EVALUATED.add(cells.len() as u64);
-        plan::FUSED_DISPATCHES.incr();
-        let values = kernel.eval_cells_with(exec, &cells);
-        for ((t, (l_axis, n_axis)), (l_idx, n_idx)) in planned.iter().zip(&axes).zip(&tile_idx) {
-            if l_idx.len() != l_axis.len() || n_idx.len() != n_axis.len() {
-                continue; // unreachable: union ranks cover every tile value
-            }
-            let grid: Vec<Vec<Option<f64>>> = if full_grid {
-                // Row-major dispatch means each tile row is one
-                // contiguous slice of `values`.
-                l_idx
-                    .iter()
-                    .map(|&ri| values[ri * n_cols..(ri + 1) * n_cols].to_vec())
-                    .collect()
-            } else {
-                l_idx
-                    .iter()
-                    .map(|&ri| {
-                        n_idx
-                            .iter()
-                            .map(|&ci| values[slot[ri * n_cols + ci]])
-                            .collect()
-                    })
-                    .collect()
-            };
-            if let Some(tile) = surface::surface_from_grid(l_axis.clone(), n_axis.clone(), grid) {
-                ctx.insert_cold_tile(t.key, tile_cells(t), &Arc::new(tile));
-            }
+    plan::NODES_EVALUATED.add(cells.len() as u64);
+    plan::FUSED_DISPATCHES.incr();
+    let values = Eq1Kernel::new(params, &lambda_union, &n_tr_union).eval_cells_with(exec, &cells);
+    for ((t, (l_axis, n_axis)), (l_idx, n_idx)) in planned.iter().zip(&axes).zip(&tile_idx) {
+        if l_idx.len() != l_axis.len() || n_idx.len() != n_axis.len() {
+            continue; // unreachable: union ranks cover every tile value
         }
-    } else {
-        // This calibration has no batched eq. (1) kernel (exotic
-        // dies-per-wafer method): materialize each unique node set
-        // directly — still once per node, so dedup savings survive.
-        for t in &planned {
-            plan::NODES_EVALUATED.add(tile_cells(t));
-            let tile = Arc::new(CostSurface::compute_with(
-                exec,
-                params,
-                t.lambda_range,
-                t.n_tr_range,
-            ));
-            ctx.insert_cold_tile(t.key, tile_cells(t), &tile);
+        let grid: Vec<Vec<Option<f64>>> = if full_grid {
+            // Row-major dispatch means each tile row is one
+            // contiguous slice of `values`.
+            l_idx
+                .iter()
+                .map(|&ri| values[ri * n_cols..(ri + 1) * n_cols].to_vec())
+                .collect()
+        } else {
+            l_idx
+                .iter()
+                .map(|&ri| {
+                    n_idx
+                        .iter()
+                        .map(|&ci| values[slot[ri * n_cols + ci]])
+                        .collect()
+                })
+                .collect()
+        };
+        if let Some(tile) = surface::surface_from_grid(l_axis.clone(), n_axis.clone(), grid) {
+            ctx.insert_cold_tile(t.key, tile_cells(t), &Arc::new(tile));
         }
     }
 }

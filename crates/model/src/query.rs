@@ -1200,30 +1200,25 @@ impl Query {
     /// Evaluates a batch of queries, preserving input order. Each
     /// element fails independently.
     ///
-    /// By default the batch compiles to an evaluation plan first
+    /// The batch compiles to an evaluation plan first
     /// ([`crate::plan`]): byte-identical queries are answered once and
     /// fanned back out, and the cold surface-tile nodes of the whole
     /// batch fuse into a single deduplicated kernel dispatch. Results
     /// are bit-identical to [`Query::evaluate_batch_unplanned`] (and to
-    /// per-query [`Query::evaluate_with`]) at every executor width;
-    /// setting `MALY_PLAN=0` falls back to the unplanned path.
+    /// per-query [`Query::evaluate_with`]) at every executor width.
     #[must_use]
     pub fn evaluate_batch(
         exec: &Executor,
         ctx: &EvalContext,
         queries: &[Query],
     ) -> Vec<Result<QueryResponse, Error>> {
-        if crate::plan::enabled() {
-            crate::planner::evaluate(exec, ctx, queries)
-        } else {
-            Self::evaluate_batch_unplanned(exec, ctx, queries)
-        }
+        crate::planner::evaluate(exec, ctx, queries)
     }
 
     /// The direct batch path: every query scheduled independently
-    /// across the executor, no cross-request dedup or fusion. The
-    /// planner's bit-identity reference, and the `MALY_PLAN=0` service
-    /// path.
+    /// across the executor, no cross-request dedup or fusion. Kept only
+    /// as the planner's bit-identity oracle for tests and benches; no
+    /// service path calls it.
     #[must_use]
     pub fn evaluate_batch_unplanned(
         exec: &Executor,

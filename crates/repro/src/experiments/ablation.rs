@@ -25,7 +25,7 @@ use crate::ExperimentReport;
 
 /// Mean relative error of Table 3 under a scenario transformation.
 fn mean_error(build: impl Fn(&table3::Table3Row) -> Option<f64>) -> f64 {
-    let rows = &crate::context::shared().table3_rows;
+    let rows = &maly_model::context::shared().table3_rows;
     let mut total = 0.0;
     let mut count = 0usize;
     for row in rows {

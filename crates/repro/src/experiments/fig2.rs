@@ -4,8 +4,8 @@ use maly_tech_trend::datasets;
 use maly_viz::lineplot::LinePlot;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// Regenerates Fig 2: exponential fab cost growth and the wafer-cost
 /// escalation factor `X` the paper extracts from it (quoted band:

@@ -5,9 +5,9 @@ use maly_units::Microns;
 use maly_viz::lineplot::LinePlot;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::experiments::rel_err_percent;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// Regenerates Fig 3 and re-extracts the `A_ch(λ) = 16.5·e^{−5.3λ}` fit
 /// that eq. (9) consumes.

@@ -6,8 +6,8 @@ use maly_units::Microns;
 use maly_viz::lineplot::LinePlot;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// First-principles required defect density: the `D₀` that keeps a
 /// Fig-3-trend die at 70% yield under Poisson statistics,

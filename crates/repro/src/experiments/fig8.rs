@@ -7,8 +7,8 @@ use maly_viz::contourplot::{render_contours, ContourSet};
 use maly_viz::scale::Scale;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// Regenerates Fig 8: the cost surface with the paper's fab calibration
 /// (X = 1.4, C₀ = \$500, d_d = 152, D = 1.72, p = 4.07), its
@@ -105,13 +105,6 @@ pub fn report() -> ExperimentReport {
 /// `plan.*` counter deltas.
 fn fused_batch_demo() -> String {
     use maly_model::{plan, EvalContext, Query};
-    if !plan::enabled() {
-        return format!(
-            "Batched tile queries: planner disabled ({}=0), \
-             batch evaluated per-query.",
-            plan::PLAN_ENV_VAR
-        );
-    }
     let batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
         .iter()
         .map(|&lo| Query::SurfaceTile {

@@ -8,8 +8,8 @@
 use maly_viz::lineplot::LinePlot;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// Projects both scenarios over 1986–2002.
 #[must_use]

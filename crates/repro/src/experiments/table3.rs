@@ -4,9 +4,9 @@ use maly_paper_data::table3::CountProvenance;
 use maly_viz::barchart::BarChart;
 use maly_viz::table::{Alignment, TextTable};
 
-use crate::context;
 use crate::experiments::rel_err_percent;
 use crate::ExperimentReport;
+use maly_model::context;
 
 /// Regenerates all 17 rows of Table 3 and compares with the printed
 /// costs.

@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod context;
 pub mod experiments;
 
 /// A rendered experiment: identifier, title, and markdown body.

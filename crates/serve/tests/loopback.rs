@@ -161,12 +161,36 @@ fn mixed_workload() -> Vec<String> {
 }
 
 /// Direct in-process evaluation of the same workload: the reference
-/// bytes every served configuration must reproduce exactly.
+/// bytes every served configuration must reproduce exactly. Array
+/// lines are answered by the unplanned oracle
+/// [`Query::evaluate_batch_unplanned`], serialized the way
+/// [`protocol::handle_line`] serializes a batch, so every served batch
+/// is diffed against evaluation without the planner.
 fn direct_reference(lines: &[String]) -> Vec<String> {
     let ctx = EvalContext::new();
     lines
         .iter()
-        .map(|line| protocol::handle_line(&ctx, line))
+        .map(|line| match json::parse(line) {
+            Ok(Json::Arr(items)) => {
+                let ids: Vec<Json> = items
+                    .iter()
+                    .map(|v| v.get("id").cloned().unwrap_or(Json::Null))
+                    .collect();
+                let queries: Vec<Query> = items
+                    .iter()
+                    .map(|v| Query::from_json(v.get("query").expect("query field")))
+                    .collect::<Result<_, _>>()
+                    .expect("workload queries parse");
+                let results = Query::evaluate_batch_unplanned(&Executor::serial(), &ctx, &queries);
+                let responses = ids
+                    .iter()
+                    .zip(&results)
+                    .map(|(id, result)| protocol::response_json(id, result))
+                    .collect();
+                Json::Arr(responses).write()
+            }
+            _ => protocol::handle_line(&ctx, line),
+        })
         .collect()
 }
 
@@ -480,13 +504,11 @@ fn duplicate_batch_queries_answer_per_id_without_reevaluation() {
         5,
         "every answered query stays on the ledger, deduped or not"
     );
-    if maly_model::plan::enabled() {
-        assert_eq!(
-            maly_model::plan::DEDUPED_QUERIES.value() - deduped0,
-            3,
-            "two tile repeats and one product repeat fan out"
-        );
-    }
+    assert_eq!(
+        maly_model::plan::DEDUPED_QUERIES.value() - deduped0,
+        3,
+        "two tile repeats and one product repeat fan out"
+    );
     // One response line carrying all five ids, duplicates byte-equal.
     let batch = json::parse(&got[0]).expect("protocol JSON");
     let Json::Arr(elems) = &batch else {
