@@ -55,7 +55,16 @@ cat > target/ci_requests.jsonl <<'REQ'
 {"v": 1, "id": 6, "query": {"type": "chiplet_partition_sweep", "transistors": 2.0e6, "volume": 50000}}
 REQ
 cargo run -q -p maly-cli -- query --file target/ci_requests.jsonl \
-    --trace-out target/trace_serve_ci.ndjson > /dev/null
+    --trace-out target/trace_serve_ci.ndjson > target/ci_responses.jsonl
+# The warm repeat (id 5) answers from the tile cache's stored body; its
+# "ok" payload must be byte-identical to the cold answer (id 4), which
+# was serialized from the freshly computed grid.
+sed -n '3s/^\[{"id":4,"ok":\(.*\)}\]$/\1/p' target/ci_responses.jsonl \
+    > target/ci_tile_cold.json
+sed -n '4s/^\[{"id":5,"ok":\(.*\)}\]$/\1/p' target/ci_responses.jsonl \
+    > target/ci_tile_warm.json
+grep -q '^{"kind":"surface",' target/ci_tile_cold.json
+cmp target/ci_tile_cold.json target/ci_tile_warm.json
 grep -q '"name":"serve.request"' target/trace_serve_ci.ndjson
 grep -q '"name":"model.queries"' target/trace_serve_ci.ndjson
 # The cold surface-tile request (id 4) must surface the tile-cache miss

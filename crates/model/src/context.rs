@@ -9,14 +9,18 @@
 //! re-exports it).
 //!
 //! On top of the static artifacts, [`EvalContext`] owns a bounded cache
-//! of *computed surface tiles* keyed by quantized query parameters:
-//! a repeated `surface_tile` query for the same window answers from
-//! memory without re-evaluating a single grid cell. The obs counters
-//! below make that claim checkable — the warm-cache integration test
-//! asserts `model.tile_cells` does not move on a repeat query.
+//! of *surface tiles* keyed by quantized query parameters. An entry is
+//! the tile's serialized `ok` body ([`SurfaceBody`]), built once when
+//! the tile enters the cache; the grid it came from is dropped. A
+//! repeated `surface_tile` query for the same window answers with a
+//! reference-count bump — no grid cell re-evaluated, no number
+//! re-formatted — and the response splices the body into its envelope
+//! through [`crate::json::Json::Raw`]. The obs counters below make
+//! that checkable: the warm-cache integration test asserts
+//! `model.tile_cells` does not move on a repeat query.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use maly_cost_model::roadmap::CostRoadmap;
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
@@ -25,6 +29,8 @@ use maly_par::Executor;
 use maly_tech_trend::diesize::DieSizeTrend;
 use maly_tech_trend::fit::{CostEscalationFit, ExponentialFit};
 use maly_tech_trend::{datasets, fit};
+
+use crate::query::{SurfaceBody, SurfaceReport};
 
 /// The Fig 8 grid the reports render: `(λ min, λ max, steps)`.
 pub const FIG8_LAMBDA_RANGE: (f64, f64, usize) = (0.4, 1.5, 56);
@@ -46,6 +52,14 @@ pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("
 /// Batch planning latency (compile + fused prefetch + scatter),
 /// attached to the `model.plan` span.
 pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.plan_ns");
+/// Serializing one cold tile into its cached body, attached to the
+/// `model.tile_serialize` span (nested in the span of the query or
+/// batch that missed).
+pub static TILE_SERIALIZE_NS: maly_obs::Histogram =
+    maly_obs::Histogram::high_resolution("model.tile_serialize_ns");
+/// Bytes of serialized tile bodies held by every live [`EvalContext`]
+/// (diagnostic: depends on request history).
+pub static TILE_CACHE_BYTES: maly_obs::Gauge = maly_obs::Gauge::new("model.tile_cache_bytes");
 
 /// Every artifact derived once and shared by the experiments.
 #[derive(Debug)]
@@ -139,15 +153,18 @@ impl TileKey {
     }
 }
 
-/// Most tiles a server keeps warm. The Fig 8 report tile is ~2700
-/// cells ≈ 100 KiB realized; 64 entries bound the cache near 6 MiB.
+/// Most tiles a server keeps warm. An entry is the tile's serialized
+/// body, ~23 B per cell: 64 KiB for the 56×48 Fig 8 report tile, 4–15
+/// KiB for 12–24-step windows, ~6 MiB for a 512×512 tile at
+/// `MAX_TILE_STEPS`. The 16 B-per-cell grid a body came from is not
+/// kept, so every hit is a reference-count bump and one copy.
 const TILE_CACHE_CAPACITY: usize = 64;
 
 /// The query API's long-lived state: the shared artifacts plus a
-/// bounded surface-tile cache.
+/// bounded cache of serialized surface tiles.
 #[derive(Debug)]
 pub struct EvalContext {
-    tiles: RwLock<HashMap<TileKey, Arc<CostSurface>>>,
+    tiles: RwLock<HashMap<TileKey, SurfaceBody>>,
 }
 
 impl Default for EvalContext {
@@ -173,8 +190,9 @@ impl EvalContext {
         CONTEXT.get_or_init(EvalContext::new)
     }
 
-    /// A surface tile for the given ranges: cached when warm, computed
-    /// on the executor (and counted in [`struct@TILE_CELLS`]) when cold.
+    /// The serialized body of a surface tile for the given ranges:
+    /// cached when warm; computed on the executor (and counted in
+    /// [`struct@TILE_CELLS`]), then serialized once, when cold.
     ///
     /// The caller must have validated the ranges
     /// (ascending-positive, ≥ 2 steps) — `CostSurface::compute` panics
@@ -185,24 +203,18 @@ impl EvalContext {
         params: &SurfaceParameters,
         lambda_range: (f64, f64, usize),
         n_tr_range: (f64, f64, usize),
-    ) -> Arc<CostSurface> {
+    ) -> SurfaceBody {
         let key = TileKey::new(lambda_range, n_tr_range);
         if let Ok(cache) = self.tiles.read() {
-            if let Some(tile) = cache.get(&key) {
+            if let Some(body) = cache.get(&key) {
                 TILE_HITS.incr();
-                return Arc::clone(tile);
+                return body.clone();
             }
         }
         TILE_MISSES.incr();
         TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
-        let tile = Arc::new(CostSurface::compute_with(
-            exec,
-            params,
-            lambda_range,
-            n_tr_range,
-        ));
-        self.store_tile(key, &tile);
-        tile
+        let tile = CostSurface::compute_with(exec, params, lambda_range, n_tr_range);
+        self.store_tile(key, &tile)
     }
 
     /// Whether a tile for this key is already warm. Deliberately bumps
@@ -222,22 +234,35 @@ impl EvalContext {
     /// count even when fusion evaluated fewer, so `model.tile_cells`
     /// goldens hold with the planner on or off; the fusion saving shows
     /// up in `eq1.cells` and `plan.nodes_evaluated` instead.
-    pub(crate) fn insert_cold_tile(&self, key: TileKey, cells: u64, tile: &Arc<CostSurface>) {
+    pub(crate) fn insert_cold_tile(&self, key: TileKey, cells: u64, tile: &CostSurface) {
         TILE_MISSES.incr();
         TILE_CELLS.add(cells);
         self.store_tile(key, tile);
     }
 
-    fn store_tile(&self, key: TileKey, tile: &Arc<CostSurface>) {
+    /// Serializes a cold tile — the one time its numbers are
+    /// formatted — and caches the body.
+    fn store_tile(&self, key: TileKey, tile: &CostSurface) -> SurfaceBody {
+        let body = {
+            let _span = maly_obs::span("model.tile_serialize").with_histogram(&TILE_SERIALIZE_NS);
+            SurfaceBody::from(&SurfaceReport::from_surface(tile))
+        };
         if let Ok(mut cache) = self.tiles.write() {
             if cache.len() >= TILE_CACHE_CAPACITY {
                 // Bounded, not LRU: full flush is simple, deterministic
                 // in effect (the next query recomputes), and the
                 // capacity is far above any real request mix.
+                TILE_CACHE_BYTES.add(-body_bytes(cache.values()));
                 cache.clear();
             }
-            cache.insert(key, Arc::clone(tile));
+            TILE_CACHE_BYTES.add(body_bytes([&body]));
+            // Two threads that miss the same key both insert; the
+            // bodies are equal, and the gauge drops the one replaced.
+            if let Some(old) = cache.insert(key, body.clone()) {
+                TILE_CACHE_BYTES.add(-body_bytes([&old]));
+            }
         }
+        body
     }
 
     /// Number of cached tiles (for tests and diagnostics).
@@ -245,6 +270,19 @@ impl EvalContext {
     pub fn cached_tiles(&self) -> usize {
         self.tiles.read().map(|c| c.len()).unwrap_or(0)
     }
+}
+
+impl Drop for EvalContext {
+    fn drop(&mut self) {
+        if let Ok(cache) = self.tiles.get_mut() {
+            TILE_CACHE_BYTES.add(-body_bytes(cache.values()));
+        }
+    }
+}
+
+/// Total length of the given bodies, as a gauge delta.
+fn body_bytes<'a>(bodies: impl IntoIterator<Item = &'a SurfaceBody>) -> i64 {
+    bodies.into_iter().map(|b| b.as_str().len() as i64).sum()
 }
 
 /// Serializes lib tests that read the process-global counters; cargo
@@ -259,7 +297,10 @@ pub(crate) fn counter_test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn shared_context_is_one_instance() {
@@ -295,7 +336,10 @@ mod tests {
         assert_eq!(TILE_MISSES.value() - misses0, 1, "cold query is one miss");
         assert_eq!(TILE_HITS.value() - hits0, 0);
         let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
-        assert!(Arc::ptr_eq(&first, &again), "repeat must hit the cache");
+        assert!(
+            Arc::ptr_eq(&first.0, &again.0),
+            "repeat must answer with the cached body itself"
+        );
         assert_eq!(TILE_HITS.value() - hits0, 1, "warm query is one hit");
         assert_eq!(TILE_MISSES.value() - misses0, 1, "and no further miss");
         assert_eq!(ctx.cached_tiles(), 1);
@@ -308,9 +352,7 @@ mod tests {
         let exec = Executor::serial();
         let params = SurfaceParameters::fig8();
         let ranges = ((0.5, 1.0, 4), (1.0e5, 1.0e6, 3));
-        let tile = Arc::new(CostSurface::compute_with(
-            &exec, &params, ranges.0, ranges.1,
-        ));
+        let tile = CostSurface::compute_with(&exec, &params, ranges.0, ranges.1);
         let key = TileKey::new(ranges.0, ranges.1);
         assert!(!ctx.has_tile(&key));
         let (hits0, misses0, cells0) = (TILE_HITS.value(), TILE_MISSES.value(), TILE_CELLS.value());
@@ -320,8 +362,96 @@ mod tests {
         assert_eq!(TILE_CELLS.value() - cells0, 12);
         assert_eq!(TILE_HITS.value() - hits0, 0, "probes bump nothing");
         let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
-        assert!(Arc::ptr_eq(&tile, &again), "surface_tile must hit it");
-        assert_eq!(TILE_HITS.value() - hits0, 1);
+        assert_eq!(TILE_HITS.value() - hits0, 1, "surface_tile must hit it");
+        assert_eq!(
+            again.as_str(),
+            SurfaceReport::from_surface(&tile).to_json().write(),
+            "the hit answers with the inserted tile's body"
+        );
+    }
+
+    #[test]
+    fn cached_bodies_parse_back_to_themselves() {
+        let _guard = counter_test_lock();
+        let ctx = EvalContext::new();
+        let exec = Executor::serial();
+        let params = SurfaceParameters::fig8();
+        // Direct cold tiles — one whose largest dies do not fit the
+        // wafer, so it holds `null` cells and optima — plus a fused
+        // planner batch.
+        for ranges in [
+            ((0.4, 1.5, 7), (2.0e4, 4.0e6, 6)),
+            ((0.4, 1.5, 3), (1.0e6, 1.0e9, 3)),
+            ((0.8, 1.2, 2), (1.0e5, 2.0e5, 2)),
+        ] {
+            ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        }
+        let batch: Vec<crate::Query> = [0.5, 0.6]
+            .iter()
+            .map(|&lo| crate::Query::SurfaceTile {
+                lambda_min: lo,
+                lambda_max: lo + 0.4,
+                lambda_steps: 5,
+                n_tr_min: 2.0e4,
+                n_tr_max: 4.0e6,
+                n_tr_steps: 4,
+            })
+            .collect();
+        crate::Query::evaluate_batch(&exec, &ctx, &batch);
+        let cache = ctx.tiles.read().unwrap();
+        assert_eq!(cache.len(), 5);
+        assert!(cache.values().any(|b| b.as_str().contains("null")));
+        for body in cache.values() {
+            let parsed = crate::json::parse(body.as_str()).expect("cached body is JSON");
+            assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("surface"));
+            assert_eq!(parsed.write(), body.as_str());
+        }
+    }
+
+    #[test]
+    fn cache_bytes_gauge_tracks_inserts_flushes_and_drops() {
+        let _guard = counter_test_lock();
+        let exec = Executor::serial();
+        let params = SurfaceParameters::fig8();
+        let bytes0 = TILE_CACHE_BYTES.value();
+        let ctx = EvalContext::new();
+        let tile = |i: usize| {
+            let lo = 0.4 + 0.01 * i as f64;
+            ((lo, lo + 0.2, 2), (1.0e5, 2.0e5, 2))
+        };
+        let mut held = 0;
+        for i in 0..TILE_CACHE_CAPACITY {
+            let (l, n) = tile(i);
+            held += ctx.surface_tile(&exec, &params, l, n).as_str().len() as i64;
+        }
+        assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held);
+        let stats = crate::query::StatsReport::capture();
+        assert!(
+            stats
+                .gauges
+                .iter()
+                .any(|(name, v)| name == "model.tile_cache_bytes" && *v >= held),
+            "server_stats exports the gauge: {:?}",
+            stats.gauges
+        );
+        assert!(
+            stats
+                .work
+                .iter()
+                .all(|(name, _)| !name.starts_with("model.tile_cache")),
+            "the gauge is no Work counter"
+        );
+        // One more tile flushes the full cache: only the new body stays.
+        let (l, n) = tile(TILE_CACHE_CAPACITY);
+        let last = ctx.surface_tile(&exec, &params, l, n).as_str().len() as i64;
+        assert_eq!(ctx.cached_tiles(), 1);
+        assert_eq!(TILE_CACHE_BYTES.value() - bytes0, last);
+        drop(ctx);
+        assert_eq!(
+            TILE_CACHE_BYTES.value(),
+            bytes0,
+            "a dropped cache holds nothing"
+        );
     }
 
     #[test]

@@ -24,8 +24,13 @@
 //! The parser is strict RFC 8259 and linear in the input: a string is
 //! copied a run at a time up to its next quote or escape. Errors are a
 //! typed [`ParseError`] carrying the byte offset.
+//!
+//! [`Json::Raw`] is a write-only value: text that is already
+//! serialized JSON (a cached surface-tile body), copied verbatim into
+//! the output. The parser never produces it.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +47,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, preserving insertion order.
     Obj(Vec<(String, Json)>),
+    /// Already-serialized JSON text, written verbatim. Never produced
+    /// by [`parse`]; [`Json::get`] and the `as_*` accessors return
+    /// `None` on it.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -110,6 +119,7 @@ impl Json {
                 }
             }
             Json::Str(s) => write_string(s, out),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -653,6 +663,60 @@ mod tests {
     fn rejects_deep_nesting() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn raw_is_written_verbatim_inside_arrays_and_objects() {
+        let raw = Json::Raw(Arc::from("{\"kind\":\"surface\",\"v\":[1,null]}"));
+        let v = Json::obj(vec![
+            ("id", Json::Num(4.0)),
+            ("ok", raw.clone()),
+            ("all", Json::Arr(vec![raw.clone(), Json::Null, raw])),
+        ]);
+        assert_eq!(
+            v.write(),
+            "{\"id\":4,\"ok\":{\"kind\":\"surface\",\"v\":[1,null]},\
+             \"all\":[{\"kind\":\"surface\",\"v\":[1,null]},null,\
+             {\"kind\":\"surface\",\"v\":[1,null]}]}"
+        );
+    }
+
+    #[test]
+    fn raw_is_opaque_to_the_accessors() {
+        for text in ["{\"kind\":\"surface\"}", "[1,2]", "3", "\"s\""] {
+            let raw = Json::Raw(Arc::from(text));
+            assert_eq!(raw.get("kind"), None, "{text}");
+            assert_eq!(raw.as_f64(), None, "{text}");
+            assert_eq!(raw.as_str(), None, "{text}");
+            assert_eq!(raw.as_arr(), None, "{text}");
+        }
+    }
+
+    /// Whether `v` holds a `Raw` anywhere in its tree.
+    fn contains_raw(v: &Json) -> bool {
+        match v {
+            Json::Raw(_) => true,
+            Json::Arr(items) => items.iter().any(contains_raw),
+            Json::Obj(pairs) => pairs.iter().any(|(_, v)| contains_raw(v)),
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) => false,
+        }
+    }
+
+    #[test]
+    fn parse_never_produces_raw() {
+        for text in [
+            "null",
+            "1.5",
+            "\"raw\"",
+            "[1, [2, {\"a\": null}], \"x\"]",
+            "{\"kind\":\"surface\",\"values\":[[0.000015,null]],\"global_minimum\":null}",
+        ] {
+            let v = parse(text).unwrap();
+            assert!(!contains_raw(&v), "{text} parsed to {v:?}");
+            // And writing a spliced copy reparses to the plain tree.
+            let spliced = Json::Arr(vec![Json::Raw(Arc::from(text))]).write();
+            assert_eq!(parse(&spliced).unwrap(), Json::Arr(vec![v]), "{text}");
+        }
     }
 
     #[test]

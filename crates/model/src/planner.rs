@@ -19,8 +19,6 @@
 //!    through the slot map, so batch order never depends on thread
 //!    interleaving.
 
-use std::sync::Arc;
-
 use maly_cost_model::surface::{self, Eq1Kernel};
 use maly_par::Executor;
 
@@ -74,7 +72,7 @@ pub(crate) fn evaluate(
 /// Materializes every cold tile node in one fused kernel dispatch:
 /// union the tiles' axis values, evaluate each bit-unique `(λ, N_tr)`
 /// cell exactly once, scatter per-tile grids back out, and insert them
-/// as ordinary cold cache entries.
+/// as ordinary cold cache entries (each serialized once there).
 fn prefetch_fused(exec: &Executor, ctx: &EvalContext, cold: &[&TileNode]) {
     if cold.is_empty() {
         return;
@@ -213,7 +211,7 @@ fn prefetch_fused(exec: &Executor, ctx: &EvalContext, cold: &[&TileNode]) {
                 .collect()
         };
         if let Some(tile) = surface::surface_from_grid(l_axis.clone(), n_axis.clone(), grid) {
-            ctx.insert_cold_tile(t.key, tile_cells(t), &Arc::new(tile));
+            ctx.insert_cold_tile(t.key, tile_cells(t), &tile);
         }
     }
 }

@@ -257,8 +257,8 @@ pub enum QueryResponse {
     Table3(Vec<Table3Report>),
     /// `(λ, C_tr)` series from a scenario sweep.
     Sweep(Vec<SweepPoint>),
-    /// A cost-surface tile.
-    Surface(SurfaceReport),
+    /// A cost-surface tile, already serialized.
+    Surface(SurfaceBody),
     /// The optimum, or `None` when no node in the window is feasible.
     OptimalLambda(Option<OptimalReport>),
     /// Monte Carlo summary.
@@ -333,6 +333,96 @@ pub struct SurfaceReport {
     pub optimal_lambda_per_n_tr: Vec<Option<(f64, f64)>>,
     /// Global `(λ, N_tr, cost)` minimum, if any cell evaluated.
     pub global_minimum: Option<(f64, f64, f64)>,
+}
+
+impl SurfaceReport {
+    /// The report for a computed tile. The per-column optimum scan
+    /// runs serially: it happens once per tile, when the tile enters
+    /// the cache.
+    pub(crate) fn from_surface(tile: &CostSurface) -> Self {
+        Self {
+            lambda_axis: tile.lambda_axis().to_vec(),
+            n_tr_axis: tile.n_tr_axis().to_vec(),
+            values: tile.values().to_vec(),
+            optimal_lambda_per_n_tr: tile.optimal_lambda_per_n_tr_with(&Executor::serial()),
+            global_minimum: tile.global_minimum(),
+        }
+    }
+
+    /// The wire form of a surface response — the `ok` body every
+    /// `surface_tile` answer carries. The tile cache stores exactly
+    /// these bytes.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("kind", Json::Str("surface".to_string())),
+            (
+                "lambda_axis",
+                Json::Arr(self.lambda_axis.iter().map(|&v| Json::Num(v)).collect()),
+            ),
+            (
+                "n_tr_axis",
+                Json::Arr(self.n_tr_axis.iter().map(|&v| Json::Num(v)).collect()),
+            ),
+            (
+                "values",
+                Json::Arr(
+                    self.values
+                        .iter()
+                        .map(|row| {
+                            Json::Arr(
+                                row.iter()
+                                    .map(|cell| match cell {
+                                        Some(v) => Json::Num(*v),
+                                        None => Json::Null,
+                                    })
+                                    .collect(),
+                            )
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "optimal_lambda_per_n_tr",
+                Json::Arr(
+                    self.optimal_lambda_per_n_tr
+                        .iter()
+                        .map(|col| match col {
+                            Some((l, c)) => Json::Arr(vec![Json::Num(*l), Json::Num(*c)]),
+                            None => Json::Null,
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "global_minimum",
+                match self.global_minimum {
+                    Some((l, n, c)) => Json::Arr(vec![Json::Num(l), Json::Num(n), Json::Num(c)]),
+                    None => Json::Null,
+                },
+            ),
+        ])
+    }
+}
+
+/// A surface tile's serialized `ok` body ([`SurfaceReport::to_json`]),
+/// shared with the tile cache that built it: cloning is a reference
+/// count bump, and two bodies compare by bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SurfaceBody(pub(crate) Arc<str>);
+
+impl SurfaceBody {
+    /// The serialized JSON object.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&SurfaceReport> for SurfaceBody {
+    fn from(report: &SurfaceReport) -> Self {
+        Self(Arc::from(report.to_json().write()))
+    }
 }
 
 /// An optimal-λ search hit.
@@ -989,13 +1079,12 @@ impl Query {
                     (*lambda_min, *lambda_max, *lambda_steps),
                     (*n_tr_min, *n_tr_max, *n_tr_steps),
                 )?;
-                let tile = ctx.surface_tile(
+                Ok(QueryResponse::Surface(ctx.surface_tile(
                     exec,
                     &context::shared().fig8_params,
                     (*lambda_min, *lambda_max, *lambda_steps),
                     (*n_tr_min, *n_tr_max, *n_tr_steps),
-                );
-                Ok(QueryResponse::Surface(surface_report(&tile, exec)))
+                )))
             }
             Query::OptimalLambda {
                 spec,
@@ -1257,16 +1346,6 @@ fn sweep_points(series: Vec<(f64, Dollars)>) -> Vec<SweepPoint> {
         .collect()
 }
 
-fn surface_report(tile: &Arc<CostSurface>, exec: &Executor) -> SurfaceReport {
-    SurfaceReport {
-        lambda_axis: tile.lambda_axis().to_vec(),
-        n_tr_axis: tile.n_tr_axis().to_vec(),
-        values: tile.values().to_vec(),
-        optimal_lambda_per_n_tr: tile.optimal_lambda_per_n_tr_with(exec),
-        global_minimum: tile.global_minimum(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Response serialization
 // ---------------------------------------------------------------------
@@ -1327,56 +1406,7 @@ impl QueryResponse {
                     ),
                 ),
             ]),
-            QueryResponse::Surface(s) => Json::obj(vec![
-                ("kind", Json::Str("surface".to_string())),
-                (
-                    "lambda_axis",
-                    Json::Arr(s.lambda_axis.iter().map(|&v| Json::Num(v)).collect()),
-                ),
-                (
-                    "n_tr_axis",
-                    Json::Arr(s.n_tr_axis.iter().map(|&v| Json::Num(v)).collect()),
-                ),
-                (
-                    "values",
-                    Json::Arr(
-                        s.values
-                            .iter()
-                            .map(|row| {
-                                Json::Arr(
-                                    row.iter()
-                                        .map(|cell| match cell {
-                                            Some(v) => Json::Num(*v),
-                                            None => Json::Null,
-                                        })
-                                        .collect(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "optimal_lambda_per_n_tr",
-                    Json::Arr(
-                        s.optimal_lambda_per_n_tr
-                            .iter()
-                            .map(|col| match col {
-                                Some((l, c)) => Json::Arr(vec![Json::Num(*l), Json::Num(*c)]),
-                                None => Json::Null,
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "global_minimum",
-                    match s.global_minimum {
-                        Some((l, n, c)) => {
-                            Json::Arr(vec![Json::Num(l), Json::Num(n), Json::Num(c)])
-                        }
-                        None => Json::Null,
-                    },
-                ),
-            ]),
+            QueryResponse::Surface(body) => Json::Raw(Arc::clone(&body.0)),
             QueryResponse::OptimalLambda(best) => Json::obj(vec![
                 ("kind", Json::Str("optimal_lambda".to_string())),
                 (

@@ -14,8 +14,8 @@
 use maly_model::json;
 use maly_model::query::{
     ChipletReport, ChipletSweepReport, LatencyReport, McSummary, MixReport, OptimalReport,
-    ProductReport, ProductSpec, Query, QueryResponse, RoadmapRow, StatsReport, SurfaceReport,
-    SweepPoint, Table3Report,
+    ProductReport, ProductSpec, Query, QueryResponse, RoadmapRow, StatsReport, SurfaceBody,
+    SurfaceReport, SweepPoint, Table3Report,
 };
 
 fn spec() -> ProductSpec {
@@ -188,13 +188,15 @@ fn response_goldens() -> Vec<(QueryResponse, &'static str)> {
             "{\"kind\":\"sweep\",\"points\":[[0.5,0.0000125],[0.8,0.0000094]]}",
         ),
         (
-            QueryResponse::Surface(SurfaceReport {
+            // A surface response carries the body `SurfaceReport::to_json`
+            // wrote; this golden pins that writer.
+            QueryResponse::Surface(SurfaceBody::from(&SurfaceReport {
                 lambda_axis: vec![0.5, 1.0],
                 n_tr_axis: vec![1.0e5, 2.0e5],
                 values: vec![vec![Some(1.5e-5), None], vec![Some(2.5e-5), Some(3.5e-5)]],
                 optimal_lambda_per_n_tr: vec![Some((0.5, 1.5e-5)), None],
                 global_minimum: Some((0.5, 1.0e5, 1.5e-5)),
-            }),
+            })),
             "{\"kind\":\"surface\",\"lambda_axis\":[0.5,1],\"n_tr_axis\":[100000,200000],\"values\":[[0.000015,null],[0.000025,0.000035]],\"optimal_lambda_per_n_tr\":[[0.5,0.000015],null],\"global_minimum\":[0.5,100000,0.000015]}",
         ),
         (

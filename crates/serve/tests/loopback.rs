@@ -165,7 +165,10 @@ fn mixed_workload() -> Vec<String> {
 /// lines are answered by the unplanned oracle
 /// [`Query::evaluate_batch_unplanned`], serialized the way
 /// [`protocol::handle_line`] serializes a batch, so every served batch
-/// is diffed against evaluation without the planner.
+/// is diffed against evaluation without the planner. Both paths answer
+/// a surface tile with the body the tile cache serialized once;
+/// `maly-model`'s `tile_body_oracle` test checks those bytes against an
+/// independent rebuild.
 fn direct_reference(lines: &[String]) -> Vec<String> {
     let ctx = EvalContext::new();
     lines
