@@ -5,16 +5,17 @@ use crate::equipment::ToolFamily;
 /// One manufacturing step: which tool family it runs on.
 ///
 /// Step *duration* comes from the tool's throughput, so the step itself
-/// only carries routing information (plus a label for traceability).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// only carries routing information. It has no label: nothing read one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcessStep {
-    /// Human-readable step label, e.g. `"metal2 litho"`.
-    pub label: String,
     /// Tool family the step occupies.
     pub family: ToolFamily,
 }
 
-/// A product's full step sequence.
+/// A product's full step sequence and its step count per family.
+///
+/// Lots route through the ordered steps; fab sizing and pricing read only
+/// the counts, so [`steps_on`](Self::steps_on) is O(1), not a scan.
 ///
 /// # Examples
 ///
@@ -30,6 +31,8 @@ pub struct ProcessStep {
 pub struct ProcessFlow {
     name: String,
     steps: Vec<ProcessStep>,
+    /// In `ToolFamily::ALL` order, which is declaration order.
+    per_family: [usize; ToolFamily::ALL.len()],
 }
 
 impl ProcessFlow {
@@ -42,9 +45,11 @@ impl ProcessFlow {
     #[must_use]
     pub fn new(name: impl Into<String>, steps: Vec<ProcessStep>) -> Self {
         assert!(!steps.is_empty(), "a process flow needs at least one step");
+        let per_family = ToolFamily::ALL.map(|f| steps.iter().filter(|s| s.family == f).count());
         Self {
             name: name.into(),
             steps,
+            per_family,
         }
     }
 
@@ -52,10 +57,8 @@ impl ProcessFlow {
     ///
     /// The total step count follows the Fig 4 trend
     /// (≈ `230·λ^{−0.55}`, matching the dataset in `maly-tech-trend`:
-    /// ~230 steps at 1 µm rising to ~500 at 0.25 µm), distributed over
-    /// tool families in typical proportions. Each mask level contributes
-    /// a litho–etch–metrology triplet; implant/deposition/furnace fill
-    /// the rest.
+    /// ~230 steps at 1 µm rising to ~500 at 0.25 µm), split over tool
+    /// families in fixed, typical shares.
     #[must_use]
     pub fn for_generation(name: impl Into<String>, lambda_um: f64) -> Self {
         assert!(
@@ -63,25 +66,12 @@ impl ProcessFlow {
             "feature size must be positive, got {lambda_um}"
         );
         let total = (230.0 * lambda_um.powf(-0.55)).round() as usize;
-        // Proportions (sum = 1): litho-heavy back end as processes grow.
-        let proportions: [(ToolFamily, f64); 7] = [
-            (ToolFamily::Lithography, 0.18),
-            (ToolFamily::Etch, 0.16),
-            (ToolFamily::Implant, 0.10),
-            (ToolFamily::Deposition, 0.18),
-            (ToolFamily::Furnace, 0.14),
-            (ToolFamily::Planarization, 0.09),
-            (ToolFamily::Metrology, 0.15),
-        ];
+        // Shares in `ToolFamily::ALL` order, summing to 1.
+        let shares = [0.18, 0.16, 0.10, 0.18, 0.14, 0.09, 0.15];
         let mut steps = Vec::with_capacity(total);
-        for (family, share) in proportions {
+        for (family, share) in ToolFamily::ALL.into_iter().zip(shares) {
             let count = ((total as f64) * share).round().max(1.0) as usize;
-            for i in 0..count {
-                steps.push(ProcessStep {
-                    label: format!("{family} {}", i + 1),
-                    family,
-                });
-            }
+            steps.extend(std::iter::repeat_n(ProcessStep { family }, count));
         }
         Self::new(name, steps)
     }
@@ -104,10 +94,10 @@ impl ProcessFlow {
         self.steps.len()
     }
 
-    /// Number of steps routed to a given family.
+    /// Number of steps routed to a given family, in O(1).
     #[must_use]
     pub fn steps_on(&self, family: ToolFamily) -> usize {
-        self.steps.iter().filter(|s| s.family == family).count()
+        self.per_family[family as usize]
     }
 
     /// Returns a variant flow that biases `extra` additional steps onto
@@ -116,12 +106,9 @@ impl ProcessFlow {
     /// furnace time).
     #[must_use]
     pub fn with_extra_steps(mut self, family: ToolFamily, extra: usize) -> Self {
-        for i in 0..extra {
-            self.steps.push(ProcessStep {
-                label: format!("{family} extra {}", i + 1),
-                family,
-            });
-        }
+        self.steps
+            .extend(std::iter::repeat_n(ProcessStep { family }, extra));
+        self.per_family[family as usize] += extra;
         self
     }
 }
@@ -149,19 +136,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn family_counts_sum_to_total() {
-        let flow = ProcessFlow::for_generation("x", 0.8);
+    const LAMBDAS: [f64; 6] = [1.0, 0.8, 0.65, 0.5, 0.35, 0.25];
+
+    fn assert_counts_match_scan(flow: &ProcessFlow) {
+        for family in ToolFamily::ALL {
+            let scanned = flow.steps().iter().filter(|s| s.family == family).count();
+            assert_eq!(flow.steps_on(family), scanned, "{family}");
+        }
         let sum: usize = ToolFamily::ALL.iter().map(|&f| flow.steps_on(f)).sum();
         assert_eq!(sum, flow.step_count());
     }
 
     #[test]
+    fn family_counts_sum_to_total() {
+        for lambda in LAMBDAS {
+            assert_counts_match_scan(&ProcessFlow::for_generation("x", lambda));
+        }
+    }
+
+    #[test]
     fn extra_steps_bias_one_family() {
-        let base = ProcessFlow::for_generation("x", 0.8);
-        let litho_before = base.steps_on(ToolFamily::Implant);
-        let biased = base.with_extra_steps(ToolFamily::Implant, 40);
-        assert_eq!(biased.steps_on(ToolFamily::Implant), litho_before + 40);
+        for lambda in LAMBDAS {
+            let base = ProcessFlow::for_generation("x", lambda);
+            let implant_before = base.steps_on(ToolFamily::Implant);
+            let biased = base.with_extra_steps(ToolFamily::Implant, 40);
+            assert_eq!(biased.steps_on(ToolFamily::Implant), implant_before + 40);
+            assert_counts_match_scan(&biased);
+        }
     }
 
     #[test]

@@ -38,6 +38,9 @@ pub const MAX_SWEEP_STEPS: usize = 100_000;
 pub const MAX_TILE_STEPS: usize = 512;
 /// Most Monte Carlo replications per query.
 pub const MAX_REPLICATIONS: usize = 100_000;
+/// Most concurrent products per `mc_yield` or `product_mix` query (the
+/// paper's mix study and the repro experiments use at most 10).
+pub const MAX_PRODUCTS: usize = 64;
 /// Most chiplets per partition (a service bound; real packages top out
 /// far lower).
 pub const MAX_CHIPLETS: usize = 64;
@@ -179,7 +182,7 @@ pub enum Query {
     },
     /// A Monte Carlo wafer-cost study over a jittered product mix.
     McYield {
-        /// Number of concurrent products in the fab.
+        /// Concurrent products in the fab, 1..=[`MAX_PRODUCTS`].
         products: usize,
         /// Wafer starts per product per year.
         volume_each: f64,
@@ -199,7 +202,7 @@ pub enum Query {
     },
     /// Mono- vs multi-product fab economics (Sec. III).
     ProductMix {
-        /// Number of concurrent products.
+        /// Concurrent products, 1..=[`MAX_PRODUCTS`].
         products: usize,
         /// Wafer starts per product per year in the multi-product fab.
         volume_each: f64,
@@ -704,6 +707,16 @@ fn check_window(
     Ok(())
 }
 
+fn check_products(products: usize) -> Result<(), Error> {
+    if !(1..=MAX_PRODUCTS).contains(&products) {
+        return Err(Error::InvalidField {
+            field: "products",
+            message: format!("products {products} outside 1..={MAX_PRODUCTS}"),
+        });
+    }
+    Ok(())
+}
+
 fn check_partition_shape(chiplets: usize, spares: usize, volume: u64) -> Result<(), Error> {
     if !(1..=MAX_CHIPLETS).contains(&chiplets) {
         return Err(Error::InvalidField {
@@ -1110,12 +1123,7 @@ impl Query {
                 jitter,
                 seed,
             } => {
-                if *products == 0 {
-                    return Err(Error::InvalidField {
-                        field: "products",
-                        message: "need at least one product".to_string(),
-                    });
-                }
+                check_products(*products)?;
                 if !(*volume_each > 0.0 && volume_each.is_finite()) {
                     return Err(Error::InvalidField {
                         field: "volume_each",
@@ -1183,7 +1191,8 @@ impl Query {
                 volume_each,
                 mono_volume,
             } => {
-                if *products == 0 || !(*volume_each > 0.0) || !(*mono_volume > 0.0) {
+                check_products(*products)?;
+                if !(*volume_each > 0.0) || !(*mono_volume > 0.0) {
                     return Err(Error::InvalidField {
                         field: "products",
                         message: "need positive products and volumes".to_string(),

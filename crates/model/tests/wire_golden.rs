@@ -339,3 +339,44 @@ fn every_response_variant_serializes_to_its_pinned_bytes() {
         assert_eq!(&r.to_json().write(), expected, "wire bytes for {r:?}");
     }
 }
+
+/// `products` outside `1..=MAX_PRODUCTS` fails both fab-economics
+/// queries as `invalid-field` with pinned error bytes; the bound itself
+/// is accepted.
+#[test]
+fn products_outside_the_bound_are_rejected_with_pinned_bytes() {
+    use maly_model::json::Json;
+    use maly_model::query::MAX_PRODUCTS;
+    let mc = |products| Query::McYield {
+        products,
+        volume_each: 1_000.0,
+        replications: 2,
+        jitter: 0.3,
+        seed: 7,
+    };
+    let mix = |products| Query::ProductMix {
+        products,
+        volume_each: 1_000.0,
+        mono_volume: 50_000.0,
+    };
+    assert_eq!(MAX_PRODUCTS, 64);
+    let zero = "{\"kind\":\"invalid-field\",\"message\":\"invalid field `products`: products 0 outside 1..=64\"}";
+    let above = "{\"kind\":\"invalid-field\",\"message\":\"invalid field `products`: products 65 outside 1..=64\"}";
+    for (query, expected) in [
+        (mc(0), zero),
+        (mc(65), above),
+        (mix(0), zero),
+        (mix(65), above),
+    ] {
+        let error = query.evaluate().expect_err("products out of bounds");
+        let wire = Json::obj(vec![
+            ("kind", Json::Str(error.kind().to_string())),
+            ("message", Json::Str(error.to_string())),
+        ])
+        .write();
+        assert_eq!(wire, expected, "{query:?}");
+    }
+    for query in [mc(MAX_PRODUCTS), mix(MAX_PRODUCTS)] {
+        assert!(query.evaluate().is_ok(), "{query:?}");
+    }
+}

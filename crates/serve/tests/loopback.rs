@@ -591,6 +591,68 @@ fn socket_writes_are_timed_apart_from_serialization() {
     assert_eq!(protocol::WRITE_NS.count() - serialize_before, 2);
 }
 
+/// Eq. (4) over a microscopic die: the row sum saturates at `u32::MAX`
+/// instead of allocating a chord table per row or summing billions of
+/// rows. Each line, alone on its connection, must get exactly one
+/// response line within a second.
+#[test]
+fn microscopic_dies_answer_one_line_within_a_second() {
+    use std::io::{Read, Write};
+    let _guard = lock();
+    let (handle, join) = start(ServeConfig::default().workers(1));
+    let addr = handle.addr().to_string();
+    let tile = |n_tr_min: &str| {
+        format!(
+            "{{\"id\": 1, \"query\": {{\"type\": \"surface_tile\", \"lambda_min\": 0.5, \
+             \"lambda_max\": 1.0, \"lambda_steps\": 2, \"n_tr_min\": {n_tr_min}, \
+             \"n_tr_max\": 1e6, \"n_tr_steps\": 2}}}}"
+        )
+    };
+    let product = |transistors: &str| {
+        format!(
+            "{{\"id\": 1, \"query\": {{\"type\": \"product\", \"name\": \"speck\", \
+             \"transistors\": {transistors}, \"lambda_um\": 0.8, \"density\": 150, \
+             \"yield0\": 0.9, \"c0\": 700, \"x\": 1.4}}}}"
+        )
+    };
+    let lines = [
+        tile("1e-9"),
+        tile("1e-30"),
+        tile("1e-300"),
+        product("1e-8"),
+        product("1e-20"),
+    ];
+    for line in &lines {
+        let started = std::time::Instant::now();
+        let mut stream = client::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(1)))
+            .expect("read timeout");
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut answer = String::new();
+        stream
+            .read_to_string(&mut answer)
+            .expect("answer within 1 s");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "{line}"
+        );
+        assert_eq!(answer.matches('\n').count(), 1, "{line} -> {answer}");
+        let v = json::parse(answer.trim_end()).expect("protocol JSON");
+        let ok = v.get("ok").unwrap_or_else(|| panic!("{line} -> {answer}"));
+        if let Some(dies) = ok.get("dies_per_wafer") {
+            assert_eq!(dies.as_f64(), Some(f64::from(u32::MAX)), "{line}");
+        }
+    }
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}
+
 /// Polls `cond` for up to ~2 s; panics (naming `what`) on timeout.
 fn wait_until(cond: impl Fn() -> bool, what: &str) {
     for _ in 0..400 {

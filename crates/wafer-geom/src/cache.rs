@@ -343,25 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_clear_work() {
-        clear();
-        let wafer = Wafer::six_inch();
-        let die = DieDimensions::square(Centimeters::new(1.25).unwrap());
-        let _ = dies_per_wafer(&wafer, die);
-        let _ = dies_per_wafer(&wafer, die);
-        let s = stats();
-        // Other tests run concurrently in this process, so only lower
-        // bounds are stable.
-        assert!(s.misses >= 1);
-        assert!(s.hits >= 1);
-        assert!(s.hit_rate() > 0.0 && s.hit_rate() < 1.0);
-        clear();
-        let s = stats();
-        assert_eq!(s.hits + s.misses, 0);
-        assert_eq!(s.hit_rate(), 0.0);
-    }
-
-    #[test]
     fn batch_matches_scalar_and_warms_the_cache() {
         let wafer = Wafer::six_inch();
         let dies: Vec<DieDimensions> = (1..30)

@@ -60,6 +60,11 @@ pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
 /// per row suffices instead of two. The carried value is the *same*
 /// `sqrt` of the *same* argument the two-per-row loop would compute, so
 /// the result is bit-identical to the textbook form.
+///
+/// The count saturates at `u32::MAX`: row counts are non-negative, so
+/// once the running total reaches it the loop stops. With the skip of
+/// [`first_nonzero_chord`], a microscopic die costs a few rows rather
+/// than billions.
 fn row_sum_kernel(r_w: f64, a: f64, b: f64) -> DieCount {
     let rows = (2.0 * r_w / b).floor() as i64;
     if rows <= 0 {
@@ -76,28 +81,68 @@ fn row_sum_kernel(r_w: f64, a: f64, b: f64) -> DieCount {
         }
     };
 
-    let mut total: u64 = 0;
-    let mut r_lo = half_width_at(0.0);
-    for j in 0..rows {
+    let first = first_nonzero_chord(r_w, b, rows as u64) as i64;
+    let mut total: u32 = 0;
+    let mut r_lo = half_width_at(first as f64 * b);
+    for j in first..rows {
         let r_hi = half_width_at((j + 1) as f64 * b);
         let chord = r_lo.min(r_hi);
         let per_row = (2.0 * chord / a).floor();
         if per_row > 0.0 {
-            total += per_row as u64;
+            // `as` saturates a count beyond `u32::MAX` to it.
+            total = total.saturating_add(per_row as u32);
+            if total == u32::MAX {
+                break;
+            }
         }
         r_lo = r_hi;
     }
 
-    DieCount::new(u32::try_from(total).unwrap_or(u32::MAX))
+    DieCount::new(total)
 }
+
+/// The first row index worth summing: every chord `R_k` below it is
+/// zero, so every row below it packs no die, and both row sums start
+/// there with their result unchanged. `R_k` never shrinks while the
+/// height `k·b` stays at or below `R_w`, so a binary search over
+/// `0..=c`, `c = min(rows, floor(R_w/b))`, finds the first positive
+/// chord; if even `R_c` is zero, every chord up to `c` is, and the sum
+/// starts at `c`. For a die of any physical size the answer is 1, found
+/// with two comparisons. The search matters when `k·b` stays below the
+/// rounding step of `R_w` for billions of rows.
+fn first_nonzero_chord(r_w: f64, b: f64, rows: u64) -> u64 {
+    // The same `R_w² − d²` the kernels take the square root of.
+    let positive = |k: u64| {
+        let d = k as f64 * b - r_w;
+        r_w * r_w - d * d > 0.0
+    };
+    let mut hi = ((r_w / b).floor() as u64).min(rows);
+    if hi == 0 || !positive(hi) {
+        return hi;
+    }
+    // Invariant: `R_lo` is zero and `R_hi` positive (`R_0` is always 0).
+    let mut lo = 0;
+    while hi - lo > 1 {
+        let mid = if lo == 0 { 1 } else { lo + (hi - lo) / 2 };
+        if positive(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// Rows per block of the batched row sum's chord table.
+const CHORD_BLOCK: usize = 256;
 
 /// Batched eq. (4): die counts for a slice of dies on one wafer, as a
 /// λ-sweep produces (one die geometry per feature-size sample).
 ///
 /// The wafer's usable radius (and its square) is hoisted once, and one
-/// scratch `R_j` chord table is shared across the whole batch: for each
-/// die the table of boundary half-widths `R_j = sqrt(R_w² − (j·b −
-/// R_w)²)` is filled in branchless four-wide lane blocks
+/// fixed-size scratch table of `R_j` chords is shared across the whole
+/// batch: for each die, blocks of boundary half-widths `R_j = sqrt(R_w²
+/// − (j·b − R_w)²)` are filled in branchless four-wide lane blocks
 /// ([`maly_lanes`]), then the row sum reads neighbouring chords from
 /// the table. Every lane element performs the *same* correctly rounded
 /// IEEE operations as the scalar loop (`sqrt(max(sq, 0))` replaces the
@@ -107,55 +152,60 @@ fn row_sum_kernel(r_w: f64, a: f64, b: f64) -> DieCount {
 #[must_use]
 pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
     let r_w = wafer.usable_radius().value();
-    let mut chords: Vec<f64> = Vec::new();
+    let mut chords = [0.0; CHORD_BLOCK + 1];
     dies.iter()
         .map(|die| row_sum_from_table(r_w, die.width().value(), die.height().value(), &mut chords))
         .collect()
 }
 
-/// The eq. (4) row sum over a precomputed chord table: row `j` is
-/// bounded by chords `R_j` and `R_{j+1}`, so the sum is a single pass
-/// of `floor(2·min(R_j, R_{j+1})/a)` over adjacent table entries. The
-/// `max(0.0)` keeps the accumulation branchless; a row's count is
-/// never negative, so it only absorbs the zero case the scalar loop
-/// skips with a branch.
-fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut Vec<f64>) -> DieCount {
+/// The eq. (4) row sum over chord tables of up to [`CHORD_BLOCK`] rows:
+/// row `j` is bounded by chords `R_j` and `R_{j+1}`, so each block is a
+/// single pass of `floor(2·min(R_j, R_{j+1})/a)` over adjacent table
+/// entries. The `max(0.0)` keeps the accumulation branchless; a row's
+/// count is never negative, so it only absorbs the zero case the scalar
+/// loop skips with a branch. Like the scalar loop, the count saturates
+/// at `u32::MAX` and stops there, so neither time nor memory grows with
+/// the row count of a microscopic die.
+fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut [f64; CHORD_BLOCK + 1]) -> DieCount {
     let rows = (2.0 * r_w / b).floor() as i64;
     if rows <= 0 {
         return DieCount::new(0);
     }
-    let rows = rows as usize;
-    fill_chord_table(r_w, b, rows, chords);
-    let mut total: u64 = 0;
-    for j in 0..rows {
-        let per_row = (2.0 * chords[j].min(chords[j + 1]) / a).floor();
-        total += per_row.max(0.0) as u64;
+    let rows = rows as u64;
+    let mut total: u32 = 0;
+    let mut first = first_nonzero_chord(r_w, b, rows);
+    while first < rows && total < u32::MAX {
+        let len = (rows - first).min(CHORD_BLOCK as u64) as usize;
+        let table = &mut chords[..=len];
+        fill_chord_table(r_w, b, first, table);
+        // At most 256 rows of at most `u32::MAX` dies each: no overflow.
+        let mut block: u64 = 0;
+        for j in 0..len {
+            let per_row = (2.0 * table[j].min(table[j + 1]) / a).floor();
+            block += u64::from(per_row.max(0.0) as u32);
+        }
+        total = total.saturating_add(u32::try_from(block).unwrap_or(u32::MAX));
+        first += len as u64;
     }
-    DieCount::new(u32::try_from(total).unwrap_or(u32::MAX))
+    DieCount::new(total)
 }
 
 /// Fills `chords` with the wafer half-width at heights `k·b` for
-/// `k = 0..=rows`, in four-wide lane blocks with the odd tail computed
-/// by the same elementwise formula. `d·(−d) + R_w²` is bit-identical
-/// to the scalar kernel's `R_w² − d²` (negation and subtraction are
-/// exact sign manipulations), and lane `sqrt` is the correctly rounded
-/// IEEE primitive, so the table matches the scalar recurrence bit for
-/// bit.
-fn fill_chord_table(r_w: f64, b: f64, rows: usize, chords: &mut Vec<f64>) {
+/// `k = first..first + chords.len()`, in four-wide lane blocks with the
+/// odd tail computed by the same elementwise formula. `d·(−d) + R_w²` is
+/// bit-identical to the scalar kernel's `R_w² − d²` (negation and
+/// subtraction are exact sign manipulations), and lane `sqrt` is the
+/// correctly rounded IEEE primitive, so the table matches the scalar
+/// recurrence bit for bit.
+fn fill_chord_table(r_w: f64, b: f64, first: u64, chords: &mut [f64]) {
     use maly_lanes as lanes;
-    let n = rows + 1;
-    chords.clear();
-    chords.resize(n, 0.0);
+    let n = chords.len();
     let r_sq = r_w * r_w;
     let neg_r = lanes::splat(-r_w);
+    let height = |k: usize| (first + k as u64) as f64 * b;
     let mut k = 0usize;
     while k + lanes::WIDTH <= n {
-        let h: lanes::Lane = [
-            k as f64 * b,
-            (k + 1) as f64 * b,
-            (k + 2) as f64 * b,
-            (k + 3) as f64 * b,
-        ];
+        let h: lanes::Lane = [height(k), height(k + 1), height(k + 2), height(k + 3)];
         let d = lanes::add(h, neg_r);
         let neg_d = lanes::mul(d, lanes::splat(-1.0));
         let sq = lanes::mul_add(d, neg_d, lanes::splat(r_sq));
@@ -164,7 +214,7 @@ fn fill_chord_table(r_w: f64, b: f64, rows: usize, chords: &mut Vec<f64>) {
         k += lanes::WIDTH;
     }
     while k < n {
-        let d = k as f64 * b - r_w;
+        let d = height(k) - r_w;
         let sq = d * -d + r_sq;
         chords[k] = sq.max(0.0).sqrt();
         k += 1;
@@ -323,6 +373,69 @@ mod tests {
             for (die, got) in dies.iter().zip(&batch) {
                 assert_eq!(*got, dies_per_wafer(wafer, *die), "die {die:?}");
             }
+            // Near the `u32::MAX` saturation edge: thin rows (a few
+            // hundred to a few thousand of them) of narrow dies, sized so
+            // the wafer holds 0.8–1.25 × `u32::MAX` of them.
+            let r_w = wafer.usable_radius().value();
+            let full = std::f64::consts::PI * r_w * r_w / f64::from(u32::MAX);
+            let edge: Vec<DieDimensions> = (0..40)
+                .map(|_| {
+                    let b = uniform(0.005, 0.05);
+                    let a = full / b * uniform(0.8, 1.25);
+                    DieDimensions::new(Centimeters::new(a).unwrap(), Centimeters::new(b).unwrap())
+                })
+                .collect();
+            let batch = dies_per_wafer_batch(wafer, &edge);
+            let saturated = batch.iter().filter(|n| n.value() == u32::MAX).count();
+            assert!(
+                0 < saturated && saturated < edge.len(),
+                "{saturated} saturated"
+            );
+            for (die, got) in edge.iter().zip(&batch) {
+                assert_eq!(*got, dies_per_wafer(wafer, *die), "die {die:?}");
+            }
+        }
+    }
+
+    /// A microscopic die saturates the count at `u32::MAX` within a few
+    /// rows, on both paths, however many rows the wafer would hold.
+    #[test]
+    fn microscopic_dies_saturate_quickly() {
+        let wafer = Wafer::six_inch();
+        for edge in [1e-6, 1e-12, 1e-20, 1e-30] {
+            let die = DieDimensions::square(Centimeters::new(edge).unwrap());
+            assert_eq!(dies_per_wafer(&wafer, die).value(), u32::MAX, "edge {edge}");
+            let batch = dies_per_wafer_batch(&wafer, &[die, square_die(1.0)]);
+            assert_eq!(batch[0].value(), u32::MAX, "edge {edge}");
+            assert_eq!(batch[1], dies_per_wafer(&wafer, square_die(1.0)));
+        }
+        // Below ~1e-34 cm every chord the (capped) row count reaches
+        // rounds to zero: the formula packs nothing, and both paths say
+        // so at once.
+        let speck = DieDimensions::square(Centimeters::new(1e-150).unwrap());
+        assert!(dies_per_wafer(&wafer, speck).is_zero());
+        assert!(dies_per_wafer_batch(&wafer, &[speck])[0].is_zero());
+    }
+
+    /// The binary search agrees with a linear scan, including chords
+    /// that rounding keeps at zero for thousands of rows, or for every
+    /// row up to the wafer's middle.
+    #[test]
+    fn first_nonzero_chord_matches_a_scan() {
+        for r_w in [7.5_f64, 10.0, 7.2] {
+            for b in [20.0, 7.0, 1.0, 1e-3, 1e-15, 1e-17, 3e-18, 1e-19] {
+                let rows = (2.0 * r_w / b).floor() as u64;
+                let c = ((r_w / b).floor() as u64).min(rows);
+                let scan = (0..=c)
+                    .find(|&k| {
+                        let d = k as f64 * b - r_w;
+                        r_w * r_w - d * d > 0.0
+                    })
+                    .unwrap_or(c);
+                assert_eq!(first_nonzero_chord(r_w, b, rows), scan, "R_w {r_w}, b {b}");
+            }
+            // Every chord is zero: the sum starts past the last row.
+            assert_eq!(first_nonzero_chord(r_w, 1e-150, 1_000), 1_000);
         }
     }
 
