@@ -17,6 +17,9 @@ cargo run -q -p xtask -- lint --json target/lint_report.json
 grep -q '"schema": "maly-audit/v2"' target/lint_report.json
 grep -q '"clean": true' target/lint_report.json
 
+echo "== rustdoc (warnings denied: broken and ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+
 echo "== cargo test (MALY_PAR_THREADS=1, serial)"
 MALY_PAR_THREADS=1 cargo test --workspace -q
 

@@ -153,11 +153,11 @@ pub mod harness {
     /// a block of `b`, so machine-speed swings (thermal throttling,
     /// noisy neighbours) hit both sides alike and the ratio of the
     /// returned medians stays honest. Timing the sides in separate
-    /// [`bench`] calls instead leaves them seconds apart, where a
+    /// [`bench`](fn@bench) calls instead leaves them seconds apart, where a
     /// throttle step lands entirely on one side and fabricates a
     /// spurious speedup or regression.
     ///
-    /// Prints and records each side exactly like [`bench`]; returns
+    /// Prints and records each side exactly like [`bench`](fn@bench); returns
     /// `(median_a_ns, median_b_ns)`.
     pub fn bench_pair(
         name_a: &str,

@@ -30,8 +30,8 @@ pub const MAX_PARTITIONS: usize = 10;
 /// Finds the cheapest grouping × per-die-λ assignment.
 ///
 /// `candidate_lambdas` are the nodes available to manufacture on (e.g.
-/// the `maly_tech_trend::generations::NODE_LADDER_UM` rungs a company
-/// has access to). Each die independently picks its best candidate.
+/// the process generations a company has access to). Each die
+/// independently picks its best candidate.
 ///
 /// # Errors
 ///

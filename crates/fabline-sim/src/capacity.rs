@@ -79,28 +79,6 @@ impl UtilizationReport {
             .map(UtilizationEntry::utilization)
             .fold(0.0, f64::max)
     }
-
-    /// The bottleneck family, if any tools are owned.
-    #[must_use]
-    pub fn bottleneck_family(&self) -> Option<ToolFamily> {
-        self.entries
-            .iter()
-            .max_by(|a, b| a.utilization().total_cmp(&b.utilization()))
-            .map(|e| e.family)
-    }
-
-    /// Capacity-weighted average utilization — the "how much of my
-    /// capital is working" number that drives wafer cost.
-    #[must_use]
-    pub fn average_utilization(&self) -> f64 {
-        let available: f64 = self.entries.iter().map(|e| e.available_steps).sum();
-        let demanded: f64 = self.entries.iter().map(|e| e.demanded_steps).sum();
-        if available > 0.0 {
-            demanded / available
-        } else {
-            0.0
-        }
-    }
 }
 
 impl Fab {
@@ -178,30 +156,6 @@ impl Fab {
         }
         UtilizationReport { entries }
     }
-
-    /// Maximum annual wafer starts of a single flow this fab supports
-    /// (the volume at which the bottleneck saturates).
-    #[must_use]
-    pub fn max_wafer_starts(&self, flow: &ProcessFlow) -> f64 {
-        let mut limit = f64::INFINITY;
-        for (class, units) in &self.tools {
-            let steps_per_wafer = flow.steps_on(class.family()) as f64;
-            if steps_per_wafer > 0.0 {
-                let cap = class.annual_capacity_steps() * f64::from(*units) / steps_per_wafer;
-                limit = limit.min(cap);
-            }
-        }
-        for family in ToolFamily::ALL {
-            if flow.steps_on(family) > 0 && !self.tools.iter().any(|(c, _)| c.family() == family) {
-                return 0.0;
-            }
-        }
-        if limit.is_finite() {
-            limit
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Total demanded wafer-steps per family for an annual demand.
@@ -226,6 +180,18 @@ mod tests {
         ProcessFlow::for_generation("cmos-0.8", 0.8)
     }
 
+    /// Capacity-weighted average utilization: demanded over available
+    /// wafer-steps summed across families.
+    fn average_utilization(report: &UtilizationReport) -> f64 {
+        let available: f64 = report.entries().iter().map(|e| e.available_steps).sum();
+        let demanded: f64 = report.entries().iter().map(|e| e.demanded_steps).sum();
+        if available > 0.0 {
+            demanded / available
+        } else {
+            0.0
+        }
+    }
+
     #[test]
     fn sized_for_is_feasible_and_tight() {
         let demand = [(flow(), 80_000.0)];
@@ -233,7 +199,12 @@ mod tests {
         let report = fab.utilization(&demand);
         assert!(report.is_feasible());
         // Removing one unit from the bottleneck family must break it.
-        let bottleneck = report.bottleneck_family().unwrap();
+        let bottleneck = report
+            .entries()
+            .iter()
+            .max_by(|a, b| a.utilization().total_cmp(&b.utilization()))
+            .unwrap()
+            .family;
         let mut reduced: Vec<(EquipmentClass, u32)> = fab.tools().to_vec();
         for (class, units) in &mut reduced {
             if class.family() == bottleneck {
@@ -255,11 +226,8 @@ mod tests {
         let fab = Fab::sized_for(&demand);
         let report = fab.utilization(&demand);
         assert!(report.is_feasible());
-        assert!(
-            report.average_utilization() < 0.3,
-            "avg {}",
-            report.average_utilization()
-        );
+        let average = average_utilization(&report);
+        assert!(average < 0.3, "avg {average}");
     }
 
     #[test]
@@ -268,11 +236,8 @@ mod tests {
         let fab = Fab::sized_for(&demand);
         let report = fab.utilization(&demand);
         assert!(report.is_feasible());
-        assert!(
-            report.average_utilization() > 0.7,
-            "avg {}",
-            report.average_utilization()
-        );
+        let average = average_utilization(&report);
+        assert!(average > 0.7, "avg {average}");
     }
 
     #[test]
@@ -292,29 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn max_wafer_starts_matches_feasibility() {
-        let demand = [(flow(), 50_000.0)];
-        let fab = Fab::sized_for(&demand);
-        let max = fab.max_wafer_starts(&flow());
-        assert!(max >= 50_000.0);
-        // Demand just beyond the max is infeasible.
-        let too_much = [(flow(), max * 1.01)];
-        assert!(!fab.utilization(&too_much).is_feasible());
-    }
-
-    #[test]
-    fn max_wafer_starts_zero_for_missing_family() {
-        let litho_only = Fab::new(
-            standard_toolset()
-                .into_iter()
-                .filter(|c| c.family() == ToolFamily::Lithography)
-                .map(|c| (c, 1))
-                .collect(),
-        );
-        assert_eq!(litho_only.max_wafer_starts(&flow()), 0.0);
-    }
-
-    #[test]
     fn annual_cost_sums_units() {
         let toolset = standard_toolset();
         let one_each = Fab::new(toolset.iter().map(|c| (*c, 1u32)).collect());
@@ -330,7 +272,7 @@ mod tests {
         assert_eq!(fab.annual_cost().value(), 0.0);
         let report = fab.utilization(&[]);
         assert!(report.is_feasible());
-        assert_eq!(report.average_utilization(), 0.0);
-        assert!(report.bottleneck_family().is_none());
+        assert_eq!(average_utilization(&report), 0.0);
+        assert!(report.entries().is_empty());
     }
 }

@@ -57,7 +57,7 @@ impl FabEconomics {
     /// different products, for a randomly interleaved demand:
     /// `1 − Σ share_i²` (zero for a mono-product line).
     #[must_use]
-    pub fn changeover_probability(demand: &[(ProcessFlow, f64)]) -> f64 {
+    fn changeover_probability(demand: &[(ProcessFlow, f64)]) -> f64 {
         let total: f64 = demand.iter().map(|(_, v)| v).sum();
         if total <= 0.0 {
             return 0.0;
@@ -68,7 +68,7 @@ impl FabEconomics {
     /// Tool hours demanded per family and year, including changeover
     /// setups.
     #[must_use]
-    pub fn demanded_hours(&self, demand: &[(ProcessFlow, f64)]) -> Vec<(ToolFamily, f64)> {
+    fn demanded_hours(&self, demand: &[(ProcessFlow, f64)]) -> Vec<(ToolFamily, f64)> {
         let p_switch = Self::changeover_probability(demand);
         let toolset = standard_toolset();
         ToolFamily::ALL
@@ -139,7 +139,7 @@ impl FabEconomics {
     /// Processing-only tool hours per family (no setups) — the hours that
     /// actually move wafers.
     #[must_use]
-    pub fn processing_hours(&self, demand: &[(ProcessFlow, f64)]) -> Vec<(ToolFamily, f64)> {
+    fn processing_hours(&self, demand: &[(ProcessFlow, f64)]) -> Vec<(ToolFamily, f64)> {
         let toolset = standard_toolset();
         ToolFamily::ALL
             .iter()

@@ -34,13 +34,6 @@ impl BargainingRange {
         self.floor.value() < self.ceiling.value()
     }
 
-    /// The surplus per wafer split between the parties at any price
-    /// inside the range.
-    #[must_use]
-    pub fn surplus_per_wafer(&self) -> f64 {
-        (self.ceiling.value() - self.floor.value()).max(0.0)
-    }
-
     /// The even-split price.
     #[must_use]
     pub fn midpoint(&self) -> Dollars {
@@ -139,7 +132,9 @@ mod tests {
         assert!(large.floor.value() > small.floor.value());
         // The deal usually still exists (the owner's scale is simply
         // more efficient), but the surplus narrows.
-        assert!(large.surplus_per_wafer() < small.surplus_per_wafer());
+        let surplus = |range: BargainingRange| range.ceiling.value() - range.floor.value();
+        assert!(small.deal_exists());
+        assert!(surplus(large) < surplus(small));
     }
 
     #[test]
@@ -147,10 +142,6 @@ mod tests {
         let range = bargaining_range(&econ(), &commodity(100_000.0), &niche(2_000.0));
         let mid = range.midpoint().value();
         assert!(mid > range.floor.value() && mid < range.ceiling.value());
-        assert!(
-            (range.surplus_per_wafer() - (range.ceiling.value() - range.floor.value())).abs()
-                < 1e-9
-        );
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct LoadgenReport {
     pub queries_sent: u64,
     /// Wall-clock span of the drive phase (ns).
     pub elapsed_ns: u64,
-    /// Client-side latency per workload family, in [`KINDS`] order.
+    /// Client-side latency per workload family, in `KINDS` order.
     pub latency: Vec<KindLatency>,
     /// Whitelisted server work counters, name-sorted.
     pub work: Vec<(String, f64)>,

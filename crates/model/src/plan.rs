@@ -1,7 +1,7 @@
 //! The evaluation-plan IR: what a query batch *needs* before anything
 //! runs.
 //!
-//! A batch of [`Query`]s compiles to a [`Plan`] — the deduplicated
+//! A batch of [`Query`]s compiles to a `Plan` — the deduplicated
 //! query list, the slot map scattering answers back to request order,
 //! and the set of unique surface-tile grid nodes the batch will touch.
 //! The planner (`crate::planner`) then executes the plan: cold tile
@@ -32,7 +32,7 @@ use crate::query::{ProductSpec, Query};
 pub static NODES_REQUESTED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_requested");
 /// Grid nodes actually evaluated after cross-request dedup and warm
 /// cache elision. The fusion goldens assert this stays well under
-/// [`struct@NODES_REQUESTED`] on overlapping batches.
+/// [`static@NODES_REQUESTED`] on overlapping batches.
 pub static NODES_EVALUATED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_evaluated");
 /// Fused kernel dispatches issued (one per batch with ≥ 1 cold tile).
 pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.fused_dispatches");

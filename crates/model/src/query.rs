@@ -75,9 +75,11 @@ impl ProductSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first validation failure.
+    /// Returns the first validation failure, and
+    /// [`Error::InvalidField`] on `transistors` when the die area is not
+    /// a positive normal number (a subnormal count underflows the area).
     pub fn scenario(&self) -> Result<ProductScenario, Error> {
-        Ok(ProductScenario::builder(self.name.clone())
+        let scenario = ProductScenario::builder(self.name.clone())
             .transistors(TransistorCount::new(self.transistors)?)
             .feature_size(Microns::new(self.lambda_um)?)
             .design_density(DesignDensity::new(self.density)?)
@@ -85,7 +87,18 @@ impl ProductSpec {
             .reference_yield(Probability::new(self.yield0)?)
             .reference_wafer_cost(Dollars::new(self.c0)?)
             .cost_escalation(self.x)?
-            .build()?)
+            .build()?;
+        let area = scenario.die_area().value();
+        if !area.is_normal() {
+            return Err(Error::InvalidField {
+                field: "transistors",
+                message: format!(
+                    "transistor count {:e} gives die area {area:e} cm², not a positive normal number",
+                    self.transistors
+                ),
+            });
+        }
+        Ok(scenario)
     }
 
     fn to_pairs(&self) -> Vec<(&'static str, Json)> {
@@ -1646,6 +1659,23 @@ mod tests {
         assert!(matches!(
             Query::from_json(&no_type),
             Err(Error::MissingField { field: "type" })
+        ));
+    }
+
+    #[test]
+    fn subnormal_transistor_count_is_an_invalid_field() {
+        // 5e-324 transistors underflow the die area to zero, which the
+        // square-die outline cannot take; the query layer rejects it.
+        let spec = ProductSpec {
+            transistors: 5e-324,
+            ..row1_spec()
+        };
+        assert!(matches!(
+            Query::Product(spec).evaluate(),
+            Err(Error::InvalidField {
+                field: "transistors",
+                ..
+            })
         ));
     }
 

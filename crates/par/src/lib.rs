@@ -189,19 +189,39 @@ fn as_worker<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// The grain policy's clock: the probe and the fan-out feedback into
+/// [`BACKOFF`] read time only through here. Under `cfg(test)` a
+/// per-thread script of readings ([`SCRIPTED_NS`]) takes precedence, so
+/// the policy's decisions can be tested without timing real work.
+fn policy_now_ns() -> u64 {
+    #[cfg(test)]
+    if let Some(ns) = SCRIPTED_NS.with(|script| script.borrow_mut().pop_front()) {
+        return ns;
+    }
+    maly_obs::now_ns()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Scripted [`policy_now_ns`] readings, consumed front first; once
+    /// empty, the real clock answers.
+    static SCRIPTED_NS: std::cell::RefCell<std::collections::VecDeque<u64>> =
+        const { std::cell::RefCell::new(std::collections::VecDeque::new()) };
+}
+
 /// Runs items inline from item 0, doubling the batch between clock
 /// reads, until they have taken [`PROBE_NS`] or all `n` are done.
 /// Returns their results and mean time per item.
 fn probe<R>(n: usize, f: &impl Fn(usize) -> R) -> (Vec<R>, f64) {
     let mut out = Vec::with_capacity(n);
-    let start = maly_obs::now_ns();
+    let start = policy_now_ns();
     let mut elapsed = 0;
     as_worker(|| {
         let mut batch = 1;
         while out.len() < n && elapsed < PROBE_NS {
             let end = n.min(out.len() + batch);
             out.extend((out.len()..end).map(f));
-            elapsed = maly_obs::now_ns().saturating_sub(start);
+            elapsed = policy_now_ns().saturating_sub(start);
             batch *= 2;
         }
     });
@@ -346,7 +366,7 @@ impl Executor {
                 }
             })
         };
-        let start = maly_obs::now_ns();
+        let start = policy_now_ns();
         let mut parts = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
             let mut parts = work();
@@ -358,7 +378,7 @@ impl Executor {
             }
             parts
         });
-        let wall_ns = maly_obs::now_ns().saturating_sub(start).max(1);
+        let wall_ns = policy_now_ns().saturating_sub(start).max(1);
         record_speedup(per_item_ns * rest as f64 / wall_ns as f64);
         parts.sort_unstable_by_key(|(lo, _)| *lo);
         for (_, values) in parts {
@@ -584,14 +604,42 @@ mod tests {
         }
     }
 
+    /// Queues `readings` for this thread's [`policy_now_ns`], runs `f`,
+    /// and checks the policy consumed exactly those readings.
+    fn scripted<T>(readings: &[u64], f: impl FnOnce() -> T) -> T {
+        SCRIPTED_NS.with(|script| script.borrow_mut().extend(readings));
+        let out = f();
+        let left = SCRIPTED_NS.with(|script| script.borrow_mut().drain(..).count());
+        assert_eq!(
+            left, 0,
+            "the policy read {left} fewer clock values than scripted"
+        );
+        out
+    }
+
     #[test]
     fn the_probe_averages_cheap_items_and_stops_at_an_expensive_one() {
         let _guard = hold();
-        // Cheap items: the probe runs far past item 0 before pricing.
-        let (done, per_item) = probe(100_000, &|i| std::hint::black_box(i));
+        // Cheap items at 10 ns each: batches of 1, 2, 4, … items end at
+        // 10·(2^k − 1) ns, and the probe runs far past item 0 until the
+        // 2047th item takes it over PROBE_NS.
+        let readings: Vec<u64> = std::iter::once(0)
+            .chain((1..=11).map(|k| 10 * ((1 << k) - 1)))
+            .collect();
+        let (done, per_item) = scripted(&readings, || probe(100_000, &|i| i));
         assert!(done.len() > 1 && done.len() < 100_000, "{}", done.len());
+        assert_eq!(done.len(), 2047);
         assert!(per_item < PROBE_NS as f64);
+        assert_eq!(per_item, 10.0);
         // One item over the probe budget is the whole probe.
+        let (done, per_item) = scripted(&[0, 100_000], || probe(8, &|i| i));
+        assert_eq!(done, vec![0]);
+        assert!(per_item >= 100_000.0);
+    }
+
+    #[test]
+    fn the_real_clock_stops_the_probe_at_an_expensive_item() {
+        let _guard = hold();
         let (done, per_item) = probe(8, &|i| {
             std::thread::sleep(std::time::Duration::from_micros(100));
             i
@@ -608,29 +656,24 @@ mod tests {
         }
         let exec = Executor::with_threads(2);
         let lost0 = PAR_LOST.value();
-        // A cheap item 0 prices the map at 4 × 300 µs, but the rest
-        // takes 3 ms each: the fan-out runs far slower than estimated.
-        exec.map_indexed(4, |i| {
-            let us = if i == 0 { 300 } else { 3_000 };
-            std::thread::sleep(std::time::Duration::from_micros(us));
+        // Item 0 takes 300 µs and prices the map at 4 × 300 µs, but the
+        // fan-out over the other three takes 3 ms of wall time: far
+        // slower than estimated.
+        scripted(&[0, 300_000, 300_000, 3_300_000], || {
+            exec.map_indexed(4, |_| ())
         });
         assert_eq!(PAR_LOST.value() - lost0, 1);
         assert_eq!(BACKOFF.load(Ordering::SeqCst), 1);
         // A map priced between the base cutoff and the raised one now
-        // stays serial.
+        // stays serial: 3 × 90 µs.
         let parallel0 = PAR_PARALLEL_MAPS.value();
         assert_eq!(cutoff_ns(), 2.0 * SEQUENTIAL_CUTOFF_NS);
-        exec.map_indexed(3, |i| {
-            if i == 0 {
-                // Busy, not asleep: a sleep can overshoot the window.
-                let start = maly_obs::now_ns();
-                while maly_obs::now_ns() - start < 90_000 {}
-            }
-        });
+        scripted(&[0, 90_000], || exec.map_indexed(3, |_| ()));
         assert_eq!(PAR_PARALLEL_MAPS.value(), parallel0);
-        // A clear win (32 sleeps overlap on two threads) lowers it again.
-        exec.map_indexed(32, |_| {
-            std::thread::sleep(std::time::Duration::from_micros(400))
+        // A clear win lowers it again: 32 items of 400 µs, the 31 after
+        // the probe overlapping on two threads in 6.2 ms.
+        scripted(&[0, 400_000, 400_000, 6_600_000], || {
+            exec.map_indexed(32, |_| ())
         });
         assert_eq!(PAR_PARALLEL_MAPS.value() - parallel0, 1);
         assert_eq!(BACKOFF.load(Ordering::SeqCst), 0);

@@ -45,7 +45,7 @@ impl std::fmt::Display for ExperimentReport {
 /// The reports are generated concurrently on the ambient
 /// [`maly_par::Executor`] (`MALY_PAR_THREADS`); results come back in
 /// paper order regardless of which thread finished first, and the
-/// shared setup in [`context`] is derived exactly once however the
+/// shared setup in [`maly_model::context`] is derived exactly once however the
 /// experiments interleave.
 #[must_use]
 pub fn all_experiments() -> Vec<ExperimentReport> {

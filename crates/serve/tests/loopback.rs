@@ -370,6 +370,37 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     join.join().expect("server thread exits cleanly");
 }
 
+/// A subnormal transistor count underflows the die area to zero; the
+/// query layer answers `invalid-field` and the connection keeps serving.
+#[test]
+fn subnormal_transistor_count_is_an_invalid_field_and_the_connection_survives() {
+    let _guard = lock();
+    let (handle, join) = start(ServeConfig::default().workers(1));
+    let addr = handle.addr().to_string();
+    let lines = vec![
+        "{\"id\":1,\"query\":{\"type\":\"product\",\"transistors\":5e-324,\
+         \"lambda_um\":0.8,\"density\":150,\"yield0\":0.7,\"c0\":700,\"x\":1.4}}"
+            .to_string(),
+        "{\"id\":2,\"query\":{\"type\":\"table3_row\",\"id\":1}}".to_string(),
+    ];
+    let got = client::query_lines(&addr, &lines).expect("round trip");
+    assert_eq!(got.len(), 2);
+    let error = json::parse(&got[0]).expect("protocol JSON");
+    let error = error.get("error").expect("error answer");
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("invalid-field")
+    );
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .is_some_and(|m| m.contains("`transistors`")));
+    let ok = client::decode_response(&got[1]).expect("table3_row answers");
+    assert_eq!(ok.get("kind").and_then(Json::as_str), Some("table3"));
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}
+
 #[test]
 fn oversized_payloads_are_rejected_and_the_connection_closed() {
     let _guard = lock();

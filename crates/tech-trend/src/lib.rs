@@ -10,9 +10,8 @@
 //!   densities collapsing across generations.
 //!
 //! This crate carries representative historical series for each trend
-//! ([`datasets`]), least-squares trend fitting on log scales ([`fit`]),
-//! the canonical technology-generation ladder ([`generations`]), and the
-//! die-size trend model ([`diesize`]). The fit machinery also extracts the
+//! ([`datasets`]), least-squares trend fitting on log scales ([`fit`]) and
+//! the die-size trend model ([`diesize`]). The fit machinery also extracts the
 //! paper's `X` (wafer-cost escalation per generation) from cost-vs-node
 //! data, reproducing the "1.2–1.4 from Fig 2" observation.
 //!
@@ -36,8 +35,6 @@
 pub mod datasets;
 pub mod diesize;
 pub mod fit;
-pub mod generations;
-pub mod sia;
 
 #[cfg(test)]
 mod tests {

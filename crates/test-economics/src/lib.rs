@@ -1,5 +1,5 @@
-//! IC test economics: test time, fault escapes, DFT/BIST tradeoffs and
-//! MCM known-good-die analysis.
+//! IC test economics: test time, fault escapes and MCM known-good-die
+//! analysis.
 //!
 //! Sections V–VI of the paper argue that test cost is the neglected half
 //! of the silicon cost problem: "in the extreme case the cost of testing
@@ -12,8 +12,6 @@
 //!   transistor count and coverage;
 //! * [`escapes`] — the Williams–Brown defect-level model
 //!   `DL = 1 − Y^{1−T}` connecting yield, coverage and shipped quality;
-//! * [`dft`] — the BIST/DFT decision: area overhead (silicon cost, yield)
-//!   against test-time and escape savings;
 //! * [`mcm`] — known-good-die economics for multi-chip modules
 //!   (refs \[30, 31\]): bare-die test level vs module yield vs
 //!   smart-substrate self-test.
@@ -35,8 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coverage_opt;
-pub mod dft;
 pub mod escapes;
 pub mod mcm;
 pub mod test_time;

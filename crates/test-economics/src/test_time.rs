@@ -85,7 +85,7 @@ impl TesterEconomics {
     /// Panics if `coverage` equals 1 exactly — the stuck-at model needs
     /// exponentially many vectors for the last fault; ask for 0.9999…
     #[must_use]
-    pub fn vectors_for(&self, transistors: TransistorCount, coverage: Probability) -> f64 {
+    fn vectors_for(&self, transistors: TransistorCount, coverage: Probability) -> f64 {
         assert!(
             coverage.value() < 1.0,
             "exact 100% coverage needs unbounded vectors; request < 1.0"
@@ -106,18 +106,6 @@ impl TesterEconomics {
     #[must_use]
     pub fn cost_per_die(&self, transistors: TransistorCount, coverage: Probability) -> Dollars {
         self.hourly_rate * (self.test_seconds(transistors, coverage) / 3600.0)
-    }
-
-    /// Probe cost for a whole wafer of `dies` dies (every die is probed,
-    /// good or bad).
-    #[must_use]
-    pub fn wafer_probe_cost(
-        &self,
-        dies: maly_units::DieCount,
-        transistors: TransistorCount,
-        coverage: Probability,
-    ) -> Dollars {
-        self.cost_per_die(transistors, coverage) * dies.as_f64()
     }
 }
 
@@ -172,9 +160,7 @@ mod tests {
         // Sec. III.A.e's "extreme case": many large dies at high coverage
         // make probing a three-digit dollar item — same order as C_w.
         let t = tester();
-        let cost = t
-            .wafer_probe_cost(maly_units::DieCount::new(150), n(5.0), p(0.999))
-            .value();
+        let cost = t.cost_per_die(n(5.0), p(0.999)).value() * 150.0;
         assert!(cost > 50.0, "probe cost {cost}");
     }
 

@@ -46,7 +46,7 @@
 //! machine-readable report (schema `maly-audit/v2`) for CI archiving
 //! and diffing; `lint --explain <rule>` prints a rule's rationale and
 //! escape syntax. `bench-check` and `trace-check` are separate
-//! subcommands (see [`bench`], [`trace`]).
+//! subcommands (see [`bench`](mod@bench), [`trace`]).
 //!
 //! Escape hatches are inline comments: `audit:allow(<tag>): <why>` on
 //! the offending line or the comment block above it. The linter is
@@ -90,8 +90,8 @@ pub const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("maly-par", 0),
     ("maly-repro", 55),
     ("maly-serve", 0),
-    ("maly-tech-trend", 3),
-    ("maly-test-economics", 4),
+    ("maly-tech-trend", 1),
+    ("maly-test-economics", 2),
     ("maly-units", 3),
     ("maly-viz", 1),
     ("maly-wafer-geom", 10),

@@ -107,7 +107,7 @@ impl LearningCurve {
     /// Months of learning needed to reach `target` density; `None` if the
     /// target is below the mature floor (never reached).
     #[must_use]
-    pub fn months_to_density(&self, target: DefectDensity) -> Option<f64> {
+    fn months_to_density(&self, target: DefectDensity) -> Option<f64> {
         if target.value() <= self.mature.value() {
             return None;
         }
@@ -144,7 +144,7 @@ impl LearningCurve {
     /// Average yield over a ramp of `months` (time-weighted, monthly
     /// sampling) — what the ramp's wafers actually deliver.
     #[must_use]
-    pub fn average_ramp_yield(&self, months: f64, die_area: SquareCentimeters) -> Probability {
+    fn average_ramp_yield(&self, months: f64, die_area: SquareCentimeters) -> Probability {
         assert!(months > 0.0, "ramp must have positive length");
         let samples = (months.ceil() as usize).max(1);
         let total: f64 = (0..samples)

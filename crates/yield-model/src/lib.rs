@@ -11,15 +11,9 @@
 //!   plus [`MurphyYield`], [`SeedsYield`] and [`NegativeBinomialYield`]
 //!   (Stapper clustering) for comparison.
 //! * **Defect statistics**: the Fig. 5 defect size distribution
-//!   ([`defects::DefectSizeDistribution`]) and critical-area estimation
-//!   ([`critical_area`]) connecting physical defect sizes to electrical
-//!   faults.
-//! * **Redundancy**: [`redundancy::RedundantArrayYield`] models the spare
-//!   row/column repair that lets DRAMs live with imperfect silicon
-//!   (Assumption S1.2 of Scenario #1).
-//! * **Parametric yield**: [`parametric`] models "global process
-//!   disturbances" as Gaussian parameter spread against spec windows, and
-//!   [`CompositeYield`] forms `Y = Y_fnc · Y_par`.
+//!   ([`defects::DefectSizeDistribution`]).
+//! * **Composite yield**: [`CompositeYield`] forms `Y = Y_fnc · Y_par`
+//!   from a functional model and a parametric factor.
 //! * **Monte Carlo**: [`monte_carlo`] drops defects on a real
 //!   [`maly_wafer_geom::WaferMap`] and measures yield empirically,
 //!   validating the closed forms (and exhibiting clustering effects).
@@ -42,14 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod critical_area;
 pub mod defects;
 mod functional;
 pub mod learning;
 pub mod monte_carlo;
-pub mod parametric;
 pub mod prng;
-pub mod redundancy;
 pub mod sampling;
 
 pub use functional::{

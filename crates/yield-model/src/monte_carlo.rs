@@ -90,47 +90,6 @@ impl SimulationResult {
         }
         Probability::clamped(self.good_dies as f64 / total as f64)
     }
-
-    /// Mean yield of the sites whose center lies within `fraction` of
-    /// the wafer radius (pass e.g. 0.5 for the inner half), given the
-    /// map the simulation ran on. Returns `None` when no site qualifies.
-    #[must_use]
-    pub fn zone_yield(&self, map: &WaferMap, fraction: f64, inner: bool) -> Option<f64> {
-        let r = map.wafer().radius().value() * fraction;
-        let mut good = 0u64;
-        let mut count = 0u64;
-        for (site, &g) in map.sites().iter().zip(&self.per_site_good) {
-            let inside = site.radial_distance() <= r;
-            if inside == inner {
-                good += u64::from(g);
-                count += 1;
-            }
-        }
-        (count > 0 && self.wafers > 0)
-            .then(|| good as f64 / (count * u64::from(self.wafers)) as f64)
-    }
-
-    /// Variance of the per-wafer good-die count — clustered defects
-    /// produce visibly higher wafer-to-wafer variance than uniform ones,
-    /// even at equal mean yield.
-    #[must_use]
-    pub fn per_wafer_variance(&self) -> f64 {
-        let n = self.per_wafer_good.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self
-            .per_wafer_good
-            .iter()
-            .map(|&g| f64::from(g))
-            .sum::<f64>()
-            / n as f64;
-        self.per_wafer_good
-            .iter()
-            .map(|&g| (f64::from(g) - mean).powi(2))
-            .sum::<f64>()
-            / (n - 1) as f64
-    }
 }
 
 /// Simulates `wafers` wafers of the given map under an arrival model.
@@ -285,6 +244,34 @@ mod tests {
         Xoshiro256PlusPlus::seed_from_u64(seed)
     }
 
+    /// Mean yield of the sites whose center lies within (`inner`) or
+    /// beyond `fraction` of the wafer radius.
+    fn zone_yield(result: &SimulationResult, map: &WaferMap, fraction: f64, inner: bool) -> f64 {
+        let r = map.wafer().radius().value() * fraction;
+        let mut good = 0u64;
+        let mut count = 0u64;
+        for (site, &g) in map.sites().iter().zip(&result.per_site_good) {
+            if (site.radial_distance() <= r) == inner {
+                good += u64::from(g);
+                count += 1;
+            }
+        }
+        assert!(count > 0 && result.wafers > 0, "empty zone");
+        good as f64 / (count * u64::from(result.wafers)) as f64
+    }
+
+    /// Sample variance of the per-wafer good-die count.
+    fn per_wafer_variance(result: &SimulationResult) -> f64 {
+        let good: Vec<f64> = result
+            .per_wafer_good
+            .iter()
+            .map(|&g| f64::from(g))
+            .collect();
+        let n = good.len() as f64;
+        let mean = good.iter().sum::<f64>() / n;
+        good.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    }
+
     #[test]
     fn uniform_simulation_converges_to_poisson() {
         let map = map_with_die(1.0);
@@ -339,7 +326,7 @@ mod tests {
             200,
             &mut r,
         );
-        assert!(clustered.per_wafer_variance() > 2.0 * uniform.per_wafer_variance());
+        assert!(per_wafer_variance(&clustered) > 2.0 * per_wafer_variance(&uniform));
     }
 
     #[test]
@@ -414,8 +401,8 @@ mod tests {
             400,
             &mut r,
         );
-        let inner = result.zone_yield(&map, 0.55, true).unwrap();
-        let outer = result.zone_yield(&map, 0.55, false).unwrap();
+        let inner = zone_yield(&result, &map, 0.55, true);
+        let outer = zone_yield(&result, &map, 0.55, false);
         assert!(
             inner > outer + 0.05,
             "bull's-eye expected: inner {inner:.3} vs outer {outer:.3}"
@@ -438,8 +425,8 @@ mod tests {
         let density = DefectDensity::new(1.0).unwrap();
         let mut r = rng(17);
         let result = simulate(&map, DefectArrival::Uniform { density }, 400, &mut r);
-        let inner = result.zone_yield(&map, 0.55, true).unwrap();
-        let outer = result.zone_yield(&map, 0.55, false).unwrap();
+        let inner = zone_yield(&result, &map, 0.55, true);
+        let outer = zone_yield(&result, &map, 0.55, false);
         assert!(
             (inner - outer).abs() < 0.03,
             "inner {inner} vs outer {outer}"

@@ -46,7 +46,7 @@ pub fn poisson<R: UniformSource + ?Sized>(mean: f64, rng: &mut R) -> u64 {
 
 /// Draws a standard normal variate via the Box–Muller transform.
 #[must_use]
-pub fn standard_normal<R: UniformSource + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: UniformSource + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by nudging the first uniform away from zero.
     let u1: f64 = rng.next_f64().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.next_f64();

@@ -7,8 +7,8 @@
 use maly_units::{DefectDensity, Microns, Probability, SquareCentimeters};
 use maly_yield_model::prng::{UniformSource, Xoshiro256PlusPlus};
 use maly_yield_model::{
-    defects::DefectSizeDistribution, redundancy::RedundantArrayYield, AreaScaledYield, MurphyYield,
-    NegativeBinomialYield, PoissonYield, ScaledPoissonYield, SeedsYield, YieldModel,
+    defects::DefectSizeDistribution, AreaScaledYield, MurphyYield, NegativeBinomialYield,
+    PoissonYield, ScaledPoissonYield, SeedsYield, YieldModel,
 };
 
 const CASES: usize = 128;
@@ -117,21 +117,6 @@ fn scaled_poisson_monotone_in_lambda() {
         let small =
             ScaledPoissonYield::fig8_calibration(Microns::new(lam * shrink).unwrap()).unwrap();
         assert!(small.die_yield(a) <= big.die_yield(a));
-    }
-}
-
-/// Redundancy never hurts, and more spares never hurt.
-#[test]
-fn spares_are_monotone() {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(706);
-    for _ in 0..CASES {
-        let d0 = density(&mut rng);
-        let a = area(&mut rng);
-        let spares = (rng.next_u64() % 8) as u32;
-        let base = PoissonYield::new(d0);
-        let fewer = RedundantArrayYield::new(base, 32, spares, 0.1).unwrap();
-        let more = RedundantArrayYield::new(base, 32, spares + 1, 0.1).unwrap();
-        assert!(more.die_yield(a) >= fewer.die_yield(a));
     }
 }
 

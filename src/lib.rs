@@ -3,8 +3,8 @@
 //! A production-quality Rust implementation of the analytical silicon
 //! cost model from **W. Maly, "Cost of Silicon Viewed from VLSI Design
 //! Perspective", DAC 1994**, together with every substrate the paper's
-//! analysis rests on: dies-per-wafer geometry, functional/parametric
-//! yield models, technology trends, fab-line economics, and test/MCM
+//! analysis rests on: dies-per-wafer geometry, functional yield
+//! models, technology trends, fab-line economics, and test/MCM
 //! economics.
 //!
 //! This crate is a facade: it re-exports the workspace crates under
@@ -43,10 +43,10 @@
 //! |--------|----------|
 //! | [`units`] | Typed quantities (µm, cm², $, probabilities, densities) |
 //! | [`wafer_geom`] | Dies-per-wafer: eq. (4), raster placement, bounds |
-//! | [`yield_model`] | Poisson/Murphy/Seeds/NB yields, defect sizes, critical area, redundancy, Monte Carlo |
+//! | [`yield_model`] | Poisson/Murphy/Seeds/NB yields, defect sizes, learning curves, Monte Carlo |
 //! | [`tech_trend`] | Figs 1–4 datasets and trend fitting |
 //! | [`fabline`] | Fab capacity/utilization economics, product mix, DES |
-//! | [`test_economics`] | Test time, Williams–Brown escapes, DFT, MCM/KGD |
+//! | [`test_economics`] | Test time, Williams–Brown escapes, MCM/KGD |
 //! | [`cost_model`] | Eqs (1)–(9): the transistor cost model and scenarios |
 //! | [`optim`] | λ optimization, Fig 8 contours, system partitioning |
 //! | [`viz`] | Text plots, wafer maps, tables, CSV |
