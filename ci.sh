@@ -20,6 +20,12 @@ grep -q '"clean": true' target/lint_report.json
 echo "== rustdoc (warnings denied: broken and ambiguous intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 
+echo "== compiler warnings denied (every target, own target dir)"
+# RUSTFLAGS changes the build fingerprint, so this check builds into
+# its own target dir instead of invalidating the test builds below.
+RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/deny-warnings \
+    cargo check --workspace --all-targets
+
 echo "== cargo test (MALY_PAR_THREADS=1, serial)"
 MALY_PAR_THREADS=1 cargo test --workspace -q
 

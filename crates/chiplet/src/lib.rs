@@ -9,8 +9,7 @@
 //!
 //! * **die cost** — eq. (1)–(7) per chiplet via
 //!   [`SurfaceParameters::cost_at`] (the lane-batched
-//!   [`SurfaceParameters::costs_for_points`] kernel underneath the
-//!   partition sweep);
+//!   [`Eq1Kernel`] underneath the partition sweep);
 //! * **known-good-die test cost** — the \[31\] KGD supply model from
 //!   `maly-test-economics`: paying a per-die test cost buys a residual
 //!   defect level, [`DieSupply::known_good`];
@@ -34,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use maly_cost_model::surface::SurfaceParameters;
+use maly_cost_model::surface::{Eq1Kernel, SurfaceParameters};
 // Re-exported so callers can name the error type every public entry
 // point here returns without depending on maly-cost-model directly.
 pub use maly_cost_model::CostError;
@@ -47,10 +46,10 @@ use maly_units::{Dollars, Microns, Probability, TransistorCount, UnitError};
 /// regardless of thread count, so this is thread-count-invariant.
 pub static PARTITIONS: maly_obs::Counter = maly_obs::Counter::work("chiplet.partitions");
 
-/// Eq. (1) die-cost points dispatched through the lane-batched surface
-/// kernel on behalf of a partition sweep (one per unique `(λ, n)` pair;
-/// spares reuse the same die point). Thread-count-invariant Work
-/// counter.
+/// Eq. (1) die-cost points priced for partitions: one per unique
+/// `(λ, n)` cell of a sweep's [`Eq1Kernel`] dispatch (spares reuse the
+/// same die point), and one per [`ChipletParameters::price_partition`].
+/// Thread-count-invariant Work counter.
 pub static DIE_POINTS: maly_obs::Counter = maly_obs::Counter::work("chiplet.die_points");
 
 /// Calibration of the multi-die cost model.
@@ -129,7 +128,7 @@ impl ChipletParameters {
 
     /// Completes the pricing of one partition from an already-evaluated
     /// eq. (1) cost-per-transistor value (the sweep batches those
-    /// through the lane kernel). `None` when yield collapses to zero.
+    /// through [`Eq1Kernel`]). `None` when yield collapses to zero.
     fn finish_partition(
         &self,
         partition: &Partition,
@@ -191,10 +190,10 @@ impl ChipletParameters {
     /// resolve to the lowest chiplet count, then smallest `λ`, then
     /// fewest spares — grid order).
     ///
-    /// Die costs for the `λ × n` grid go through the lane-batched
-    /// [`SurfaceParameters::costs_for_points`] in one dispatch; the
-    /// per-candidate assembly/NRE composition then fans out over the
-    /// executor. Work done is thread-count-invariant: every candidate
+    /// Die costs for the `λ × n` grid go through one lane-batched
+    /// [`Eq1Kernel`] dispatch, the kernel that also serves surfaces;
+    /// the per-candidate assembly/NRE composition then fans out over
+    /// the executor. Work done is thread-count-invariant: every candidate
     /// is priced exactly once.
     ///
     /// # Errors
@@ -206,29 +205,32 @@ impl ChipletParameters {
         let _span = maly_obs::span("chiplet.sweep");
         let lambdas = spec.lambdas();
 
-        // One die-cost point per (λ, n): spares mount more of the same
+        // One die-cost cell per (λ, n): spares mount more of the same
         // die, so the eq. (1) batch is the λ × n grid, not λ × n × s.
-        let mut points: Vec<(Microns, TransistorCount)> =
-            Vec::with_capacity(lambdas.len() * spec.max_chiplets as usize);
-        for n in 1..=spec.max_chiplets {
-            let per_chiplet = TransistorCount::new(spec.system_transistors.value() / f64::from(n))?;
-            for &lambda in &lambdas {
-                points.push((lambda, per_chiplet));
-            }
-        }
-        DIE_POINTS.add(points.len() as u64);
-        let die_costs = self.surface.costs_for_points(&points);
+        // Cells run n-major, the order the candidate blocks below use.
+        let per_chiplet: Vec<TransistorCount> = (1..=spec.max_chiplets)
+            .map(|n| TransistorCount::new(spec.system_transistors.value() / f64::from(n)))
+            .collect::<Result<_, _>>()?;
+        let lambda_axis: Vec<f64> = lambdas.iter().map(|l| l.value()).collect();
+        let n_tr_axis: Vec<f64> = per_chiplet.iter().map(|n| n.value()).collect();
+        let kernel = Eq1Kernel::new(&self.surface, &lambda_axis, &n_tr_axis);
+        let cells: Vec<(usize, usize)> = (0..per_chiplet.len())
+            .flat_map(|j| (0..lambdas.len()).map(move |i| (i, j)))
+            .collect();
+        DIE_POINTS.add(cells.len() as u64);
+        let die_costs = kernel.eval_cells_with(exec, &cells);
 
         let spares_per = spec.max_spares as usize + 1;
-        let evaluated = points.len() * spares_per;
+        let evaluated = cells.len() * spares_per;
         PARTITIONS.add(evaluated as u64);
 
         let candidates = exec.map_indexed(evaluated, |k| {
-            let point = k / spares_per;
+            let cell = k / spares_per;
             let spares = (k % spares_per) as u32;
-            let cost_per_transistor = die_costs[point]?;
-            let (lambda, per_chiplet) = points[point];
-            let chiplets = (point / lambdas.len()) as u32 + 1;
+            let cost_per_transistor = die_costs[cell]?;
+            let (i, j) = cells[cell];
+            let (lambda, per_chiplet) = (lambdas[i], per_chiplet[j]);
+            let chiplets = j as u32 + 1;
             let partition = Partition {
                 chiplets,
                 spares,

@@ -11,7 +11,7 @@
 use maly_par::Executor;
 use maly_units::{
     DefectDensity, DesignDensity, Dollars, Microns, Probability, ReferenceDefectDensity,
-    SquareCentimeters, TransistorCount,
+    TransistorCount,
 };
 use maly_wafer_geom::{DieDimensions, Wafer};
 use maly_yield_model::ScaledPoissonYield;
@@ -84,63 +84,6 @@ impl SurfaceParameters {
         let die = maly_wafer_geom::DieDimensions::square_with_area(area);
         Ok(model.evaluate(die, transistors)?.cost_per_transistor)
     }
-
-    /// Batched eq. (1) over a slice of `(λ, N_tr)` points: the cost per
-    /// transistor, or `None` where the point is infeasible (die too
-    /// large, yield collapsed) — exactly [`SurfaceParameters::cost_at`]
-    /// per element, `Err → None`.
-    ///
-    /// This runs the batched kernels underneath — one memo-cache pass
-    /// for the die counts
-    /// ([`maly_wafer_geom::cache::dies_per_wafer_batch`]) and one
-    /// eq. (7) yield pass
-    /// ([`ScaledPoissonYield::yields_for_slice`]) — instead of
-    /// re-deriving the full model object per point. Die counts and the
-    /// feasibility mask are exact; cost values carry the lane `exp`/`ln`
-    /// accuracy contract of `yields_for_slice` (relative error vs the
-    /// scalar `cost_at` ≈ `(1 + |ln Y|) · 1e-14`, a few ulps over the
-    /// whole Fig 8 window).
-    #[must_use]
-    pub fn costs_for_points(&self, points: &[(Microns, TransistorCount)]) -> Vec<Option<f64>> {
-        let dies: Vec<DieDimensions> = points
-            .iter()
-            .map(|&(lambda, n)| {
-                DieDimensions::square_with_area(crate::density::die_area(n, self.density, lambda))
-            })
-            .collect();
-        let counts = maly_wafer_geom::cache::dies_per_wafer_batch(&self.wafer, &dies);
-        // Yields use the *realized* die area (side², after the √ of
-        // square_with_area), exactly as `evaluate` does.
-        let slice: Vec<(Microns, SquareCentimeters)> = points
-            .iter()
-            .zip(&dies)
-            .map(|(&(lambda, _), die)| (lambda, die.area()))
-            .collect();
-        let Ok(yields) = ScaledPoissonYield::yields_for_slice(self.defect_d, self.defect_p, &slice)
-        else {
-            // Invalid (D, p) calibration: the scalar path errors on
-            // every point, so every point is infeasible here too.
-            return vec![None; points.len()];
-        };
-        points
-            .iter()
-            .enumerate()
-            .map(|(k, &(lambda, n))| {
-                let n_ch = counts[k];
-                if n_ch.is_zero() {
-                    return None;
-                }
-                let y = yields[k];
-                if y.value() <= 0.0 {
-                    return None;
-                }
-                // Same operation order as TransistorCostModel::evaluate.
-                let good_dies = n_ch.as_f64() * y.value();
-                let cost_per_good_die = self.wafer_cost.wafer_cost(lambda) / good_dies;
-                Some((cost_per_good_die / n.value()).value())
-            })
-            .collect()
-    }
 }
 
 /// Per-λ-row hoisted state of [`Eq1Kernel`]: the wafer cost `C_w(λ)`
@@ -191,7 +134,8 @@ impl Eq1Kernel {
     /// (λ in µm, both axes positive).
     #[must_use]
     pub fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Self {
-        // Same calibration validation as yields_for_slice.
+        // Same calibration validation as ScaledPoissonYield::new (the
+        // checks only look at D and p, so any λ works).
         const PROBE_LAMBDA: Microns = Microns::const_new(1.0);
         let calibrated =
             ScaledPoissonYield::new(params.defect_d, params.defect_p, PROBE_LAMBDA).is_ok();
@@ -231,9 +175,10 @@ impl Eq1Kernel {
     /// the same operation order as [`TransistorCostModel::evaluate`].
     ///
     /// Accuracy: die counts and the feasibility mask are integer-exact;
-    /// yields carry the lane `exp`/`ln` contract of
-    /// [`ScaledPoissonYield::yields_for_slice`] (relative error vs the
-    /// scalar path ≈ `(1 + |ln Y|) · 1e-14`). Every element is computed
+    /// the only departure from the scalar path is the lane `exp`
+    /// (≤ 2 ulp over the model's exponent range), so costs match
+    /// [`SurfaceParameters::cost_at`] to a few ulp and mostly bit for
+    /// bit. Every element is computed
     /// independently, so any chunking of `indices` produces
     /// bit-identical values — thread counts and plan orders cannot
     /// change results.
@@ -592,7 +537,7 @@ mod tests {
     #[test]
     fn invalid_eq7_calibration_is_infeasible_at_every_point() {
         // p ≤ 2 is outside eq. (7)'s domain, so `cost_at` errs on every
-        // point; the batched paths must report every point infeasible.
+        // point; the batched path must report every point infeasible.
         // 48 × 40 cells span two kernel blocks on a parallel executor.
         let params = SurfaceParameters {
             defect_p: 2.0,
@@ -618,7 +563,6 @@ mod tests {
             .flat_map(|l| n_tr_axis.iter().map(move |&n| (l, n)))
             .map(|(l, n)| (Microns::clamped(l), TransistorCount::clamped(n)))
             .collect();
-        assert!(params.costs_for_points(&points).iter().all(Option::is_none));
         for &(lambda, n) in &points {
             assert!(
                 params.cost_at(lambda, n).is_err(),

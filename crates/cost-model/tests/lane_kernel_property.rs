@@ -1,5 +1,5 @@
-//! Property tests for the lane-batched eq. (1) kernel path: the batch
-//! results must track the scalar reference (`cost_at`) within the
+//! Property tests for the lane-batched eq. (1) kernel (`Eq1Kernel`):
+//! the batch results must track the scalar reference (`cost_at`) within the
 //! documented accuracy contract, agree exactly on feasibility (die
 //! counts are integer-exact), and stay bit-identical across thread
 //! counts.
@@ -8,7 +8,7 @@
 //! properties are checked over deterministic pseudo-random samples from
 //! a tiny SplitMix64 generator instead of proptest strategies.
 
-use maly_cost_model::surface::{CostSurface, SurfaceParameters};
+use maly_cost_model::surface::{CostSurface, Eq1Kernel, SurfaceParameters};
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
 
@@ -35,18 +35,26 @@ impl Sampler {
     }
 }
 
-/// The documented lane-kernel accuracy contract vs the scalar path:
-/// relative error ≈ (1 + |ln Y|) · 1e-14. `Y` is not observable from
-/// the public API, but `cost ≈ base / Y` with `|ln base| ≲ 50` over
-/// the sampled windows, so `|ln Y| ≤ |ln cost| + 50` gives a sound
-/// per-point bound. A die-count or exp-argument mismatch overshoots it
-/// by orders of magnitude.
+/// The lane-kernel accuracy contract vs the scalar path: the lane `exp`
+/// is within a few ulp, and `exp` amplifies its argument's rounding by
+/// `|ln Y|`, so the bound is relative error ≈ (1 + |ln Y|) · 1e-14. `Y`
+/// is not observable from the public API, but `cost ≈ base / Y` with
+/// `|ln base| ≲ 50` over the sampled windows, so
+/// `|ln Y| ≤ |ln cost| + 50` gives a sound per-point bound. A die-count
+/// or exp-argument mismatch overshoots it by orders of magnitude.
 fn rel_tol(scalar_cost: f64) -> f64 {
     (51.0 + scalar_cost.abs().max(f64::MIN_POSITIVE).ln().abs()) * 1e-14
 }
 
+/// Prices `points` through one [`Eq1Kernel`] whose axes are the points'
+/// own λ and `N_tr` values, one cell `(k, k)` per point, and holds each
+/// cell to the scalar `cost_at`.
 fn assert_matches_scalar(params: &SurfaceParameters, points: &[(Microns, TransistorCount)]) {
-    let batched = params.costs_for_points(points);
+    let lambda_axis: Vec<f64> = points.iter().map(|(l, _)| l.value()).collect();
+    let n_tr_axis: Vec<f64> = points.iter().map(|(_, n)| n.value()).collect();
+    let cells: Vec<(usize, usize)> = (0..points.len()).map(|k| (k, k)).collect();
+    let batched = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis)
+        .eval_cells_with(&Executor::serial(), &cells);
     assert_eq!(batched.len(), points.len());
     for (k, &(lambda, n_tr)) in points.iter().enumerate() {
         let scalar = params.cost_at(lambda, n_tr).ok().map(|d| d.value());
@@ -117,10 +125,8 @@ fn exact_zone_staircase_boundaries_agree_with_scalar() {
 }
 
 /// Dense surfaces with odd step counts (lane remainders on every row)
-/// agree with the scalar reference cell by cell. The surface kernel
-/// (`Eq1Kernel`) and `costs_for_points` are distinct batch
-/// implementations, so each is held to the scalar contract rather than
-/// to the other's bit pattern.
+/// agree with the scalar reference cell by cell, both as a dense
+/// surface and as the same nodes dispatched one cell per point.
 #[test]
 fn odd_sized_surfaces_match_scalar_reference() {
     let params = SurfaceParameters::fig8();

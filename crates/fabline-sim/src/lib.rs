@@ -14,10 +14,13 @@
 //!   annual cost of ownership (paid whether the tool runs or idles);
 //! * [`process::ProcessFlow`] — per-product step sequences whose length
 //!   scales with the technology generation (the Fig 4 trend);
-//! * [`capacity::Fab`] — a deterministic capacity model: per-class load,
-//!   utilization, bottlenecks, and the minimal tool-set for a demand;
-//! * [`cost::wafer_cost`] — cost of ownership ÷ throughput, and the
-//!   mono- vs multi-product comparison reproducing the ×7 mechanism;
+//! * [`capacity::Fab`] — the tool units a fab owns and their annual
+//!   cost of ownership;
+//! * [`cost::FabEconomics`] — the minimal tool-set for a demand
+//!   ([`cost::FabEconomics::size_fab`], setups included), its
+//!   utilization, and wafer cost as cost of ownership ÷ throughput;
+//!   [`cost::product_mix_study`] compares mono- and multi-product fabs,
+//!   reproducing the ×7 mechanism;
 //! * [`des`] — a discrete-event lot-flow simulation that validates the
 //!   capacity model's utilizations and exposes cycle-time effects the
 //!   static model cannot see;
@@ -28,12 +31,13 @@
 //! # Examples
 //!
 //! ```
-//! use maly_fabline_sim::{capacity::Fab, cost, process::ProcessFlow};
+//! use maly_fabline_sim::{cost, process::ProcessFlow};
 //!
 //! // A dedicated high-volume fab for one 0.8 µm CMOS flow...
 //! let flow = ProcessFlow::for_generation("cmos-0.8", 0.8);
-//! let fab = Fab::sized_for(&[(flow.clone(), 100_000.0)]);
-//! let mono = cost::wafer_cost(&fab, &[(flow, 100_000.0)]).unwrap();
+//! let demand = [(flow, 100_000.0)];
+//! let fab = cost::FabEconomics::default().size_fab(&demand);
+//! let mono = cost::wafer_cost(&fab, &demand).unwrap();
 //! // ...makes wafers for hundreds, not thousands, of dollars.
 //! assert!(mono.value() > 100.0 && mono.value() < 2000.0);
 //! ```
@@ -94,7 +98,7 @@ mod tests {
     #[test]
     fn single_product_high_volume_has_no_penalty() {
         let flow = ProcessFlow::for_generation("x", 0.8);
-        let fab = capacity::Fab::sized_for(&[(flow.clone(), 100_000.0)]);
+        let fab = cost::FabEconomics::default().size_fab(&[(flow.clone(), 100_000.0)]);
         let cost_a = cost::wafer_cost(&fab, &[(flow.clone(), 100_000.0)]).unwrap();
         // The same fab run at the same volume with the "multi-product"
         // path but one product is identical.

@@ -4,7 +4,6 @@
 //! proptest strategies these properties are checked over deterministic
 //! pseudo-random samples drawn from a tiny SplitMix64 generator.
 
-use maly_fabline_sim::capacity::Fab;
 use maly_fabline_sim::cost::FabEconomics;
 use maly_fabline_sim::process::ProcessFlow;
 
@@ -36,20 +35,6 @@ impl Sampler {
 }
 
 const CASES: usize = 32;
-
-/// A fab sized for a demand can always run it.
-#[test]
-fn sized_fab_is_feasible() {
-    let mut s = Sampler::new(301);
-    for _ in 0..CASES {
-        let lambda = s.node();
-        let volume = s.uniform(1_000.0, 150_000.0);
-        let flow = ProcessFlow::for_generation("p", lambda);
-        let demand = [(flow, volume)];
-        let fab = Fab::sized_for(&demand);
-        assert!(fab.utilization(&demand).is_feasible());
-    }
-}
 
 /// Wafer cost decreases (weakly) with volume for a fixed flow: the
 /// fixed facility and tool-count granularity amortize.

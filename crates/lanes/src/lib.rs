@@ -1,32 +1,32 @@
 //! maly-lanes — fixed-width f64 lane kernels for the batch hot paths.
 //!
 //! The sweep kernels (eq. (1) transistor cost, eq. (4) dies-per-wafer,
-//! eq. (7)–(9) yields) process thousands of grid nodes per Fig 8
-//! surface. This crate provides the shared lane vocabulary they build
-//! on: operations over [`Lane`] = `[f64; WIDTH]` blocks plus slice
-//! drivers that walk a buffer lane by lane and finish the odd tail with
-//! the *same* per-element function, so results never depend on how a
-//! slice was chunked.
+//! eq. (7) yields) process thousands of grid nodes per Fig 8 surface.
+//! This crate provides the shared lane vocabulary they build on:
+//! operations over [`Lane`] = `[f64; WIDTH]` blocks plus [`exp_slice`],
+//! which walks a buffer lane by lane and finishes the odd tail with the
+//! *same* per-element function, so results never depend on how a slice
+//! was chunked.
 //!
 //! Two kinds of operation live here:
 //!
-//! - **Exact lane ops** (`add`, `mul`, `mul_add`, `sqrt`, `min`, …):
+//! - **Exact lane ops** (`add`, `mul`, `mul_add`, `sqrt`, `max`, …):
 //!   elementwise IEEE-754 operations. Each lane element is the same
 //!   correctly rounded operation the scalar code would perform, so lane
 //!   and scalar results are bit-identical. `mul_add` is *fma-shaped*
 //!   (one multiply then one add, each rounded) rather than a fused
 //!   multiply-add — a hardware FMA would round once and change bits
 //!   between targets, breaking the workspace determinism contract.
-//! - **Polynomial transcendentals** (`exp`, `ln`, `pow` and their
-//!   `*_s` scalar / `*_slice` drivers): branch-free argument-reduction
-//!   + polynomial kernels evaluated identically on every platform.
-//!   They are *not* bit-identical to `std`'s libm (which varies by
-//!   platform anyway); the contract is a documented ulp bound instead:
-//!   `exp` stays within 2 ulp and `ln` within 2 ulp of the correctly
-//!   rounded result over the model's domain (pinned by the accuracy
-//!   tests below at ≤ 4 ulp of this platform's libm, which is itself
-//!   ≤ 1 ulp). Callers that need bit-exactness keep using the scalar
-//!   reference path; callers on the lane path document the bound.
+//! - **Polynomial exp** ([`exp_slice`]): a branch-free
+//!   argument-reduction + polynomial kernel evaluated identically on
+//!   every platform. It is *not* bit-identical to `std`'s libm (which
+//!   varies by platform anyway); the contract is a documented ulp bound
+//!   instead: within 2 ulp of the correctly rounded result over the
+//!   model's `[−40, 0]` exponent window (pinned by the accuracy tests
+//!   below at ≤ 4 ulp of this platform's libm over the full range, and
+//!   ≤ 2 ulp on that window). Callers that need bit-exactness keep
+//!   using the scalar reference path; callers on the lane path
+//!   document the bound.
 //!
 //! The crate is std-only, dependency-free, `forbid(unsafe_code)`, and
 //! has a panic budget of zero.
@@ -79,17 +79,6 @@ pub fn mul_add(a: Lane, b: Lane, c: Lane) -> Lane {
     ]
 }
 
-/// Elementwise minimum (IEEE `f64::min`: propagates the non-NaN side).
-#[must_use]
-pub fn min(a: Lane, b: Lane) -> Lane {
-    [
-        a[0].min(b[0]),
-        a[1].min(b[1]),
-        a[2].min(b[2]),
-        a[3].min(b[3]),
-    ]
-}
-
 /// Elementwise maximum (IEEE `f64::max`).
 #[must_use]
 pub fn max(a: Lane, b: Lane) -> Lane {
@@ -106,24 +95,6 @@ pub fn max(a: Lane, b: Lane) -> Lane {
 #[must_use]
 pub fn sqrt(a: Lane) -> Lane {
     [a[0].sqrt(), a[1].sqrt(), a[2].sqrt(), a[3].sqrt()]
-}
-
-/// Elementwise `a * x + b` over a slice, in place (the ln-space
-/// "scale and shift" step: `ln D − p·ln λ` is `scale_add(lnλ, −p, lnD)`).
-/// Exact per element: one rounded multiply, one rounded add.
-pub fn scale_add_slice(xs: &mut [f64], a: f64, b: f64) {
-    for x in xs {
-        *x = *x * a + b;
-    }
-}
-
-/// Elementwise `−(x · y)` over two slices, written into `xs` (the
-/// eq. (7) exponent step: `−A · D/λ^p`). Trailing elements of the
-/// longer slice are left untouched.
-pub fn neg_mul_slice(xs: &mut [f64], ys: &[f64]) {
-    for (x, y) in xs.iter_mut().zip(ys) {
-        *x = -(*x * *y);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -189,22 +160,14 @@ fn exp_core(x: f64) -> f64 {
     p * pow2(k1) * pow2(ki - k1)
 }
 
-/// Lane exp: elementwise [`exp_s`].
-#[must_use]
-pub fn exp(a: Lane) -> Lane {
+/// Lane exp: the polynomial exp kernel applied elementwise.
+fn exp(a: Lane) -> Lane {
     [
         exp_core(a[0]),
         exp_core(a[1]),
         exp_core(a[2]),
         exp_core(a[3]),
     ]
-}
-
-/// Scalar entry point of the lane exp kernel, for hoisted per-row /
-/// per-slice constants that must match the lane path bit for bit.
-#[must_use]
-pub fn exp_s(x: f64) -> f64 {
-    exp_core(x)
 }
 
 /// In-place exp over a slice: full lanes first, then the odd tail
@@ -218,92 +181,6 @@ pub fn exp_slice(xs: &mut [f64]) {
     for x in chunks.into_remainder() {
         *x = exp_core(*x);
     }
-}
-
-// ---------------------------------------------------------------------
-// Polynomial ln
-// ---------------------------------------------------------------------
-
-/// 2^54, for renormalizing subnormal ln inputs.
-const TWO_POW_54: f64 = 18_014_398_509_481_984.0;
-
-/// Scalar core of the polynomial ln: split `x = 2^e · m` with
-/// `m ∈ [√2/2, √2)` via the exponent bits, then the atanh series
-/// `ln m = 2s·(1 + w/3 + w²/5 + …)` in `s = (m−1)/(m+1)`, `w = s²`,
-/// truncated after the s²¹ term (|s| ≤ 0.1716 ⇒ truncation < 2e-19).
-fn ln_core(x: f64) -> f64 {
-    if x.is_nan() || x < 0.0 {
-        return f64::NAN;
-    }
-    // audit:allow(float-cmp): IEEE special case, ln(±0) is exactly −∞.
-    if x == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if x == f64::INFINITY {
-        return f64::INFINITY;
-    }
-    let (norm, bias) = if x < f64::MIN_POSITIVE {
-        (x * TWO_POW_54, -54i64)
-    } else {
-        (x, 0)
-    };
-    let bits = norm.to_bits();
-    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023 + bias;
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let s = (m - 1.0) / (m + 1.0);
-    let w = s * s;
-    // Horner over 1/(2n+1) for the atanh series tail.
-    let mut p = 4.761_904_761_904_762e-2; // 1/21
-    p = p * w + 5.263_157_894_736_842e-2; // 1/19
-    p = p * w + 5.882_352_941_176_470_5e-2; // 1/17
-    p = p * w + 6.666_666_666_666_667e-2; // 1/15
-    p = p * w + 7.692_307_692_307_693e-2; // 1/13
-    p = p * w + 9.090_909_090_909_091e-2; // 1/11
-    p = p * w + 1.111_111_111_111_111_1e-1; // 1/9
-    p = p * w + 1.428_571_428_571_428_5e-1; // 1/7
-    p = p * w + 2e-1; // 1/5
-    p = p * w + 3.333_333_333_333_333e-1; // 1/3
-    let ln_m = 2.0 * s + 2.0 * s * w * p;
-    let ef = e as f64;
-    ef * LN2_HI + (ln_m + ef * LN2_LO)
-}
-
-/// Lane ln: elementwise [`ln_s`].
-#[must_use]
-pub fn ln(a: Lane) -> Lane {
-    [ln_core(a[0]), ln_core(a[1]), ln_core(a[2]), ln_core(a[3])]
-}
-
-/// Scalar entry point of the lane ln kernel.
-#[must_use]
-pub fn ln_s(x: f64) -> f64 {
-    ln_core(x)
-}
-
-/// In-place ln over a slice (full lanes, then the tail through the
-/// same core).
-pub fn ln_slice(xs: &mut [f64]) {
-    let mut chunks = xs.chunks_exact_mut(WIDTH);
-    for c in &mut chunks {
-        let out = ln([c[0], c[1], c[2], c[3]]);
-        c.copy_from_slice(&out);
-    }
-    for x in chunks.into_remainder() {
-        *x = ln_core(*x);
-    }
-}
-
-/// `x^p` through the lane kernels: `exp(p · ln x)`. Error compounds to
-/// roughly `(2 + |p·ln x|·ε)` ulp; for the model's `λ^4.07` range
-/// (λ ∈ [0.3, 3] µm) that is ≤ ~8 ulp of `powf`. Hot paths hoist one
-/// scalar `powf` per λ-row instead of calling this per element.
-#[must_use]
-pub fn pow_s(x: f64, p: f64) -> f64 {
-    exp_core(p * ln_core(x))
 }
 
 #[cfg(test)]
@@ -351,7 +228,7 @@ mod tests {
         let mut worst = 0u64;
         for _ in 0..200_000 {
             let x = rng.uniform(-700.0, 700.0);
-            let got = exp_s(x);
+            let got = exp_core(x);
             let want = x.exp();
             let d = ulps(got, want);
             worst = worst.max(d);
@@ -368,80 +245,24 @@ mod tests {
         let mut rng = Rng(7);
         for _ in 0..100_000 {
             let x = rng.uniform(-40.0, 0.0);
-            assert!(ulps(exp_s(x), x.exp()) <= 2, "x = {x}");
+            assert!(ulps(exp_core(x), x.exp()) <= 2, "x = {x}");
         }
     }
 
     #[test]
     fn exp_edge_cases() {
-        assert_eq!(exp_s(0.0), 1.0);
-        assert_eq!(exp_s(f64::NEG_INFINITY), 0.0);
-        assert_eq!(exp_s(f64::INFINITY), f64::INFINITY);
-        assert!(exp_s(f64::NAN).is_nan());
-        assert_eq!(exp_s(-800.0), 0.0);
-        assert_eq!(exp_s(800.0), f64::INFINITY);
+        assert_eq!(exp_core(0.0), 1.0);
+        assert_eq!(exp_core(f64::NEG_INFINITY), 0.0);
+        assert_eq!(exp_core(f64::INFINITY), f64::INFINITY);
+        assert!(exp_core(f64::NAN).is_nan());
+        assert_eq!(exp_core(-800.0), 0.0);
+        assert_eq!(exp_core(800.0), f64::INFINITY);
         // Subnormal results round-trip through the two-step scaling.
-        let deep = exp_s(-744.0);
+        let deep = exp_core(-744.0);
         assert!(deep > 0.0 && deep < f64::MIN_POSITIVE);
         assert!(ulps(deep, (-744.0f64).exp()) <= 4);
         // Just inside the overflow threshold stays finite.
-        assert!(exp_s(709.7).is_finite());
-    }
-
-    #[test]
-    fn ln_matches_std_within_4_ulp() {
-        let mut rng = Rng(42);
-        let mut worst = 0u64;
-        for _ in 0..200_000 {
-            // Log-uniform over f64's full normal range.
-            let x = exp_s(rng.uniform(-700.0, 700.0));
-            let got = ln_s(x);
-            let want = x.ln();
-            let d = ulps(got, want);
-            worst = worst.max(d);
-            assert!(d <= 4, "ln({x:e}) = {got}, std {want}, {d} ulp apart");
-        }
-        assert!(worst <= 4, "worst ln deviation {worst} ulp");
-    }
-
-    #[test]
-    fn ln_edge_cases() {
-        assert_eq!(ln_s(1.0), 0.0);
-        assert_eq!(ln_s(0.0), f64::NEG_INFINITY);
-        assert_eq!(ln_s(f64::INFINITY), f64::INFINITY);
-        assert!(ln_s(-1.0).is_nan());
-        assert!(ln_s(f64::NAN).is_nan());
-        // Subnormal inputs renormalize instead of losing their exponent.
-        let tiny = f64::MIN_POSITIVE / 1024.0;
-        assert!(ulps(ln_s(tiny), tiny.ln()) <= 4);
-    }
-
-    #[test]
-    fn ln_exp_round_trip() {
-        let mut rng = Rng(3);
-        for _ in 0..50_000 {
-            let x = rng.uniform(-30.0, 30.0);
-            let rt = ln_s(exp_s(x));
-            assert!(
-                (rt - x).abs() <= 1e-13 * x.abs().max(1.0),
-                "round trip {x} -> {rt}"
-            );
-        }
-    }
-
-    #[test]
-    fn pow_tracks_powf_in_model_range() {
-        let mut rng = Rng(11);
-        for _ in 0..50_000 {
-            let lam = rng.uniform(0.3, 3.0);
-            let p = rng.uniform(0.5, 5.0);
-            let got = pow_s(lam, p);
-            let want = lam.powf(p);
-            assert!(
-                (got - want).abs() <= 1e-14 * want,
-                "{lam}^{p}: {got} vs {want}"
-            );
-        }
+        assert!(exp_core(709.7).is_finite());
     }
 
     #[test]
@@ -452,13 +273,7 @@ mod tests {
             let mut exp_buf = xs.clone();
             exp_slice(&mut exp_buf);
             for (x, got) in xs.iter().zip(&exp_buf) {
-                assert_eq!(got.to_bits(), exp_s(*x).to_bits(), "len {len}");
-            }
-            let pos: Vec<f64> = xs.iter().map(|x| x.abs() + 0.1).collect();
-            let mut ln_buf = pos.clone();
-            ln_slice(&mut ln_buf);
-            for (x, got) in pos.iter().zip(&ln_buf) {
-                assert_eq!(got.to_bits(), ln_s(*x).to_bits(), "len {len}");
+                assert_eq!(got.to_bits(), exp_core(*x).to_bits(), "len {len}");
             }
         }
     }
@@ -487,27 +302,9 @@ mod tests {
                     mul_add(a, b, c)[i].to_bits(),
                     (a[i] * b[i] + c[i]).to_bits()
                 );
-                assert_eq!(min(a, b)[i].to_bits(), a[i].min(b[i]).to_bits());
                 assert_eq!(max(a, b)[i].to_bits(), a[i].max(b[i]).to_bits());
                 assert_eq!(sqrt(a)[i].to_bits(), a[i].sqrt().to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn scale_add_and_neg_mul_are_exact() {
-        let mut rng = Rng(17);
-        let xs: Vec<f64> = (0..33).map(|_| rng.uniform(0.1, 10.0)).collect();
-        let ys: Vec<f64> = (0..33).map(|_| rng.uniform(0.1, 10.0)).collect();
-        let mut buf = xs.clone();
-        scale_add_slice(&mut buf, -4.07, 0.5423);
-        for (x, got) in xs.iter().zip(&buf) {
-            assert_eq!(got.to_bits(), (*x * -4.07 + 0.5423).to_bits());
-        }
-        let mut buf = xs.clone();
-        neg_mul_slice(&mut buf, &ys);
-        for ((x, y), got) in xs.iter().zip(&ys).zip(&buf) {
-            assert_eq!(got.to_bits(), (-(*x * *y)).to_bits());
         }
     }
 }

@@ -397,7 +397,8 @@ mod tests {
                 n_tr_steps: 4,
             })
             .collect();
-        crate::Query::evaluate_batch(&exec, &ctx, &batch);
+        let answers = crate::Query::evaluate_batch(&exec, &ctx, &batch);
+        assert!(answers.iter().all(Result::is_ok));
         let cache = ctx.tiles.read().unwrap();
         assert_eq!(cache.len(), 5);
         assert!(cache.values().any(|b| b.as_str().contains("null")));

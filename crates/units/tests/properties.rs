@@ -5,7 +5,7 @@
 //! pseudo-random samples drawn from a tiny SplitMix64 generator.
 
 use maly_units::{
-    Centimeters, DesignDensity, Dollars, Microns, Probability, SquareCentimeters, TransistorCount,
+    DesignDensity, Dollars, Microns, Probability, SquareCentimeters, TransistorCount,
 };
 
 /// Deterministic uniform sampler (SplitMix64).

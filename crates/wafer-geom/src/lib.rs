@@ -39,7 +39,6 @@ pub mod cache;
 mod die;
 pub mod maly;
 pub mod raster;
-pub mod reticle;
 mod wafer;
 mod wafer_map;
 

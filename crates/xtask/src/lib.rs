@@ -329,8 +329,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Batch kernels (`*_batch`, `*_for_slice`, `*_for_points`) exist so the\n\
              hot loops pay transcendental math once per lane, not once per\n\
              element; a per-element .exp()/.ln()/.powf()/.sqrt() inside one\n\
-             silently undoes the batching. Route the math through maly_lanes\n\
-             slice ops (exp_slice, ln_slice, pow_s).\n\
+             silently undoes the batching. Route exp through\n\
+             maly_lanes::exp_slice and hoist per-axis powf/ln out of the element\n\
+             loop (as Eq1Kernel does once per λ row).\n\
              Escape: `// audit:allow(lane-purity): <why this site is genuinely\n\
              scalar — per-row setup, reference path, …>`."
         }

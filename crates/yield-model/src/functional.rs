@@ -276,71 +276,6 @@ impl ScaledPoissonYield {
     pub fn exponent(&self) -> f64 {
         self.p
     }
-
-    /// Batched eq. (7): yields for a λ-slice of `(λ, die area)` points
-    /// sharing one `(D, p)` calibration, evaluated in a single pass.
-    ///
-    /// A surface sweep constructs one [`ScaledPoissonYield`] *per grid
-    /// cell* just to ask it a single yield; this entry point validates
-    /// the calibration once and then runs the whole slice through the
-    /// [`maly_lanes`] kernels: `λ^p` is reformulated in ln-space
-    /// (`D/λ^p = exp(ln D − p·ln λ)`) so the per-point `powf` the
-    /// scalar path pays disappears, and both `exp` steps run four
-    /// points per lane block.
-    ///
-    /// **Accuracy contract** (the ln-space reassociation changes bits
-    /// vs the scalar path, deliberately): each yield `Y` matches the
-    /// scalar `Self::new(d_ref, p, λ)?.die_yield(area)` within a
-    /// relative error of about `(1 + |ln Y|)·1e-14` — a handful of ulp
-    /// for healthy yields, growing with the exponent magnitude as yield
-    /// collapses, because `exp` amplifies its argument's rounding by
-    /// `|ln Y|`. The bound is pinned by
-    /// `batched_slice_matches_scalar_within_documented_ulps`. Callers
-    /// needing bit-exactness use the scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Same calibration validation as [`ScaledPoissonYield::new`].
-    pub fn yields_for_slice(
-        d_ref: ReferenceDefectDensity,
-        p: f64,
-        points: &[(Microns, SquareCentimeters)],
-    ) -> Result<Vec<Probability>, maly_units::UnitError> {
-        let mut ex = Self::ln_yields_for_slice(d_ref, p, points)?;
-        maly_lanes::exp_slice(&mut ex);
-        Ok(ex.into_iter().map(Probability::clamped).collect())
-    }
-
-    /// ln-space batched eq. (7): `ln Y = −A·D/λ^p` for each point, the
-    /// accumulation form the eq. (8)/(9) composite yields want — a
-    /// multi-partition product `Π Yᵢ` is `exp(Σ ln Yᵢ)`, one lane `exp`
-    /// at the end instead of a rounding-accumulating chain of
-    /// multiplies (and it cannot underflow partway through the
-    /// product). [`Self::yields_for_slice`] is this followed by one
-    /// lane `exp` pass.
-    ///
-    /// # Errors
-    ///
-    /// Same calibration validation as [`ScaledPoissonYield::new`].
-    pub fn ln_yields_for_slice(
-        d_ref: ReferenceDefectDensity,
-        p: f64,
-        points: &[(Microns, SquareCentimeters)],
-    ) -> Result<Vec<f64>, maly_units::UnitError> {
-        // Validate once through the scalar constructor (any λ works —
-        // the checks only look at d_ref and p); points.is_empty() still
-        // validates so a bad calibration never silently passes.
-        const PROBE_LAMBDA: Microns = Microns::const_new(1.0);
-        let _ = Self::new(d_ref, p, PROBE_LAMBDA)?;
-        let ln_d = maly_lanes::ln_s(d_ref.value());
-        let mut ex: Vec<f64> = points.iter().map(|&(lambda, _)| lambda.value()).collect();
-        maly_lanes::ln_slice(&mut ex); // ln λ
-        maly_lanes::scale_add_slice(&mut ex, -p, ln_d); // ln D − p·ln λ
-        maly_lanes::exp_slice(&mut ex); // D/λ^p
-        let areas: Vec<f64> = points.iter().map(|&(_, area)| area.value()).collect();
-        maly_lanes::neg_mul_slice(&mut ex, &areas); // −A·D/λ^p = ln Y
-        Ok(ex)
-    }
 }
 
 impl YieldModel for ScaledPoissonYield {
@@ -563,101 +498,6 @@ mod tests {
         let d = ReferenceDefectDensity::new(1.0).unwrap();
         assert!(ScaledPoissonYield::new(d, 2.0, lam).is_err());
         assert!(ScaledPoissonYield::new(d, 1.5, lam).is_err());
-    }
-
-    /// Re-pinned golden for the lane kernel (was bit-identity when the
-    /// batch path shared the scalar operation order): the ln-space
-    /// reformulation `exp(ln D − p·ln λ)` changes bits, so the contract
-    /// is the documented relative bound `(1 + |ln Y|)·1e-14` instead —
-    /// a few ulp at healthy yields, scaling with the exponent as yield
-    /// collapses. Odd slice length exercises the lane tail.
-    #[test]
-    fn batched_slice_matches_scalar_within_documented_ulps() {
-        let d = ScaledPoissonYield::FIG8_D;
-        let points: Vec<(Microns, SquareCentimeters)> = (1..40)
-            .map(|i| {
-                let l = 0.3 + 0.03 * f64::from(i);
-                (Microns::new(l).unwrap(), area(0.1 * f64::from(i)))
-            })
-            .collect();
-        assert_eq!(points.len() % maly_lanes::WIDTH, 3, "want an odd tail");
-        let batch = ScaledPoissonYield::yields_for_slice(d, 4.07, &points).unwrap();
-        for (&(lam, a), got) in points.iter().zip(&batch) {
-            let scalar = ScaledPoissonYield::new(d, 4.07, lam).unwrap().die_yield(a);
-            let ln_y = -(d.value() / lam.value().powf(4.07)) * a.value();
-            let tol = (1.0 + ln_y.abs()) * 1e-14 * scalar.value().max(f64::MIN_POSITIVE);
-            assert!(
-                (got.value() - scalar.value()).abs() <= tol,
-                "λ = {lam:?}: lane {} vs scalar {} exceeds tol {tol:e}",
-                got.value(),
-                scalar.value()
-            );
-        }
-    }
-
-    /// Randomized property: the batch kernel tracks the scalar
-    /// reference across the whole calibration space and at every slice
-    /// length modulo the lane width.
-    #[test]
-    fn batched_slice_property_randomized_inputs_and_lengths() {
-        use crate::prng::UniformSource as _;
-        let mut rng = crate::prng::Xoshiro256PlusPlus::seed_from_u64(0xfeed);
-        for len in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 31] {
-            let d = ReferenceDefectDensity::new(0.2 + 3.0 * rng.next_f64()).unwrap();
-            let p = 2.5 + 2.5 * rng.next_f64();
-            let points: Vec<(Microns, SquareCentimeters)> = (0..len)
-                .map(|_| {
-                    (
-                        Microns::new(0.3 + 2.7 * rng.next_f64()).unwrap(),
-                        area(0.05 + 5.0 * rng.next_f64()),
-                    )
-                })
-                .collect();
-            let batch = ScaledPoissonYield::yields_for_slice(d, p, &points).unwrap();
-            assert_eq!(batch.len(), len);
-            for (&(lam, a), got) in points.iter().zip(&batch) {
-                let scalar = ScaledPoissonYield::new(d, p, lam).unwrap().die_yield(a);
-                let ln_y = -(d.value() / lam.value().powf(p)) * a.value();
-                let tol = (1.0 + ln_y.abs()) * 1e-14 * scalar.value().max(f64::MIN_POSITIVE);
-                assert!(
-                    (got.value() - scalar.value()).abs() <= tol,
-                    "len {len}, λ = {lam:?}"
-                );
-            }
-        }
-    }
-
-    /// The eq. (8)/(9) accumulation form: a composite product `Π Yᵢ`
-    /// computed as `exp(Σ ln Yᵢ)` matches the multiply chain.
-    #[test]
-    fn ln_space_product_matches_multiplied_yields() {
-        let d = ScaledPoissonYield::FIG8_D;
-        let points: Vec<(Microns, SquareCentimeters)> = (1..12)
-            .map(|i| (Microns::new(0.8).unwrap(), area(0.3 * f64::from(i))))
-            .collect();
-        let ln_ys = ScaledPoissonYield::ln_yields_for_slice(d, 4.07, &points).unwrap();
-        let product_ln_space = maly_lanes::exp_s(ln_ys.iter().sum());
-        let product_direct: f64 = ScaledPoissonYield::yields_for_slice(d, 4.07, &points)
-            .unwrap()
-            .iter()
-            .map(|y| y.value())
-            .product();
-        assert!(
-            (product_ln_space - product_direct).abs()
-                <= 1e-12 * product_direct.max(f64::MIN_POSITIVE),
-            "{product_ln_space} vs {product_direct}"
-        );
-    }
-
-    #[test]
-    fn batched_slice_validates_calibration_even_when_empty() {
-        let d = ReferenceDefectDensity::new(1.0).unwrap();
-        assert!(ScaledPoissonYield::yields_for_slice(d, 1.5, &[]).is_err());
-        assert!(
-            ScaledPoissonYield::yields_for_slice(ScaledPoissonYield::FIG8_D, 4.07, &[])
-                .unwrap()
-                .is_empty()
-        );
     }
 
     #[test]
