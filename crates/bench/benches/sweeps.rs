@@ -16,7 +16,7 @@ use maly_bench::harness::{
 };
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_cost_optim::contour::extract_contours_with;
-use maly_cost_optim::partition::optimize_with;
+use maly_cost_optim::partition::{optimize_with, SUBSETS_PRICED};
 use maly_cost_optim::search::grid_min_with;
 use maly_par::Executor;
 use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, TransistorCount};
@@ -199,6 +199,14 @@ fn bench_partition_search() {
         optimize_with(&serial_exec, &system, &context, &ladder).expect("feasible"),
         optimize_with(&par_exec, &system, &context, &ladder).expect("feasible"),
         "parallel partition search must be bit-identical to serial"
+    );
+    // Work-counter delta from one controlled run: each of the 2^5 − 1
+    // die subsets is priced once, diffed exactly by bench-check.
+    let subsets0 = SUBSETS_PRICED.value();
+    black_box(optimize_with(&serial_exec, &system, &context, &ladder).expect("feasible"));
+    record_counter(
+        "partition_bell5_x4/subsets_priced",
+        SUBSETS_PRICED.value() - subsets0,
     );
     let (serial, parallel) = bench_pair(
         "partition_bell5_x4/serial",

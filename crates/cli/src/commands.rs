@@ -239,7 +239,7 @@ fn wafer(flags: &Flags) -> Result<String, String> {
     let wafer = Wafer::with_radius(radius);
     let die = DieDimensions::square_with_area(area);
     let eq4 = maly::dies_per_wafer(&wafer, die);
-    let map = RasterPlacement::default().place(&wafer, die);
+    let raster = RasterPlacement::default().count(&wafer, die);
     let mut t = TextTable::new(vec!["method", "dies per wafer"]);
     t.align(1, Alignment::Right);
     t.row(vec![
@@ -248,7 +248,7 @@ fn wafer(flags: &Flags) -> Result<String, String> {
     ]);
     t.row(vec![
         "rigid raster (optimized)".into(),
-        format!("{}", map.count().value()),
+        format!("{}", raster.value()),
     ]);
     t.row(vec![
         "gross bound πR²/A".into(),
@@ -260,11 +260,16 @@ fn wafer(flags: &Flags) -> Result<String, String> {
     ]);
     t.row(vec![
         "silicon utilization".into(),
-        format!("{:.1}%", map.utilization() * 100.0),
+        // `WaferMap::utilization` of the raster map, from its count.
+        format!(
+            "{:.1}%",
+            raster.as_f64() * die.area().value() / wafer.area().value() * 100.0
+        ),
     ]);
     let mut out = t.render();
     if flags.has_switch("map") {
-        let dies: Vec<DieRect> = map
+        let dies: Vec<DieRect> = RasterPlacement::default()
+            .place(&wafer, die)
             .sites()
             .iter()
             .map(|s| DieRect {

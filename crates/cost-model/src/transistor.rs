@@ -35,9 +35,9 @@ impl DiesPerWaferMethod {
             // Routed through the process-global memo: every sweep that
             // revisits a (wafer, die) pair reuses the eq. (4) sum.
             DiesPerWaferMethod::MalyEq4 => cache::dies_per_wafer(wafer, die),
-            DiesPerWaferMethod::Raster { offset_steps } => RasterPlacement::new(*offset_steps)
-                .place(wafer, die)
-                .count(),
+            DiesPerWaferMethod::Raster { offset_steps } => {
+                RasterPlacement::new(*offset_steps).count(wafer, die)
+            }
             DiesPerWaferMethod::GrossEstimate => {
                 DieCount::new(approx::gross_estimate(wafer, die).floor().max(0.0) as u32)
             }

@@ -2,15 +2,28 @@
 //!
 //! Searches every way to group a system's partitions onto dies (set
 //! partitions of the partition list) and, for each die, every candidate
-//! feature size — pricing each candidate with
-//! [`maly_cost_model::system::SystemDesign::evaluate`] and keeping the
-//! cheapest. Exhaustive enumeration is exact and affordable for the
-//! system sizes the paper contemplates (Bell(7) = 877 groupings).
+//! feature size, keeping the cheapest. Exhaustive enumeration is exact
+//! and affordable for the system sizes the paper contemplates (Bell(7) =
+//! 877 groupings).
+//!
+//! A die's cost depends only on which partitions it carries and its λ,
+//! so the search prices each of the `2^n − 1` possible dies (non-empty
+//! subsets of the `n` partitions) once, over the whole λ ladder, with
+//! [`maly_cost_model::system::SystemDesign::evaluate`]. A grouping is
+//! then `Bell(n)` table lookups and a sum, and only the winning grouping
+//! is evaluated in full for its report. The search costs `2^n − 1`
+//! subset pricings rather than one per die of every grouping (for
+//! `n = 7`, 127 instead of 3,263).
 
 use maly_cost_model::system::{ManufacturingContext, SystemCost, SystemDesign};
 use maly_cost_model::CostError;
 use maly_par::Executor;
-use maly_units::Microns;
+use maly_units::{Dollars, Microns};
+
+/// Die subsets priced over the λ ladder: `2^n − 1` per search of `n`
+/// partitions. Work kind: fixed by the system size, whatever the
+/// thread count.
+pub static SUBSETS_PRICED: maly_obs::Counter = maly_obs::Counter::work("partition.subsets_priced");
 
 /// The optimizer's result: the winning assignment and its cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +59,12 @@ pub fn optimize(
     optimize_with(&Executor::from_env(), system, context, candidate_lambdas)
 }
 
-/// [`optimize`] on an explicit executor: groupings are priced in
-/// parallel (each one's per-die λ choice is self-contained), then the
-/// winner is picked by an ordered strict-`<` fold over the canonical
-/// grouping order — the same tie-break as the serial loop, so the
-/// solution is bit-identical at every thread count.
+/// [`optimize`] on an explicit executor: the die subsets are priced in
+/// parallel (each one's λ choice is self-contained), then the groupings
+/// are ranked by an ordered strict-`<` fold over the canonical grouping
+/// order. Each grouping's total is its dies' costs summed in die order,
+/// the same additions [`SystemDesign::evaluate`] makes, so the solution
+/// is bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -68,76 +82,93 @@ pub fn optimize_with(
         });
     }
 
-    let groupings = set_partitions(n);
-    let candidates = exec.map(&groupings, |grouping| {
-        price_grouping(system, context, candidate_lambdas, grouping)
-    });
+    // `dies[mask - 1]`: the best λ and cost of the die carrying the
+    // partitions whose bits are set in `mask`, or `None` if no λ works.
+    let subsets: Vec<usize> = (1..1usize << n).collect();
+    let dies = exec
+        .map(&subsets, |&mask| {
+            price_die(system, context, candidate_lambdas, mask)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    SUBSETS_PRICED.add(subsets.len() as u64);
 
-    let mut best: Option<PartitionSolution> = None;
-    for candidate in candidates {
-        match candidate {
-            Err(e) => return Err(e),
-            Ok(Some(solution)) => {
-                if best
-                    .as_ref()
-                    .is_none_or(|b| solution.cost.total.value() < b.cost.total.value())
-                {
-                    best = Some(solution);
-                }
+    let mut best: Option<(f64, Vec<usize>)> = None;
+    let mut masks = Vec::with_capacity(n);
+    for grouping in set_partitions(n) {
+        die_masks(&grouping, &mut masks);
+        let mut total = Some(Dollars::zero());
+        for &mask in &masks {
+            total = total.zip(dies[mask - 1]).map(|(sum, (_, cost))| sum + cost);
+        }
+        if let Some(total) = total.map(Dollars::value) {
+            if best.as_ref().is_none_or(|(b, _)| total < *b) {
+                best = Some((total, grouping));
             }
-            Ok(None) => {}
         }
     }
 
-    best.ok_or(CostError::MissingField {
+    let infeasible = || CostError::MissingField {
         field: "feasible assignment",
+    };
+    let (_, grouping) = best.ok_or_else(infeasible)?;
+    die_masks(&grouping, &mut masks);
+    let lambdas: Vec<Microns> = masks
+        .iter()
+        .map(|&mask| dies[mask - 1].map(|(lambda, _)| lambda))
+        .collect::<Option<_>>()
+        .ok_or_else(infeasible)?;
+    let cost = system.evaluate(context, &grouping, &lambdas)?;
+    Ok(PartitionSolution {
+        grouping,
+        lambdas,
+        cost,
     })
 }
 
-/// Prices one grouping: chooses each die's λ independently and
-/// evaluates the full assignment. `Ok(None)` means infeasible.
-fn price_grouping(
+/// Fills `masks` with each die's partition bitmask (bit `i` for
+/// partition `i`), in die order, for a canonical `grouping`.
+fn die_masks(grouping: &[usize], masks: &mut Vec<usize>) {
+    masks.clear();
+    for (i, &die) in grouping.iter().enumerate() {
+        if die == masks.len() {
+            masks.push(0);
+        }
+        masks[die] |= 1 << i;
+    }
+}
+
+/// Prices the die carrying the partitions in `mask` (bit `i` for
+/// partition `i`, members in partition order) as a one-die system at
+/// every candidate λ, keeping the first cheapest (strict `<`). Returns
+/// that λ and the die's cost, or `Ok(None)` when no candidate λ is
+/// feasible. A one-die system's total is `0 + cost` of its die, which
+/// is exact, so summing these totals in die order repeats the additions
+/// of the full evaluation.
+fn price_die(
     system: &SystemDesign,
     context: &ManufacturingContext,
     candidate_lambdas: &[Microns],
-    grouping: &[usize],
-) -> Result<Option<PartitionSolution>, CostError> {
-    let n_dies = grouping.iter().max().map_or(0, |&m| m + 1);
-    // Choose each die's λ independently: evaluate die-by-die.
-    let mut lambdas: Vec<Microns> = Vec::with_capacity(n_dies);
-    for die_idx in 0..n_dies {
-        // Per-die costs are separable, so price this die alone as a
-        // one-die system and keep its best candidate node.
-        let members: Vec<_> = grouping
-            .iter()
-            .zip(system.partitions())
-            .filter(|(&g, _)| g == die_idx)
-            .map(|(_, p)| p.clone())
-            .collect();
-        let sub = SystemDesign::new(members)?;
-        let sub_grouping = vec![0; sub.partitions().len()];
-        let mut best_lambda: Option<(Microns, f64)> = None;
-        for &lambda in candidate_lambdas {
-            if let Ok(cost) = sub.evaluate(context, &sub_grouping, &[lambda]) {
-                let total = cost.total.value();
-                if best_lambda.is_none_or(|(_, c)| total < c) {
-                    best_lambda = Some((lambda, total));
-                }
+    mask: usize,
+) -> Result<Option<(Microns, Dollars)>, CostError> {
+    let members: Vec<_> = system
+        .partitions()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| mask & 1 << i != 0)
+        .map(|(_, p)| p.clone())
+        .collect();
+    let sub = SystemDesign::new(members)?;
+    let sub_grouping = vec![0; sub.partitions().len()];
+    let mut best: Option<(Microns, Dollars)> = None;
+    for &lambda in candidate_lambdas {
+        if let Ok(cost) = sub.evaluate(context, &sub_grouping, &[lambda]) {
+            if best.is_none_or(|(_, c)| cost.total.value() < c.value()) {
+                best = Some((lambda, cost.total));
             }
         }
-        match best_lambda {
-            Some((lambda, _)) => lambdas.push(lambda),
-            None => return Ok(None),
-        }
     }
-    match system.evaluate(context, grouping, &lambdas) {
-        Ok(cost) => Ok(Some(PartitionSolution {
-            grouping: grouping.to_vec(),
-            lambdas,
-            cost,
-        })),
-        Err(_) => Ok(None),
-    }
+    Ok(best)
 }
 
 /// Enumerates all set partitions of `n` items as canonical grouping

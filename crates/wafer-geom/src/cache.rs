@@ -21,6 +21,12 @@
 //! The cache is process-global (`OnceLock`), sharded to keep lock
 //! contention negligible under the parallel executor, and safe across
 //! panics: a poisoned shard is recovered, not unwrapped.
+//!
+//! It is also bounded. Under `maly-serve` the die edges come from client
+//! windows, so distinct keys are unlimited; each shard holds at most
+//! [`SHARD_CAPACITY`] entries, and a full shard is emptied before its
+//! next insert. The memo is pure, so an eviction costs only recomputation,
+//! never a different answer.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -39,9 +45,17 @@ pub const KEY_QUANTUM_CM: f64 = 1.0e-9;
 static CACHE_HITS: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.hits");
 /// Calls that computed eq. (4) and stored the result.
 static CACHE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.misses");
+/// Entries dropped by clearing a full shard. Diagnostic kind, like the
+/// hit and miss counts it depends on.
+static CACHE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.evictions");
 
 /// Number of shards; a power of two so the selector is a mask.
-const SHARDS: usize = 16;
+pub const SHARDS: usize = 16;
+
+/// Most entries one shard holds: 2^18, so the memo never exceeds
+/// `16 × 2^18 ≈ 4.2 M` entries (about 2.8× the ~1.5 M keys a long run of
+/// `repro all` plus design-space studies keeps live).
+pub const SHARD_CAPACITY: usize = 1 << 18;
 
 /// One memo key: `(usable radius, die width, die height)` in integer
 /// multiples of [`KEY_QUANTUM_CM`].
@@ -49,8 +63,10 @@ type Key = (u64, u64, u64);
 
 /// Multiply-rotate hasher for the fixed-shape integer key. The default
 /// `HashMap` hasher (SipHash) is DoS-resistant but costs more than the
-/// whole warm-hit budget of this memo; the key here is three trusted
-/// in-process integers, so a two-instruction mix per word is enough.
+/// whole warm-hit budget of this memo. The keys are not trusted: under
+/// `maly-serve` the die edges come from client windows, and this mix
+/// has no secret, so keys crafted to collide would slow every lookup in
+/// their shard. [`SHARD_CAPACITY`] bounds how long such a shard can get.
 /// Each `u64` word folds in as `state = (rotl(state, 5) ^ word) × φ64`
 /// (the 64-bit golden-ratio constant), whose high and low halves are
 /// both well distributed for hashbrown's control-byte scheme.
@@ -107,7 +123,21 @@ const KEY_QUANTUM_INV: f64 = 1.0e9;
 /// Quantizes a positive dimension to integer nanocentimeters.
 /// Float-to-int casts saturate, so pathological inputs stay safe.
 fn quantize(value_cm: f64) -> u64 {
-    (value_cm * KEY_QUANTUM_INV).round() as u64
+    round_to_u64(value_cm * KEY_QUANTUM_INV)
+}
+
+/// `x.round() as u64` (halves away from zero, saturating, NaN to zero)
+/// without the libm `round` call that targets without SSE4.1 make.
+/// Truncation is `floor` for `x ≥ 0`; the fraction `x − t` is exact, and
+/// it can reach one half only below 2^52, so `t + 1` never overflows
+/// there. At and past 2^64, `t` is already `u64::MAX`.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 fn shard_of(key: &Key) -> usize {
@@ -132,24 +162,50 @@ fn lookup(key: &Key) -> Option<u32> {
     guard.get(key).copied()
 }
 
+/// Inserts one entry, first emptying the shard if it is full. Clearing
+/// keeps the table's allocation, so a full shard costs no reallocation.
 fn store(key: Key, value: u32) {
     let shard = &cache().shards[shard_of(&key)];
     let mut guard = match shard.map.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
+    if guard.len() >= SHARD_CAPACITY && !guard.contains_key(&key) {
+        CACHE_EVICTIONS.add(guard.len() as u64);
+        guard.clear();
+    }
     guard.insert(key, value);
+}
+
+/// The shard the memo key of `(wafer, die)` lives in, in `0..SHARDS`.
+#[must_use]
+pub fn shard_index(wafer: &Wafer, die: DieDimensions) -> usize {
+    shard_of(&key_of(wafer, die))
+}
+
+/// Entries currently held by shard `shard` (zero for an index past the
+/// last shard).
+#[must_use]
+pub fn shard_len(shard: usize) -> usize {
+    cache().shards.get(shard).map_or(0, |s| match s.map.read() {
+        Ok(g) => g.len(),
+        Err(poisoned) => poisoned.into_inner().len(),
+    })
+}
+
+fn key_of(wafer: &Wafer, die: DieDimensions) -> Key {
+    (
+        quantize(wafer.usable_radius().value()),
+        quantize(die.width().value()),
+        quantize(die.height().value()),
+    )
 }
 
 /// Memoized [`crate::maly::dies_per_wafer`]; bit-identical to the
 /// direct call.
 #[must_use]
 pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
-    let key = (
-        quantize(wafer.usable_radius().value()),
-        quantize(die.width().value()),
-        quantize(die.height().value()),
-    );
+    let key = key_of(wafer, die);
     if let Some(count) = lookup(&key) {
         CACHE_HITS.incr();
         return DieCount::new(count);
@@ -282,6 +338,7 @@ pub fn clear() {
     }
     CACHE_HITS.reset();
     CACHE_MISSES.reset();
+    CACHE_EVICTIONS.reset();
 }
 
 #[cfg(test)]
@@ -367,6 +424,58 @@ mod tests {
         let scalar = dies_per_wafer(&wafer, die);
         let batch = dies_per_wafer_batch(&wafer, &[die, die]);
         assert_eq!(batch, vec![scalar, scalar]);
+    }
+
+    /// `round_to_u64` replaces `f64::round` in the key quantizer; it must
+    /// agree with `round() as u64` on every input: random bit patterns
+    /// (negatives, NaNs and subnormals among them), halves and the edges
+    /// of exact integer representation.
+    #[test]
+    fn round_to_u64_equals_round_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            0.49999999999999994,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52) + 0.5,
+            2f64.powi(52) + 1.0,
+            2f64.powi(53) + 1.0,
+            2f64.powi(63),
+            2f64.powi(64) - 2048.0,
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+        ];
+        let mut state: u64 = 0x853c_49e6_748f_ea9b;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        // Raw bit patterns cover every exponent; uniform values below
+        // 2^20 with fractions exercise the half-way branch.
+        let random: Vec<f64> = (0..200_000)
+            .map(|k| {
+                let bits = next();
+                if k % 2 == 0 {
+                    f64::from_bits(bits)
+                } else {
+                    (bits >> 11) as f64 / (1u64 << 33) as f64
+                }
+            })
+            .collect();
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
     }
 
     #[test]

@@ -66,8 +66,10 @@ pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
 /// [`first_nonzero_chord`], a microscopic die costs a few rows rather
 /// than billions.
 fn row_sum_kernel(r_w: f64, a: f64, b: f64) -> DieCount {
-    let rows = (2.0 * r_w / b).floor() as i64;
-    if rows <= 0 {
+    // For the non-negative (or NaN, or +∞) quotients here, a saturating
+    // `as` cast equals `floor` then cast, without a libm call.
+    let rows = (2.0 * r_w / b) as u64;
+    if rows == 0 {
         return DieCount::new(0);
     }
 
@@ -81,19 +83,17 @@ fn row_sum_kernel(r_w: f64, a: f64, b: f64) -> DieCount {
         }
     };
 
-    let first = first_nonzero_chord(r_w, b, rows as u64) as i64;
+    let first = first_nonzero_chord(r_w, b, rows);
     let mut total: u32 = 0;
     let mut r_lo = half_width_at(first as f64 * b);
     for j in first..rows {
         let r_hi = half_width_at((j + 1) as f64 * b);
         let chord = r_lo.min(r_hi);
-        let per_row = (2.0 * chord / a).floor();
-        if per_row > 0.0 {
-            // `as` saturates a count beyond `u32::MAX` to it.
-            total = total.saturating_add(per_row as u32);
-            if total == u32::MAX {
-                break;
-            }
+        // `as` floors the non-negative quotient and saturates a count
+        // beyond `u32::MAX` to it.
+        total = total.saturating_add((2.0 * chord / a) as u32);
+        if total == u32::MAX {
+            break;
         }
         r_lo = r_hi;
     }
@@ -116,7 +116,7 @@ fn first_nonzero_chord(r_w: f64, b: f64, rows: u64) -> u64 {
         let d = k as f64 * b - r_w;
         r_w * r_w - d * d > 0.0
     };
-    let mut hi = ((r_w / b).floor() as u64).min(rows);
+    let mut hi = ((r_w / b) as u64).min(rows);
     if hi == 0 || !positive(hi) {
         return hi;
     }
@@ -161,17 +161,16 @@ pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCou
 /// The eq. (4) row sum over chord tables of up to [`CHORD_BLOCK`] rows:
 /// row `j` is bounded by chords `R_j` and `R_{j+1}`, so each block is a
 /// single pass of `floor(2·min(R_j, R_{j+1})/a)` over adjacent table
-/// entries. The `max(0.0)` keeps the accumulation branchless; a row's
-/// count is never negative, so it only absorbs the zero case the scalar
-/// loop skips with a branch. Like the scalar loop, the count saturates
+/// entries, each floored by a saturating `as u32` cast (exact for the
+/// non-negative quotient, and free of a libm `floor` call on targets
+/// without SSE4.1). Like the scalar loop, the count saturates
 /// at `u32::MAX` and stops there, so neither time nor memory grows with
 /// the row count of a microscopic die.
 fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut [f64; CHORD_BLOCK + 1]) -> DieCount {
-    let rows = (2.0 * r_w / b).floor() as i64;
-    if rows <= 0 {
+    let rows = (2.0 * r_w / b) as u64;
+    if rows == 0 {
         return DieCount::new(0);
     }
-    let rows = rows as u64;
     let mut total: u32 = 0;
     let mut first = first_nonzero_chord(r_w, b, rows);
     while first < rows && total < u32::MAX {
@@ -181,8 +180,7 @@ fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut [f64; CHORD_BLOCK +
         // At most 256 rows of at most `u32::MAX` dies each: no overflow.
         let mut block: u64 = 0;
         for j in 0..len {
-            let per_row = (2.0 * table[j].min(table[j + 1]) / a).floor();
-            block += u64::from(per_row.max(0.0) as u32);
+            block += u64::from((2.0 * table[j].min(table[j + 1]) / a) as u32);
         }
         total = total.saturating_add(u32::try_from(block).unwrap_or(u32::MAX));
         first += len as u64;
@@ -436,6 +434,47 @@ mod tests {
             }
             // Every chord is zero: the sum starts past the last row.
             assert_eq!(first_nonzero_chord(r_w, 1e-150, 1_000), 1_000);
+        }
+    }
+
+    /// The kernels floor with a saturating `as` cast instead of
+    /// `f64::floor`. The two agree on every input: random bit patterns
+    /// (negatives, NaNs and subnormals among them) and the edges.
+    #[test]
+    fn as_cast_equals_floor_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52) + 0.5,
+            2f64.powi(52) + 1.0,
+            2f64.powi(53) + 1.0,
+            2f64.powi(53) + 2.0,
+            2f64.powi(32) - 0.5,
+            2f64.powi(32),
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -1.5,
+        ];
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let random = (0..200_000).map(|_| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            f64::from_bits(state.wrapping_mul(0x2545_f491_4f6c_dd1d))
+        });
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(x as u64, x.floor() as u64, "{x:e}");
+            assert_eq!(x as u32, x.floor() as u32, "{x:e}");
         }
     }
 

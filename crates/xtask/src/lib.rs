@@ -94,7 +94,7 @@ pub const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("maly-test-economics", 2),
     ("maly-units", 3),
     ("maly-viz", 1),
-    ("maly-wafer-geom", 10),
+    ("maly-wafer-geom", 8),
     ("maly-yield-model", 0),
     ("silicon-cost", 0),
     ("xtask", 0),
