@@ -84,6 +84,10 @@ grep -q '"name":"model.tile_hits"' target/trace_serve_ci.ndjson
 # must surface the partition-search counters in the same trace.
 grep -q '"name":"chiplet.partitions"' target/trace_serve_ci.ndjson
 grep -q '"name":"chiplet.die_points"' target/trace_serve_ci.ndjson
+# The serving context owns an eq. (4) memo, which its cold tiles and
+# its sweep filled: the trace reports a positive entries gauge.
+grep -Eq '"type":"gauge","name":"wafer_geom.cache.entries","value":[1-9]' \
+    target/trace_serve_ci.ndjson
 cargo run -q -p xtask -- trace-check target/trace_serve_ci.ndjson
 
 echo "== chiplet partition goldens (1/2/8 threads, MALY_OBS=1)"
@@ -110,6 +114,11 @@ cargo run -q -p maly-cli -- sweep --transistors 3.1e6 --lambda 0.8 \
     --density 150 --yield 0.7 --c0 700 --x 1.8 \
     --trace-out target/trace_ci.ndjson > /dev/null
 cargo run -q -p xtask -- trace-check target/trace_ci.ndjson
+# A library sweep computes eq. (4) directly and holds no memo.
+if grep -Eq '"name":"wafer_geom.cache.entries","value":[1-9]' target/trace_ci.ndjson; then
+    echo "CLI sweep trace holds eq. (4) memo entries" >&2
+    exit 1
+fi
 
 echo "== bench regression check (MALY_PAR_THREADS=1, serial)"
 MALY_PAR_THREADS=1 cargo bench -p maly-bench --bench sweeps -- \

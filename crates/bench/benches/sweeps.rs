@@ -20,7 +20,7 @@ use maly_cost_optim::partition::{optimize_with, SUBSETS_PRICED};
 use maly_cost_optim::search::grid_min_with;
 use maly_par::Executor;
 use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, TransistorCount};
-use maly_wafer_geom::{cache, DieDimensions, Wafer};
+use maly_wafer_geom::{cache::Memo, DieDimensions, Wafer};
 
 /// Threads for the "parallel" side: at least 4 so the baseline captures
 /// the issue's 4-thread target even when the ambient default is 1.
@@ -420,28 +420,25 @@ fn bench_eq4_cache() {
             DieDimensions::square(side)
         })
         .collect();
-    // Cold recomputes the eq. (4) sum on every lookup; warm serves the
-    // same sweep from the memo. Each cold sample leaves the cache
-    // filled, so the interleaved warm samples always hit.
+    // Cold times one batch through a fresh memo: every lookup misses,
+    // computes eq. (4) and inserts. Warm serves the same batch from a
+    // memo the setup filled, so every lookup hits.
+    let warm_memo = Memo::new();
+    black_box(warm_memo.dies_per_wafer_batch(&wafer, &dies));
     let (cold, warm) = bench_pair(
         "dies_per_wafer_64_dies/cold",
         || {
-            cache::clear();
-            for die in &dies {
-                black_box(cache::dies_per_wafer(&wafer, *die));
-            }
+            black_box(Memo::new().dies_per_wafer_batch(&wafer, &dies));
         },
         "dies_per_wafer_64_dies/warm",
         || {
-            for die in &dies {
-                black_box(cache::dies_per_wafer(&wafer, *die));
-            }
+            black_box(warm_memo.dies_per_wafer_batch(&wafer, &dies));
         },
     );
     record_speedup("dies_per_wafer_64_dies_cold_vs_warm", cold, warm);
-    let stats = cache::stats();
+    let stats = warm_memo.stats();
     println!(
-        "cache stats: {} hits / {} misses ({:.1}% hit rate)",
+        "warm memo stats: {} hits / {} misses ({:.1}% hit rate)",
         stats.hits,
         stats.misses,
         stats.hit_rate() * 100.0

@@ -1,8 +1,8 @@
 //! Benchmark crate: shared fixtures and a std-only timing harness.
 //!
 //! The benches live in `benches/sweeps.rs` (serial vs parallel sweep
-//! hot paths, the eq. (4) memo cache and batch fusion). Run with
-//! `cargo bench -p maly-bench --bench sweeps`; add
+//! hot paths, an owned eq. (4) memo cold and warm, and batch fusion).
+//! Run with `cargo bench -p maly-bench --bench sweeps`; add
 //! `-- --json <path>` to write a machine-readable baseline like
 //! `BENCH_sweeps.json`.
 

@@ -13,7 +13,10 @@ use maly_units::{
     DefectDensity, DesignDensity, Dollars, Microns, Probability, ReferenceDefectDensity,
     TransistorCount,
 };
-use maly_wafer_geom::{DieDimensions, Wafer};
+// Re-exported so callers of the memo-taking entry points can name the
+// memo without depending on maly-wafer-geom directly.
+pub use maly_wafer_geom::cache::Memo;
+use maly_wafer_geom::{maly, DieDimensions, Wafer};
 use maly_yield_model::ScaledPoissonYield;
 
 use crate::{CostError, TransistorCostModel, WaferCostModel};
@@ -21,9 +24,9 @@ use crate::{CostError, TransistorCostModel, WaferCostModel};
 /// Grid cells per executor work item in the lane-kernel sweeps. The
 /// block is fixed, not one per thread: the executor prices a block like
 /// any other map item, and the work split never depends on the thread
-/// count. Each block pays its own eq. (4) memo lock round trip and
-/// buffers, a few percent of a 56 × 48 surface at 512 cells, so blocks
-/// are 1024 cells and a serial executor takes one call.
+/// count. Each block pays its own buffers (and, through a memo, one
+/// read lock per memo shard), a few percent of a 56 × 48 surface at 512
+/// cells, so blocks are 1024 cells and a serial executor takes one call.
 const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
@@ -116,10 +119,15 @@ struct Eq1Row {
 /// wafer cost `C_w(λ)` and the effective defect density `D/λ^p` per
 /// λ-row (two `powf` calls each, paid once per row instead of once per
 /// point), and the clamped [`TransistorCount`] per column. The
-/// per-point work is then one eq. (4) memo lookup and one lane-`exp`
+/// per-point work is then one eq. (4) row sum and one lane-`exp`
 /// element — no scalar transcendentals on the hot path.
-pub struct Eq1Kernel {
+///
+/// A kernel computes eq. (4) directly unless [`Eq1Kernel::with_memo`]
+/// hands it a [`Memo`]: only a caller that keeps the memo across
+/// dispatches (a server's evaluation context) gets its inserts back.
+pub struct Eq1Kernel<'m> {
     wafer: Wafer,
+    memo: Option<&'m Memo>,
     density: DesignDensity,
     /// Whether the eq. (7) `(D, p)` calibration is valid. When it is
     /// not, [`SurfaceParameters::cost_at`] errs on every point, so
@@ -129,9 +137,9 @@ pub struct Eq1Kernel {
     cols: Vec<TransistorCount>,
 }
 
-impl Eq1Kernel {
+impl<'m> Eq1Kernel<'m> {
     /// Builds the kernel for a parameter set over explicit axis values
-    /// (λ in µm, both axes positive).
+    /// (λ in µm, both axes positive), computing eq. (4) without a memo.
     #[must_use]
     pub fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Self {
         // Same calibration validation as ScaledPoissonYield::new (the
@@ -161,6 +169,7 @@ impl Eq1Kernel {
             .collect();
         Self {
             wafer: params.wafer,
+            memo: None,
             density: params.density,
             calibrated,
             rows,
@@ -168,11 +177,27 @@ impl Eq1Kernel {
         }
     }
 
+    /// The same kernel with its die counts looked up in (and stored to)
+    /// `memo`, or computed directly for `None`. Counts are bit-identical
+    /// either way.
+    #[must_use]
+    pub fn with_memo<'n>(self, memo: Option<&'n Memo>) -> Eq1Kernel<'n> {
+        Eq1Kernel {
+            wafer: self.wafer,
+            memo,
+            density: self.density,
+            calibrated: self.calibrated,
+            rows: self.rows,
+            cols: self.cols,
+        }
+    }
+
     /// Batched eq. (1) over grid indices `(i, j)` into the row/column
-    /// axes: die counts go through the shared eq. (4) memo in one
-    /// batch, eq. (7) yields through one lane-`exp` pass over the
-    /// hoisted `−D/λ^p · A` exponents, and the final combine runs in
-    /// the same operation order as [`TransistorCostModel::evaluate`].
+    /// axes: die counts come from one eq. (4) batch (through the memo
+    /// when the kernel has one), eq. (7) yields through one lane-`exp`
+    /// pass over the hoisted `−D/λ^p · A` exponents, and the final
+    /// combine runs in the same operation order as
+    /// [`TransistorCostModel::evaluate`].
     ///
     /// Accuracy: die counts and the feasibility mask are integer-exact;
     /// the only departure from the scalar path is the lane `exp`
@@ -197,7 +222,10 @@ impl Eq1Kernel {
                 ))
             })
             .collect();
-        let counts = maly_wafer_geom::cache::dies_per_wafer_batch(&self.wafer, &dies);
+        let counts = match self.memo {
+            Some(memo) => memo.dies_per_wafer_batch(&self.wafer, &dies),
+            None => maly::dies_per_wafer_batch(&self.wafer, &dies),
+        };
         // Eq. (7) exponents ln Y = −D/λ^p · A over the *realized* die
         // areas (side², after the √ of square_with_area, exactly as
         // `evaluate` does), then one lane exp pass for the whole set.
@@ -336,6 +364,25 @@ impl CostSurface {
     pub fn compute_with(
         exec: &Executor,
         params: &SurfaceParameters,
+        lambda_range: (f64, f64, usize),
+        n_tr_range: (f64, f64, usize),
+    ) -> Self {
+        Self::compute_with_memo(exec, None, params, lambda_range, n_tr_range)
+    }
+
+    /// [`CostSurface::compute_with`] with its eq. (4) counts looked up
+    /// in `memo` when one is given. The surface is bit-identical with
+    /// or without it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is not ascending-positive or a step count
+    /// is below 2.
+    #[must_use]
+    pub fn compute_with_memo(
+        exec: &Executor,
+        memo: Option<&Memo>,
+        params: &SurfaceParameters,
         (lambda_min, lambda_max, lambda_steps): (f64, f64, usize),
         (n_tr_min, n_tr_max, n_tr_steps): (f64, f64, usize),
     ) -> Self {
@@ -354,7 +401,7 @@ impl CostSurface {
         // Every grid node through one kernel dispatch, shared with the
         // batch planner so served tiles and dense surfaces agree
         // bit-for-bit.
-        let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis);
+        let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(memo);
         let cells: Vec<(usize, usize)> = (0..lambda_steps)
             .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
             .collect();

@@ -1,7 +1,7 @@
 //! Eq. (1): the transistor cost model proper.
 
 use maly_units::{DieCount, Dollars, Probability, TransistorCount};
-use maly_wafer_geom::{approx, cache, raster::RasterPlacement, DieDimensions, Wafer};
+use maly_wafer_geom::{approx, maly, raster::RasterPlacement, DieDimensions, Wafer};
 use maly_yield_model::YieldModel;
 
 use crate::CostError;
@@ -32,9 +32,9 @@ impl DiesPerWaferMethod {
     #[must_use]
     pub fn dies_per_wafer(&self, wafer: &Wafer, die: DieDimensions) -> DieCount {
         match self {
-            // Routed through the process-global memo: every sweep that
-            // revisits a (wafer, die) pair reuses the eq. (4) sum.
-            DiesPerWaferMethod::MalyEq4 => cache::dies_per_wafer(wafer, die),
+            // Computed directly: a one-off evaluation has no memo to
+            // reuse, and the row sum costs less than a memo insert.
+            DiesPerWaferMethod::MalyEq4 => maly::dies_per_wafer(wafer, die),
             DiesPerWaferMethod::Raster { offset_steps } => {
                 RasterPlacement::new(*offset_steps).count(wafer, die)
             }

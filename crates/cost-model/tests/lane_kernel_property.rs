@@ -2,13 +2,13 @@
 //! the batch results must track the scalar reference (`cost_at`) within the
 //! documented accuracy contract, agree exactly on feasibility (die
 //! counts are integer-exact), and stay bit-identical across thread
-//! counts.
+//! counts and with or without an eq. (4) memo, cold or warm.
 //!
 //! The workspace builds offline with no external crates, so the
 //! properties are checked over deterministic pseudo-random samples from
 //! a tiny SplitMix64 generator instead of proptest strategies.
 
-use maly_cost_model::surface::{CostSurface, Eq1Kernel, SurfaceParameters};
+use maly_cost_model::surface::{CostSurface, Eq1Kernel, Memo, SurfaceParameters};
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
 
@@ -46,16 +46,30 @@ fn rel_tol(scalar_cost: f64) -> f64 {
     (51.0 + scalar_cost.abs().max(f64::MIN_POSITIVE).ln().abs()) * 1e-14
 }
 
+fn bits(cells: &[Option<f64>]) -> Vec<Option<u64>> {
+    cells.iter().map(|c| c.map(f64::to_bits)).collect()
+}
+
 /// Prices `points` through one [`Eq1Kernel`] whose axes are the points'
 /// own λ and `N_tr` values, one cell `(k, k)` per point, and holds each
-/// cell to the scalar `cost_at`.
+/// cell to the scalar `cost_at`. The same dispatch through a cold and
+/// then a warm [`Memo`] must be bit-identical to the memo-free one.
 fn assert_matches_scalar(params: &SurfaceParameters, points: &[(Microns, TransistorCount)]) {
     let lambda_axis: Vec<f64> = points.iter().map(|(l, _)| l.value()).collect();
     let n_tr_axis: Vec<f64> = points.iter().map(|(_, n)| n.value()).collect();
     let cells: Vec<(usize, usize)> = (0..points.len()).map(|k| (k, k)).collect();
-    let batched = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis)
-        .eval_cells_with(&Executor::serial(), &cells);
+    let exec = Executor::serial();
+    let batched = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).eval_cells_with(&exec, &cells);
     assert_eq!(batched.len(), points.len());
+    let memo = Memo::new();
+    let memoized = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(Some(&memo));
+    let cold = memoized.eval_cells_with(&exec, &cells);
+    assert!(!memo.is_empty(), "a cold dispatch fills the memo");
+    let misses = memo.stats().misses;
+    let warm = memoized.eval_cells_with(&exec, &cells);
+    assert_eq!(memo.stats().misses, misses, "a warm dispatch only hits");
+    assert_eq!(bits(&cold), bits(&batched), "cold memo changed a cell");
+    assert_eq!(bits(&warm), bits(&batched), "warm memo changed a cell");
     for (k, &(lambda, n_tr)) in points.iter().enumerate() {
         let scalar = params.cost_at(lambda, n_tr).ok().map(|d| d.value());
         match (batched[k], scalar) {

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
 use maly_cost_model::roadmap::CostRoadmap;
-use maly_cost_model::surface::{CostSurface, SurfaceParameters};
+use maly_cost_model::surface::{CostSurface, Memo, SurfaceParameters};
 use maly_paper_data::table3::{self, Table3Row};
 use maly_par::Executor;
 use maly_tech_trend::diesize::DieSizeTrend;
@@ -161,10 +161,15 @@ impl TileKey {
 const TILE_CACHE_CAPACITY: usize = 64;
 
 /// The query API's long-lived state: the shared artifacts plus a
-/// bounded cache of serialized surface tiles.
+/// bounded cache of serialized surface tiles and a bounded eq. (4)
+/// memo. Every kernel dispatch the context makes — a cold tile, a
+/// fused tile batch, a partition sweep — looks its die counts up in
+/// the memo: sliding tile windows and repeated sweep specs revisit die
+/// sizes, so a served context gets its inserts back.
 #[derive(Debug)]
 pub struct EvalContext {
     tiles: RwLock<HashMap<TileKey, SurfaceBody>>,
+    memo: Memo,
 }
 
 impl Default for EvalContext {
@@ -180,6 +185,7 @@ impl EvalContext {
     pub fn new() -> Self {
         Self {
             tiles: RwLock::new(HashMap::new()),
+            memo: Memo::new(),
         }
     }
 
@@ -213,7 +219,13 @@ impl EvalContext {
         }
         TILE_MISSES.incr();
         TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
-        let tile = CostSurface::compute_with(exec, params, lambda_range, n_tr_range);
+        let tile = CostSurface::compute_with_memo(
+            exec,
+            Some(&self.memo),
+            params,
+            lambda_range,
+            n_tr_range,
+        );
         self.store_tile(key, &tile)
     }
 
@@ -269,6 +281,18 @@ impl EvalContext {
     #[must_use]
     pub fn cached_tiles(&self) -> usize {
         self.tiles.read().map(|c| c.len()).unwrap_or(0)
+    }
+
+    /// The eq. (4) memo this context's kernel dispatches share.
+    pub(crate) fn memo(&self) -> &Memo {
+        &self.memo
+    }
+
+    /// Number of eq. (4) counts the context's memo holds (for tests and
+    /// diagnostics).
+    #[must_use]
+    pub fn memo_entries(&self) -> usize {
+        self.memo.len()
     }
 }
 
@@ -343,6 +367,40 @@ mod tests {
         assert_eq!(TILE_HITS.value() - hits0, 1, "warm query is one hit");
         assert_eq!(TILE_MISSES.value() - misses0, 1, "and no further miss");
         assert_eq!(ctx.cached_tiles(), 1);
+    }
+
+    #[test]
+    fn memo_fills_on_cold_tiles_only() {
+        // The memo count is per context; the lock only keeps this test's
+        // tile misses out of the tests that diff the tile counters.
+        let _guard = counter_test_lock();
+        let ctx = EvalContext::new();
+        let exec = Executor::serial();
+        let params = SurfaceParameters::fig8();
+        let ranges = ((0.45, 1.1, 9), (5.0e4, 2.0e6, 7));
+        assert_eq!(ctx.memo_entries(), 0);
+        ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        let cold = ctx.memo_entries();
+        assert!(cold > 0, "a cold tile stores its die counts");
+        // A warm repeat, with a library surface over a fresh window
+        // computed on another thread meanwhile: neither touches the
+        // context's memo.
+        let library = std::thread::scope(|s| {
+            let library = s.spawn(|| {
+                CostSurface::compute_with(&exec, &params, (0.41, 1.3, 11), (3.0e4, 3.0e6, 9))
+            });
+            ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+            library.join().expect("library surface")
+        });
+        assert_eq!(ctx.memo_entries(), cold);
+        // The memo never changes an answer: a library tile over the
+        // context's window is bit-identical to the memoized one.
+        let direct = CostSurface::compute_with(&exec, &params, ranges.0, ranges.1);
+        let memoized =
+            CostSurface::compute_with_memo(&exec, Some(ctx.memo()), &params, ranges.0, ranges.1);
+        assert_eq!(ctx.memo_entries(), cold, "the window is warm");
+        assert_eq!(direct, memoized);
+        assert_eq!(library.values().len(), 11);
     }
 
     #[test]

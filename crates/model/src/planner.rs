@@ -187,7 +187,9 @@ fn prefetch_fused(exec: &Executor, ctx: &EvalContext, cold: &[&TileNode]) {
     };
     plan::NODES_EVALUATED.add(cells.len() as u64);
     plan::FUSED_DISPATCHES.incr();
-    let values = Eq1Kernel::new(params, &lambda_union, &n_tr_union).eval_cells_with(exec, &cells);
+    let values = Eq1Kernel::new(params, &lambda_union, &n_tr_union)
+        .with_memo(Some(ctx.memo()))
+        .eval_cells_with(exec, &cells);
     for ((t, (l_axis, n_axis)), (l_idx, n_idx)) in planned.iter().zip(&axes).zip(&tile_idx) {
         if l_idx.len() != l_axis.len() || n_idx.len() != n_axis.len() {
             continue; // unreachable: union ranks cover every tile value

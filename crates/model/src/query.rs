@@ -1270,7 +1270,7 @@ impl Query {
                     max_chiplets: *max_chiplets as u32,
                     max_spares: *max_spares as u32,
                 };
-                let outcome = params.sweep(&spec, exec)?;
+                let outcome = params.sweep_with_memo(&spec, exec, Some(ctx.memo()))?;
                 Ok(QueryResponse::ChipletSweep(ChipletSweepReport {
                     evaluated: outcome.evaluated,
                     feasible: outcome.feasible,
@@ -1898,6 +1898,22 @@ mod tests {
         assert_eq!((report.best.chiplets, report.best.spares), (4, 0));
         assert!((report.best.lambda_um - 1.2).abs() < 1e-12);
         assert!((report.best.cost_per_system - 64.950_204_570_179).abs() < 1e-6);
+        // A context's memo fills on the cold sweep, not on its repeat,
+        // and the answer keeps its bits either way.
+        let ctx = EvalContext::new();
+        let mut entries = Vec::new();
+        for _ in 0..2 {
+            let Ok(QueryResponse::ChipletSweep(again)) = q.evaluate_with(&Executor::serial(), &ctx)
+            else {
+                panic!("wrong kind");
+            };
+            assert_eq!(
+                again.best.cost_per_system.to_bits(),
+                report.best.cost_per_system.to_bits()
+            );
+            entries.push(ctx.memo_entries());
+        }
+        assert!(entries[0] > 0 && entries[1] == entries[0], "{entries:?}");
         assert_eq!(report.per_chiplet_count.len(), 8);
     }
 

@@ -28,9 +28,9 @@
 //!
 //! Observability is off by default. When disabled, a span probe costs
 //! one relaxed atomic load and returns a no-op guard — no clock read,
-//! no allocation, no lock. Counters always count (they are the backing
-//! store for public stats accessors like `wafer_geom::cache::stats`,
-//! which must work without `MALY_OBS`); an increment is one relaxed
+//! no allocation, no lock. Counters always count (they back the
+//! `server_stats` query and the Work-counter goldens, which must work
+//! without `MALY_OBS`); an increment is one relaxed
 //! load plus one relaxed `fetch_add` on a per-thread shard, exactly the
 //! cost of the bespoke atomics they replaced. The bench suite's
 //! `obs_overhead` test pins the end-to-end cost on a sweep hot path to

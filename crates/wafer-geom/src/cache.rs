@@ -2,35 +2,41 @@
 //!
 //! The row-packing sum dominates the per-cell cost of every sweep: a
 //! Fig 8 surface, a partition search, or a Table 3 regeneration asks
-//! for `N_ch` thousands of times, and many of those calls repeat the
-//! same `(usable radius, die width, die height)` triple — most visibly
-//! in the partition search, where the same die subsets recur across
-//! hundreds of groupings, and across repeated surface/report passes.
+//! for `N_ch` thousands of times. A [`Memo`] stores those counts, but
+//! it pays only where the same `(usable radius, die width, die height)`
+//! triple comes back: a long-lived server whose sliding tile windows
+//! and repeated sweep specs revisit die sizes. A one-shot dense sweep
+//! asks for mostly new keys, and inserting them costs more than
+//! computing them, so library sweeps call
+//! [`crate::maly::dies_per_wafer_batch`] directly and only a caller
+//! that owns a memo (`maly-model`'s evaluation context) routes through
+//! one.
 //!
-//! [`dies_per_wafer`] is a drop-in memoized front for
-//! [`crate::maly::dies_per_wafer`]. The cache key is the *only* input
-//! the formula reads — the usable radius and the two die edges — each
-//! quantized to an integer number of **nanocentimeters** (1e-9 cm,
-//! i.e. 10 femtometers). The quantum sits ten orders of magnitude below
-//! any physical die dimension in the model, so distinct designs never
-//! collide, while dimensionally identical requests reuse the stored
-//! count. Because every caller routes through the same cache, parallel
-//! and serial sweeps observe identical values (see DESIGN.md,
+//! The key is the *only* input the formula reads — the usable radius
+//! and the two die edges — each quantized to an integer number of
+//! **nanocentimeters** (1e-9 cm, i.e. 10 femtometers). The quantum sits
+//! ten orders of magnitude below any physical die dimension in the
+//! model, so distinct designs never collide, while dimensionally
+//! identical requests reuse the stored count. The memo is pure: a hit,
+//! a miss and an eviction all answer exactly what eq. (4) computes, so
+//! memoized and direct sweeps are bit-identical (see DESIGN.md,
 //! "Parallel execution & determinism").
 //!
-//! The cache is process-global (`OnceLock`), sharded to keep lock
-//! contention negligible under the parallel executor, and safe across
-//! panics: a poisoned shard is recovered, not unwrapped.
+//! A memo is sharded to keep lock contention negligible under the
+//! parallel executor, and safe across panics: a poisoned shard is
+//! recovered, not unwrapped. It is also bounded. Under `maly-serve` the
+//! die edges come from client windows, so distinct keys are unlimited;
+//! each shard holds at most [`SHARD_CAPACITY`] entries, and a full shard
+//! is emptied before its next insert.
 //!
-//! It is also bounded. Under `maly-serve` the die edges come from client
-//! windows, so distinct keys are unlimited; each shard holds at most
-//! [`SHARD_CAPACITY`] entries, and a full shard is emptied before its
-//! next insert. The memo is pure, so an eviction costs only recomputation,
-//! never a different answer.
+//! [`dies_per_wafer_batch`], [`stats`] and [`clear`] are thin shims over
+//! one lazily built process-wide memo, kept for the standalone perf
+//! harness's eq. (4) probe; nothing in the workspace calls them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use maly_units::DieCount;
 
@@ -39,22 +45,25 @@ use crate::{maly, DieDimensions, Wafer};
 /// Quantization step of the cache key, in centimeters.
 pub const KEY_QUANTUM_CM: f64 = 1.0e-9;
 
-/// Calls answered from the memo. Diagnostic kind: concurrent sweeps can
-/// race two misses on the same key that a serial run would split
-/// hit/miss, so the totals are not thread-count-invariant.
+/// Calls answered from a memo, summed over every memo in the process.
+/// Diagnostic kind: concurrent sweeps can race two misses on the same
+/// key that a serial run would split hit/miss, so the totals are not
+/// thread-count-invariant.
 static CACHE_HITS: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.hits");
 /// Calls that computed eq. (4) and stored the result.
 static CACHE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.misses");
 /// Entries dropped by clearing a full shard. Diagnostic kind, like the
 /// hit and miss counts it depends on.
 static CACHE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cache.evictions");
+/// Entries held by every live [`Memo`] (diagnostic: depends on request
+/// history).
+static CACHE_ENTRIES: maly_obs::Gauge = maly_obs::Gauge::new("wafer_geom.cache.entries");
 
-/// Number of shards; a power of two so the selector is a mask.
-pub const SHARDS: usize = 16;
+/// Number of shards per memo; a power of two so the selector is a mask.
+const SHARDS: usize = 16;
 
-/// Most entries one shard holds: 2^18, so the memo never exceeds
-/// `16 × 2^18 ≈ 4.2 M` entries (about 2.8× the ~1.5 M keys a long run of
-/// `repro all` plus design-space studies keeps live).
+/// Most entries one shard holds: 2^18, so a memo never exceeds
+/// `16 × 2^18 ≈ 4.2 M` entries.
 pub const SHARD_CAPACITY: usize = 1 << 18;
 
 /// One memo key: `(usable radius, die width, die height)` in integer
@@ -94,26 +103,6 @@ impl Hasher for KeyHasher {
 
 type KeyMap = HashMap<Key, u32, BuildHasherDefault<KeyHasher>>;
 
-struct Shard {
-    map: RwLock<KeyMap>,
-}
-
-struct Cache {
-    shards: Vec<Shard>,
-}
-
-static CACHE: OnceLock<Cache> = OnceLock::new();
-
-fn cache() -> &'static Cache {
-    CACHE.get_or_init(|| Cache {
-        shards: (0..SHARDS)
-            .map(|_| Shard {
-                map: RwLock::new(KeyMap::default()),
-            })
-            .collect(),
-    })
-}
-
 /// Reciprocal of [`KEY_QUANTUM_CM`]: quantization multiplies by this
 /// instead of dividing by the quantum — the division was a measurable
 /// slice of the warm-hit budget, and key identity only needs the same
@@ -150,153 +139,199 @@ fn shard_of(key: &Key) -> usize {
     (h >> 58) as usize & (SHARDS - 1)
 }
 
-/// Reads a shard, recovering from poison (a panicked writer cannot have
-/// left a torn entry: `HashMap::insert` of a `u32` is not observable
-/// mid-write through the lock).
-fn lookup(key: &Key) -> Option<u32> {
-    let shard = &cache().shards[shard_of(key)];
-    let guard = match shard.map.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.get(key).copied()
-}
-
-/// Inserts one entry, first emptying the shard if it is full. Clearing
-/// keeps the table's allocation, so a full shard costs no reallocation.
-fn store(key: Key, value: u32) {
-    let shard = &cache().shards[shard_of(&key)];
-    let mut guard = match shard.map.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if guard.len() >= SHARD_CAPACITY && !guard.contains_key(&key) {
-        CACHE_EVICTIONS.add(guard.len() as u64);
-        guard.clear();
-    }
-    guard.insert(key, value);
-}
-
-/// The shard the memo key of `(wafer, die)` lives in, in `0..SHARDS`.
-#[must_use]
-pub fn shard_index(wafer: &Wafer, die: DieDimensions) -> usize {
-    shard_of(&key_of(wafer, die))
-}
-
-/// Entries currently held by shard `shard` (zero for an index past the
-/// last shard).
-#[must_use]
-pub fn shard_len(shard: usize) -> usize {
-    cache().shards.get(shard).map_or(0, |s| match s.map.read() {
-        Ok(g) => g.len(),
-        Err(poisoned) => poisoned.into_inner().len(),
-    })
-}
-
-fn key_of(wafer: &Wafer, die: DieDimensions) -> Key {
+fn die_key(r_key: u64, die: &DieDimensions) -> Key {
     (
-        quantize(wafer.usable_radius().value()),
+        r_key,
         quantize(die.width().value()),
         quantize(die.height().value()),
     )
 }
 
-/// Memoized [`crate::maly::dies_per_wafer`]; bit-identical to the
-/// direct call.
-#[must_use]
-pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
-    let key = key_of(wafer, die);
-    if let Some(count) = lookup(&key) {
-        CACHE_HITS.incr();
-        return DieCount::new(count);
-    }
-    let count = maly::dies_per_wafer(wafer, die);
-    CACHE_MISSES.incr();
-    store(key, count.value());
-    count
+/// A bounded, sharded memo of eq. (4) die counts, owned by its caller.
+///
+/// Every memo reports into the same `wafer_geom.cache.{hits, misses,
+/// evictions}` Diag counters and the `wafer_geom.cache.entries` gauge,
+/// so a trace shows how much memo a process holds and how well it
+/// pays; [`Memo::stats`] counts this memo's own lookups.
+pub struct Memo {
+    shards: [RwLock<KeyMap>; SHARDS],
+    shard_capacity: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-/// Batched memoized eq. (4): one pass of cache lookups over a λ-batch
-/// of dies, with the misses computed through the batched row-sum kernel
-/// ([`crate::maly::dies_per_wafer_batch`]) and stored back.
-///
-/// Composes the two layers: a warm sweep is pure lookups; a cold sweep
-/// pays one batched kernel run instead of `n` scalar entries. Results
-/// are bit-identical to calling [`dies_per_wafer`] per element.
-#[must_use]
-pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
-    let r_key = quantize(wafer.usable_radius().value());
-    // Miss slots hold a zero placeholder until the miss pass patches
-    // them; a flat Vec<DieCount> keeps the warm path free of Option
-    // repacking.
-    let mut out: Vec<DieCount> = Vec::with_capacity(dies.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    let mut miss_dies: Vec<DieDimensions> = Vec::new();
-    let mut hits = 0u64;
-    {
-        // One read acquisition per shard for the whole batch, instead of
-        // one per element: the lock round-trip otherwise costs as much
-        // as the warm lookup it guards. Read guards never block each
-        // other; writers wait only for this short hit pass.
-        let guards: Vec<RwLockReadGuard<'_, KeyMap>> = cache()
-            .shards
-            .iter()
-            .map(|shard| match shard.map.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            })
-            .collect();
-        for (i, die) in dies.iter().enumerate() {
-            let key = (
-                r_key,
-                quantize(die.width().value()),
-                quantize(die.height().value()),
-            );
-            match guards[shard_of(&key)].get(&key) {
-                Some(&count) => {
-                    hits += 1;
+impl Default for Memo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Memo")
+            .field("entries", &self.len())
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// Locks a shard for reading, recovering from poison (a panicked writer
+/// cannot have left a torn entry: `HashMap::insert` of a `u32` is not
+/// observable mid-write through the lock).
+fn read(shard: &RwLock<KeyMap>) -> RwLockReadGuard<'_, KeyMap> {
+    shard
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn write(shard: &RwLock<KeyMap>) -> RwLockWriteGuard<'_, KeyMap> {
+    shard
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+impl Memo {
+    /// An empty memo holding at most [`SHARD_CAPACITY`] entries per
+    /// shard. Building one allocates no table until the first insert.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_shard_capacity(SHARD_CAPACITY)
+    }
+
+    /// An empty memo with a smaller per-shard bound, so tests can
+    /// overfill a shard without inserting a quarter million keys.
+    pub(crate) fn with_shard_capacity(shard_capacity: usize) -> Self {
+        Self {
+            shards: std::array::from_fn(|_| RwLock::new(KeyMap::default())),
+            shard_capacity,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Memoized [`crate::maly::dies_per_wafer_batch`]: one pass of
+    /// lookups over the dies, with the misses computed through the
+    /// batched row-sum kernel and stored back. A warm batch is pure
+    /// lookups; a cold one pays one kernel run plus the inserts. Counts
+    /// are bit-identical to the direct call.
+    #[must_use]
+    pub fn dies_per_wafer_batch(&self, wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
+        let r_key = quantize(wafer.usable_radius().value());
+        // Miss slots hold a zero placeholder until the miss pass patches
+        // them; a flat Vec<DieCount> keeps the warm path free of Option
+        // repacking.
+        let mut out: Vec<DieCount> = Vec::with_capacity(dies.len());
+        let mut miss_idx: Vec<usize> = Vec::new();
+        let mut miss_dies: Vec<DieDimensions> = Vec::new();
+        {
+            // One read acquisition per shard for the whole batch, instead
+            // of one per element: the lock round-trip otherwise costs as
+            // much as the warm lookup it guards. Read guards never block
+            // each other; writers wait only for this short hit pass.
+            let guards: Vec<RwLockReadGuard<'_, KeyMap>> = self.shards.iter().map(read).collect();
+            for (i, die) in dies.iter().enumerate() {
+                let key = die_key(r_key, die);
+                if let Some(&count) = guards[shard_of(&key)].get(&key) {
                     out.push(DieCount::new(count));
-                }
-                None => {
+                } else {
                     miss_idx.push(i);
                     miss_dies.push(*die);
                     out.push(DieCount::new(0));
                 }
             }
         }
+        let hits = (dies.len() - miss_dies.len()) as u64;
+        CACHE_HITS.add(hits);
+        self.hits.fetch_add(hits, Ordering::SeqCst);
+        if !miss_dies.is_empty() {
+            let computed = maly::dies_per_wafer_batch(wafer, &miss_dies);
+            CACHE_MISSES.add(miss_dies.len() as u64);
+            self.misses
+                .fetch_add(miss_dies.len() as u64, Ordering::SeqCst);
+            let mut entries = 0i64;
+            for ((&i, die), count) in miss_idx.iter().zip(&miss_dies).zip(&computed) {
+                entries += self.store(die_key(r_key, die), count.value());
+                out[i] = *count;
+            }
+            CACHE_ENTRIES.add(entries);
+        }
+        out
     }
-    CACHE_HITS.add(hits);
-    if !miss_dies.is_empty() {
-        let computed = maly::dies_per_wafer_batch(wafer, &miss_dies);
-        CACHE_MISSES.add(miss_dies.len() as u64);
-        for ((&i, die), count) in miss_idx.iter().zip(&miss_dies).zip(&computed) {
-            let key = (
-                r_key,
-                quantize(die.width().value()),
-                quantize(die.height().value()),
-            );
-            store(key, count.value());
-            out[i] = *count;
+
+    /// Inserts one entry, first emptying the shard if it is full, and
+    /// returns the change in entries held. Clearing keeps the table's
+    /// allocation, so a full shard costs no reallocation.
+    fn store(&self, key: Key, value: u32) -> i64 {
+        let mut guard = write(&self.shards[shard_of(&key)]);
+        let mut delta = 0;
+        if guard.len() >= self.shard_capacity && !guard.contains_key(&key) {
+            CACHE_EVICTIONS.add(guard.len() as u64);
+            delta -= guard.len() as i64;
+            guard.clear();
+        }
+        // Two threads that miss the same key both insert the same
+        // count; only the first adds an entry.
+        if guard.insert(key, value).is_none() {
+            delta += 1;
+        }
+        delta
+    }
+
+    /// Entries currently held, over all shards.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| read(s).len()).sum()
+    }
+
+    /// Whether the memo holds no entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// This memo's hit and miss counts since it was built or cleared.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::SeqCst),
+            misses: self.misses.load(Ordering::SeqCst),
         }
     }
-    out
+
+    /// Empties every shard and zeroes [`Memo::stats`] (for cold-start
+    /// measurements; correctness never requires clearing).
+    fn clear(&self) {
+        let mut dropped = 0i64;
+        for shard in &self.shards {
+            let mut guard = write(shard);
+            dropped += guard.len() as i64;
+            guard.clear();
+        }
+        CACHE_ENTRIES.add(-dropped);
+        self.hits.store(0, Ordering::SeqCst);
+        self.misses.store(0, Ordering::SeqCst);
+    }
 }
 
-/// Memoized [`crate::maly::dies_per_wafer_best_orientation`]: both
-/// orientations go through the shared cache, so a rotated request of
-/// the same rectangle is already warm.
-#[must_use]
-pub fn dies_per_wafer_best_orientation(wafer: &Wafer, die: DieDimensions) -> DieCount {
-    let as_drawn = dies_per_wafer(wafer, die);
-    let rotated = dies_per_wafer(wafer, die.rotated());
-    as_drawn.max(rotated)
+impl Drop for Memo {
+    fn drop(&mut self) {
+        let held: usize = self
+            .shards
+            .iter_mut()
+            .map(|s| {
+                s.get_mut()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .len()
+            })
+            .sum();
+        CACHE_ENTRIES.add(-(held as i64));
+    }
 }
 
-/// Cache effectiveness counters (process lifetime totals), read from
-/// the `maly-obs` registry — the cache keeps no bookkeeping of its own.
+/// Hit and miss counts of one [`Memo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Calls answered from the cache.
+    /// Calls answered from the memo.
     pub hits: u64,
     /// Calls that computed eq. (4) and stored the result.
     pub misses: u64,
@@ -315,30 +350,27 @@ impl CacheStats {
     }
 }
 
-/// Current hit/miss counters: a thin shim over the
-/// `wafer_geom.cache.hits` / `wafer_geom.cache.misses` obs counters, so
-/// the same totals appear here and in an exported trace.
-#[must_use]
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: CACHE_HITS.value(),
-        misses: CACHE_MISSES.value(),
-    }
+/// The memo behind the shims below, built on first use.
+fn shim() -> &'static Memo {
+    static SHIM: OnceLock<Memo> = OnceLock::new();
+    SHIM.get_or_init(Memo::new)
 }
 
-/// Empties every shard and resets the counters (for cold-start
-/// benchmarks; correctness never requires clearing).
+/// [`Memo::dies_per_wafer_batch`] on the process-wide shim memo.
+#[must_use]
+pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
+    shim().dies_per_wafer_batch(wafer, dies)
+}
+
+/// [`Memo::stats`] of the process-wide shim memo.
+#[must_use]
+pub fn stats() -> CacheStats {
+    shim().stats()
+}
+
+/// Empties the process-wide shim memo and zeroes its stats.
 pub fn clear() {
-    for shard in &cache().shards {
-        let mut guard = match shard.map.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.clear();
-    }
-    CACHE_HITS.reset();
-    CACHE_MISSES.reset();
-    CACHE_EVICTIONS.reset();
+    shim().clear();
 }
 
 #[cfg(test)]
@@ -346,33 +378,41 @@ mod tests {
     use super::*;
     use maly_units::{Centimeters, SquareCentimeters};
 
+    fn one(memo: &Memo, wafer: &Wafer, die: DieDimensions) -> DieCount {
+        memo.dies_per_wafer_batch(wafer, &[die])[0]
+    }
+
     #[test]
     fn cached_count_matches_direct_eq4() {
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         for area in [0.25, 1.0, 2.976, 4.785216] {
             let die = DieDimensions::square_with_area(SquareCentimeters::new(area).unwrap());
             assert_eq!(
-                dies_per_wafer(&wafer, die),
+                one(&memo, &wafer, die),
                 maly::dies_per_wafer(&wafer, die),
                 "area {area}"
             );
             // Second call exercises the hit path; value must not change.
-            assert_eq!(
-                dies_per_wafer(&wafer, die),
-                maly::dies_per_wafer(&wafer, die)
-            );
+            assert_eq!(one(&memo, &wafer, die), maly::dies_per_wafer(&wafer, die));
         }
+        assert_eq!(memo.stats(), CacheStats { hits: 4, misses: 4 });
     }
 
     #[test]
     fn best_orientation_matches_direct() {
+        // A rotated rectangle is a key of its own, so the best of both
+        // memoized orientations is the direct best orientation.
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         let die = DieDimensions::new(
             Centimeters::new(2.9).unwrap(),
             Centimeters::new(0.9).unwrap(),
         );
+        let both = memo.dies_per_wafer_batch(&wafer, &[die, die.rotated()]);
+        assert_eq!(memo.len(), 2);
         assert_eq!(
-            dies_per_wafer_best_orientation(&wafer, die),
+            both[0].max(both[1]),
             maly::dies_per_wafer_best_orientation(&wafer, die)
         );
     }
@@ -380,9 +420,11 @@ mod tests {
     #[test]
     fn edge_exclusion_changes_the_key() {
         // Same die, different usable radius: must not alias.
+        let memo = Memo::new();
         let die = DieDimensions::square(Centimeters::new(1.0).unwrap());
-        let full = dies_per_wafer(&Wafer::six_inch(), die);
-        let excluded = dies_per_wafer(
+        let full = one(&memo, &Wafer::six_inch(), die);
+        let excluded = one(
+            &memo,
             &Wafer::six_inch().edge_exclusion(Centimeters::new(0.5).unwrap()),
             die,
         );
@@ -392,38 +434,123 @@ mod tests {
     #[test]
     fn nearby_but_distinct_dimensions_do_not_alias() {
         // 1 µm apart (1e-4 cm) is 100 000 quanta apart: distinct keys.
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         let a = DieDimensions::square(Centimeters::new(1.0).unwrap());
         let b = DieDimensions::square(Centimeters::new(1.0001).unwrap());
-        assert_eq!(dies_per_wafer(&wafer, a), maly::dies_per_wafer(&wafer, a));
-        assert_eq!(dies_per_wafer(&wafer, b), maly::dies_per_wafer(&wafer, b));
+        assert_eq!(one(&memo, &wafer, a), maly::dies_per_wafer(&wafer, a));
+        assert_eq!(one(&memo, &wafer, b), maly::dies_per_wafer(&wafer, b));
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]
     fn batch_matches_scalar_and_warms_the_cache() {
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         let dies: Vec<DieDimensions> = (1..30)
             .map(|i| DieDimensions::square(Centimeters::new(0.17 * f64::from(i)).unwrap()))
             .collect();
-        let cold = dies_per_wafer_batch(&wafer, &dies);
+        let cold = memo.dies_per_wafer_batch(&wafer, &dies);
         for (die, got) in dies.iter().zip(&cold) {
             assert_eq!(*got, maly::dies_per_wafer(&wafer, *die), "die {die:?}");
         }
         // Second pass must be pure hits and identical.
-        let before = stats();
-        let warm = dies_per_wafer_batch(&wafer, &dies);
-        let after = stats();
+        let before = memo.stats();
+        let warm = memo.dies_per_wafer_batch(&wafer, &dies);
+        let after = memo.stats();
         assert_eq!(cold, warm);
-        assert!(after.hits >= before.hits + dies.len() as u64);
+        assert_eq!(after.hits, before.hits + dies.len() as u64);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[test]
     fn batch_and_scalar_share_the_memo() {
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         let die = DieDimensions::square(Centimeters::new(0.77).unwrap());
-        let scalar = dies_per_wafer(&wafer, die);
-        let batch = dies_per_wafer_batch(&wafer, &[die, die]);
+        let scalar = one(&memo, &wafer, die);
+        let batch = memo.dies_per_wafer_batch(&wafer, &[die, die]);
         assert_eq!(batch, vec![scalar, scalar]);
+        assert_eq!(memo.stats(), CacheStats { hits: 2, misses: 1 });
+    }
+
+    #[test]
+    fn stats_and_clear_work() {
+        let memo = Memo::new();
+        let wafer = Wafer::six_inch();
+        let die = DieDimensions::square(Centimeters::new(1.25).unwrap());
+        let _ = one(&memo, &wafer, die);
+        let _ = one(&memo, &wafer, die);
+        let s = memo.stats();
+        assert!(s.misses >= 1);
+        assert!(s.hits >= 1);
+        assert!(s.hit_rate() > 0.0 && s.hit_rate() < 1.0);
+        memo.clear();
+        let s = memo.stats();
+        assert_eq!(s.hits + s.misses, 0);
+        assert_eq!(s.hit_rate(), 0.0);
+        assert!(memo.is_empty());
+    }
+
+    /// A shard that reaches its bound is emptied before its next insert:
+    /// overfill one shard of a memo with a small bound and check the
+    /// bound on every insert, the eviction count and the answers across
+    /// the flush.
+    #[test]
+    fn a_full_shard_is_cleared_and_answers_stay_exact() {
+        const CAP: usize = 64;
+        let memo = Memo::with_shard_capacity(CAP);
+        let wafer = Wafer::six_inch();
+        let r_key = quantize(wafer.usable_radius().value());
+        let shard_len = |shard: usize| read(&memo.shards[shard]).len();
+        // Dies 1e-8 cm apart in width: every one a distinct memo key.
+        let die = |k: u64| {
+            DieDimensions::new(
+                Centimeters::new(1.0 + k as f64 * 1.0e-8).unwrap(),
+                Centimeters::new(2.5).unwrap(),
+            )
+        };
+        let target = shard_of(&die_key(r_key, &die(0)));
+        let keys: Vec<DieDimensions> = (0..)
+            .map(die)
+            .filter(|d| shard_of(&die_key(r_key, d)) == target)
+            .take(CAP + CAP / 2)
+            .collect();
+
+        let evictions = || CACHE_EVICTIONS.value();
+        let before = evictions();
+        for (k, d) in keys.iter().enumerate() {
+            let got = one(&memo, &wafer, *d);
+            assert!(shard_len(target) <= CAP, "key {k}");
+            assert_eq!(got, maly::dies_per_wafer(&wafer, *d), "key {k}");
+        }
+        let evicted = evictions() - before;
+        assert!(evicted >= CAP as u64, "{evicted} evicted");
+        assert_eq!(shard_len(target), CAP / 2);
+
+        // A batch through the full shard gives the same counts as eq. (4).
+        let batch = memo.dies_per_wafer_batch(&wafer, &keys);
+        for (d, got) in keys.iter().zip(&batch) {
+            assert_eq!(*got, maly::dies_per_wafer(&wafer, *d));
+        }
+        for shard in 0..SHARDS {
+            assert!(shard_len(shard) <= CAP);
+        }
+    }
+
+    #[test]
+    fn entries_gauge_counts_live_entries() {
+        // Other tests' memos only ever add their own live entries, so
+        // the process-wide gauge is at least this memo's size.
+        let memo = Memo::new();
+        let wafer = Wafer::six_inch();
+        let dies: Vec<DieDimensions> = (1..=40)
+            .map(|i| DieDimensions::square(Centimeters::new(0.013 * f64::from(i)).unwrap()))
+            .collect();
+        let _ = memo.dies_per_wafer_batch(&wafer, &dies);
+        let _ = memo.dies_per_wafer_batch(&wafer, &dies);
+        assert_eq!(memo.len(), dies.len(), "a repeat inserts nothing");
+        assert!(CACHE_ENTRIES.value() >= dies.len() as i64);
     }
 
     /// `round_to_u64` replaces `f64::round` in the key quantizer; it must
@@ -480,6 +607,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_agree() {
+        let memo = Memo::new();
         let wafer = Wafer::six_inch();
         let reference: Vec<u32> = (1..40)
             .map(|i| {
@@ -492,10 +620,11 @@ mod tests {
                 s.spawn(|| {
                     for (i, want) in (1..40).zip(&reference) {
                         let die = DieDimensions::square(Centimeters::new(i as f64 * 0.1).unwrap());
-                        assert_eq!(dies_per_wafer(&wafer, die).value(), *want);
+                        assert_eq!(one(&memo, &wafer, die).value(), *want);
                     }
                 });
             }
         });
+        assert_eq!(memo.len(), reference.len());
     }
 }

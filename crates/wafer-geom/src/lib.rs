@@ -12,8 +12,8 @@
 //!   Monte Carlo and the wafer-map renderer,
 //! * [`approx`] — classical closed-form estimates (gross area ratio and the
 //!   edge-corrected variant) useful for sanity bounds and quick sizing,
-//! * [`cache`] — a process-global memo in front of eq. (4), keyed on
-//!   quantized wafer/die dimensions; the sweep engines route through it.
+//! * [`cache`] — a bounded memo in front of eq. (4), keyed on quantized
+//!   wafer/die dimensions and owned by the caller that reuses it.
 //!
 //! # Examples
 //!
