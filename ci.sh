@@ -35,6 +35,14 @@ cargo test --workspace -q
 echo "== cargo test (MALY_OBS=1, traced)"
 MALY_OBS=1 cargo test --workspace -q
 
+echo "== examples (each runs once to a clean exit)"
+# cargo test only compiles the examples; running them keeps the
+# commands README.md lists from rotting.
+for EX in examples/*.rs; do
+    NAME=$(basename "$EX" .rs)
+    cargo run -q --release --example "$NAME" > /dev/null
+done
+
 echo "== serve loopback suite (MALY_OBS=1, real sockets)"
 MALY_OBS=1 cargo test -q -p maly-serve --test loopback
 

@@ -67,11 +67,9 @@
 
 pub mod density;
 mod error;
-pub mod mpw;
 pub mod product;
 pub mod roadmap;
 pub mod scenario;
-pub mod sensitivity;
 pub mod surface;
 pub mod system;
 mod transistor;

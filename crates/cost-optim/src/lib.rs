@@ -6,20 +6,18 @@
 //! the optimum solution may not call for the smallest possible (and
 //! expensive) feature size."
 //!
-//! * [`search`] — 1-D minimization (golden section on smooth functions,
-//!   dense grids on the floor-discontinuous cost model) and the
-//!   `λ^opt` finder for product scenarios;
+//! * [`search`] — dense-grid 1-D minimization (robust on the
+//!   floor-discontinuous cost model) and the `λ^opt` finder for product
+//!   scenarios;
 //! * [`contour`] — marching-squares contour extraction over
 //!   [`maly_cost_model::surface::CostSurface`] grids (Fig 8's
 //!   constant-cost curves);
 //! * [`partition`] — exhaustive system-partitioning: group partitions
-//!   onto dies and pick each die's feature size;
-//! * [`pareto`] — Pareto-front extraction for cost/performance studies.
+//!   onto dies and pick each die's feature size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod contour;
-pub mod pareto;
 pub mod partition;
 pub mod search;

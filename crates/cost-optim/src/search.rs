@@ -1,79 +1,16 @@
-//! 1-D minimization: golden section and dense grids.
+//! 1-D minimization on dense grids.
 
 use maly_cost_model::product::ProductScenario;
 use maly_cost_model::CostError;
 use maly_par::Executor;
 use maly_units::Microns;
 
-/// Golden-section minimization of a unimodal function on `[a, b]`.
-///
-/// Returns `(x_min, f(x_min))` after converging to `tolerance` in `x`.
-/// For non-unimodal functions it still converges, but only to a local
-/// minimum — use [`grid_min`] for the floor-riddled cost model.
-///
-/// # Panics
-///
-/// Panics if the interval is invalid or the tolerance is not positive.
-///
-/// # Examples
-///
-/// ```
-/// use maly_cost_optim::search::golden_section;
-///
-/// let (x, fx) = golden_section(|x| (x - 2.0).powi(2) + 1.0, 0.0, 5.0, 1e-9);
-/// assert!((x - 2.0).abs() < 1e-7);
-/// assert!((fx - 1.0).abs() < 1e-12);
-/// ```
-pub fn golden_section(
-    f: impl Fn(f64) -> f64,
-    mut a: f64,
-    mut b: f64,
-    tolerance: f64,
-) -> (f64, f64) {
-    assert!(a < b, "invalid interval [{a}, {b}]");
-    assert!(
-        tolerance > 0.0 && tolerance.is_finite(),
-        "tolerance must be positive"
-    );
-    let inv_phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a) > tolerance {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = (a + b) / 2.0;
-    (x, f(x))
-}
-
 /// Dense-grid minimization on `[a, b]` with `steps` samples.
 ///
 /// Robust against the floor() discontinuities of dies-per-wafer counts;
-/// the resolution is `(b − a) / (steps − 1)`.
-///
-/// # Panics
-///
-/// Panics if the interval is invalid or `steps < 2`.
-pub fn grid_min(f: impl Fn(f64) -> f64 + Sync, a: f64, b: f64, steps: usize) -> (f64, f64) {
-    grid_min_with(&Executor::from_env(), f, a, b, steps)
-}
-
-/// [`grid_min`] on an explicit executor: samples evaluate in parallel;
-/// the minimum is an ordered strict-`<` fold, so the earliest grid
-/// point wins ties exactly as in the serial scan.
+/// the resolution is `(b − a) / (steps − 1)`. Samples evaluate in
+/// parallel on `exec`; the minimum is an ordered strict-`<` fold, so the
+/// earliest grid point wins ties exactly as in the serial scan.
 ///
 /// # Panics
 ///
@@ -109,33 +46,13 @@ pub fn grid_min_with(
 /// nodes — the shrink-planning question of Sec. IV.B.
 ///
 /// Infeasible nodes (die too large for the wafer) are skipped; returns
-/// `None` when no node in the window can build the product.
+/// `None` when no node in the window can build the product. Node
+/// candidates evaluate in parallel on `exec`; the cheapest is an ordered
+/// strict-`<` fold matching the serial scan's tie-break bit for bit.
 ///
 /// # Errors
 ///
 /// Propagates input validation from the λ sweep.
-pub fn optimal_feature_size(
-    scenario: &ProductScenario,
-    lambda_min: f64,
-    lambda_max: f64,
-    steps: usize,
-) -> Result<Option<(Microns, f64)>, CostError> {
-    optimal_feature_size_with(
-        &Executor::from_env(),
-        scenario,
-        lambda_min,
-        lambda_max,
-        steps,
-    )
-}
-
-/// [`optimal_feature_size`] on an explicit executor: node candidates
-/// evaluate in parallel; the cheapest is an ordered strict-`<` fold
-/// matching the serial scan's tie-break bit for bit.
-///
-/// # Errors
-///
-/// As for [`optimal_feature_size`].
 pub fn optimal_feature_size_with(
     exec: &Executor,
     scenario: &ProductScenario,
@@ -195,29 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn golden_section_finds_parabola_minimum() {
-        let (x, fx) = golden_section(|x| (x - 3.3).powi(2), 0.0, 10.0, 1e-10);
-        assert!((x - 3.3).abs() < 1e-7);
-        assert!(fx < 1e-12);
-    }
-
-    #[test]
-    fn golden_section_handles_boundary_minimum() {
-        let (x, _) = golden_section(|x| x, 1.0, 2.0, 1e-9);
-        assert!((x - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid interval")]
-    fn golden_section_rejects_bad_interval() {
-        let _ = golden_section(|x| x, 2.0, 1.0, 1e-9);
-    }
-
-    #[test]
     fn grid_min_finds_global_among_local_minima() {
         // w-shaped: local min at x≈1 (f=1), global at x≈4 (f=0).
         let f = |x: f64| ((x - 1.0) * (x - 4.0)).powi(2) + (x - 4.0).abs();
-        let (x, _) = grid_min(f, 0.0, 5.0, 2001);
+        let (x, _) = grid_min_with(&Executor::from_env(), f, 0.0, 5.0, 2001);
         assert!((x - 4.0).abs() < 0.01);
     }
 
@@ -228,9 +126,10 @@ mod tests {
     #[test]
     fn y0_convention_shrink_study_is_monotone() {
         let scenario = fig8_like_scenario(1.0e6);
-        let (lambda, _) = optimal_feature_size(&scenario, 0.3, 1.5, 241)
-            .unwrap()
-            .expect("feasible somewhere");
+        let (lambda, _) =
+            optimal_feature_size_with(&Executor::from_env(), &scenario, 0.3, 1.5, 241)
+                .unwrap()
+                .expect("feasible somewhere");
         assert!((lambda.value() - 0.3).abs() < 1e-9, "λ^opt {lambda}");
     }
 
@@ -243,7 +142,8 @@ mod tests {
         use maly_units::TransistorCount;
         let params = SurfaceParameters::fig8();
         let n = TransistorCount::new(1.0e6).unwrap();
-        let (lambda, _) = grid_min(
+        let (lambda, _) = grid_min_with(
+            &Executor::from_env(),
             |l| {
                 params
                     .cost_at(Microns::new(l).unwrap(), n)
@@ -298,14 +198,15 @@ mod tests {
         // A 100M-transistor design cannot be built at any λ ≥ 1.2 µm on a
         // 6-inch wafer.
         let scenario = fig8_like_scenario(1.0e8);
-        let result = optimal_feature_size(&scenario, 1.2, 1.5, 16).unwrap();
+        let result =
+            optimal_feature_size_with(&Executor::from_env(), &scenario, 1.2, 1.5, 16).unwrap();
         assert!(result.is_none());
     }
 
     #[test]
     fn window_validation() {
         let scenario = fig8_like_scenario(1.0e6);
-        assert!(optimal_feature_size(&scenario, 1.0, 0.5, 10).is_err());
-        assert!(optimal_feature_size(&scenario, 0.5, 1.0, 1).is_err());
+        assert!(optimal_feature_size_with(&Executor::from_env(), &scenario, 1.0, 0.5, 10).is_err());
+        assert!(optimal_feature_size_with(&Executor::from_env(), &scenario, 0.5, 1.0, 1).is_err());
     }
 }

@@ -6,9 +6,9 @@
 
 use maly_cost_model::system::{ManufacturingContext, Partition, SystemDesign};
 use maly_cost_model::WaferCostModel;
-use maly_cost_optim::pareto::{pareto_front, DesignPoint};
 use maly_cost_optim::partition::{optimize, set_partitions};
-use maly_cost_optim::search::{golden_section, grid_min};
+use maly_cost_optim::search::grid_min_with;
+use maly_par::Executor;
 use maly_units::{DesignDensity, Dollars, Microns, Probability, TransistorCount};
 use maly_wafer_geom::Wafer;
 
@@ -40,21 +40,6 @@ impl Sampler {
 
 const CASES: usize = 24;
 
-/// Golden section finds the vertex of any parabola.
-#[test]
-fn golden_section_solves_quadratics() {
-    let mut s = Sampler::new(201);
-    for _ in 0..CASES {
-        let center = s.uniform(-50.0, 50.0);
-        let scale = s.uniform(0.1, 10.0);
-        let offset = s.uniform(-10.0, 10.0);
-        let f = |x: f64| scale * (x - center).powi(2) + offset;
-        let (x, fx) = golden_section(f, center - 60.0, center + 60.0, 1e-9);
-        assert!((x - center).abs() < 1e-6);
-        assert!((fx - offset).abs() < 1e-9);
-    }
-}
-
 /// Grid minimization never returns a value above any sampled point.
 #[test]
 fn grid_min_is_a_lower_envelope() {
@@ -63,34 +48,10 @@ fn grid_min_is_a_lower_envelope() {
         let seed = s.index(1000) as f64;
         // A deterministic "random-looking" bumpy function.
         let f = move |x: f64| ((x * 7.3 + seed).sin() + (x * 1.9).cos()) * x.abs();
-        let (_, fmin) = grid_min(f, -5.0, 5.0, 501);
+        let (_, fmin) = grid_min_with(&Executor::from_env(), f, -5.0, 5.0, 501);
         for i in 0..501 {
             let x = -5.0 + 10.0 * f64::from(i) / 500.0;
             assert!(fmin <= f(x) + 1e-12);
-        }
-    }
-}
-
-/// Pareto front: nothing on the front is dominated by anything in
-/// the input, and everything off the front is dominated by someone.
-#[test]
-fn pareto_front_is_exact() {
-    let mut s = Sampler::new(203);
-    for _ in 0..CASES {
-        let count = 1 + s.index(24);
-        let designs: Vec<DesignPoint<usize>> = (0..count)
-            .map(|i| DesignPoint::new(i, s.uniform(0.0, 10.0), s.uniform(0.0, 10.0)))
-            .collect();
-        let front = pareto_front(&designs);
-        assert!(!front.is_empty());
-        for f in &front {
-            assert!(!designs.iter().any(|q| f.dominated_by(q)));
-        }
-        for d in &designs {
-            let on_front = front.iter().any(|f| f.design == d.design);
-            if !on_front {
-                assert!(designs.iter().any(|q| d.dominated_by(q)));
-            }
         }
     }
 }

@@ -9,6 +9,12 @@
 //! Deterministic by construction: lots are released at fixed intervals,
 //! products rotate round-robin, queues are FIFO, and time advances in
 //! integer minutes.
+//!
+//! No `repro` experiment or served query calls this module. It is kept
+//! as a cross-validation oracle for the analytic capacity model
+//! ([`crate::cost::FabEconomics`]): `tests/cross_validation.rs` checks
+//! that simulated utilizations converge to the static ones, and
+//! `examples/fab_planning.rs` shows the cycle-time effects on top.
 
 use std::collections::{BinaryHeap, VecDeque};
 

@@ -51,7 +51,6 @@ pub mod des;
 pub mod equipment;
 pub mod mc;
 pub mod process;
-pub mod rental;
 
 #[cfg(test)]
 mod tests {

@@ -93,28 +93,15 @@ impl McReport {
     }
 }
 
-/// Runs the study on the ambient executor (`MALY_PAR_THREADS`).
+/// Runs the study on `exec`. Replications are embarrassingly parallel;
+/// results are collected in replication order and every stream is
+/// seeded from `(base_seed, index)`, so the report is bit-identical
+/// whether it ran on one thread or eight.
 ///
 /// # Errors
 ///
 /// Returns an error when `replications` is zero, `volume_jitter` is
 /// outside `[0, 1)`, or the demand is empty / non-positive.
-pub fn run(
-    economics: &FabEconomics,
-    demand: &[(ProcessFlow, f64)],
-    config: &McConfig,
-) -> Result<McReport, UnitError> {
-    run_with(&Executor::from_env(), economics, demand, config)
-}
-
-/// [`run`] on an explicit executor. Replications are embarrassingly
-/// parallel; results are collected in replication order and every
-/// stream is seeded from `(base_seed, index)`, so the report is
-/// bit-identical whether it ran on one thread or eight.
-///
-/// # Errors
-///
-/// As for [`run`].
 pub fn run_with(
     exec: &Executor,
     economics: &FabEconomics,
@@ -242,7 +229,7 @@ mod tests {
             volume_jitter: 0.0,
             ..McConfig::default()
         };
-        let report = run(&economics, &d, &cfg).unwrap();
+        let report = run_with(&Executor::from_env(), &economics, &d, &cfg).unwrap();
         let exact = economics.wafer_cost(&d).unwrap();
         for s in &report.samples {
             assert_eq!(s.wafer_cost, exact);
@@ -253,7 +240,7 @@ mod tests {
     #[test]
     fn jitter_opens_a_cost_band() {
         let economics = FabEconomics::default();
-        let report = run(&economics, &demand(), &config(128)).unwrap();
+        let report = run_with(&Executor::from_env(), &economics, &demand(), &config(128)).unwrap();
         assert!(
             report.cost_spread() > 1.0,
             "spread {} should exceed 1",
@@ -267,10 +254,11 @@ mod tests {
     fn same_seed_reproduces_and_new_seed_differs() {
         let economics = FabEconomics::default();
         let d = demand();
-        let a = run(&economics, &d, &config(32)).unwrap();
-        let b = run(&economics, &d, &config(32)).unwrap();
+        let a = run_with(&Executor::from_env(), &economics, &d, &config(32)).unwrap();
+        let b = run_with(&Executor::from_env(), &economics, &d, &config(32)).unwrap();
         assert_eq!(a, b);
-        let c = run(
+        let c = run_with(
+            &Executor::from_env(),
             &economics,
             &d,
             &McConfig {
@@ -286,8 +274,9 @@ mod tests {
     fn degenerate_configs_are_rejected() {
         let economics = FabEconomics::default();
         let d = demand();
-        assert!(run(&economics, &d, &config(0)).is_err());
-        assert!(run(
+        assert!(run_with(&Executor::from_env(), &economics, &d, &config(0)).is_err());
+        assert!(run_with(
+            &Executor::from_env(),
             &economics,
             &d,
             &McConfig {
@@ -296,6 +285,6 @@ mod tests {
             }
         )
         .is_err());
-        assert!(run(&economics, &[], &config(4)).is_err());
+        assert!(run_with(&Executor::from_env(), &economics, &[], &config(4)).is_err());
     }
 }

@@ -101,14 +101,6 @@ impl DieSizeTrend {
         SquareCentimeters::new(self.amplitude_cm2 * (self.rate_per_um * lambda.value()).exp())
             .expect("positive amplitude and finite exponent")
     }
-
-    /// The feature size at which the trend predicts a given die area
-    /// (inverse of [`Self::area_at`]); `None` if it would be non-positive.
-    #[must_use]
-    pub fn lambda_for_area(&self, area: SquareCentimeters) -> Option<Microns> {
-        let lambda = (area.value() / self.amplitude_cm2).ln() / self.rate_per_um;
-        Microns::new(lambda).ok()
-    }
 }
 
 #[cfg(test)]
@@ -152,24 +144,6 @@ mod tests {
             "rate {}",
             t.rate_per_um()
         );
-    }
-
-    #[test]
-    fn lambda_for_area_inverts_area_at() {
-        let t = DieSizeTrend::paper_fit();
-        let area = t.area_at(um(0.5));
-        let back = t.lambda_for_area(area).unwrap();
-        assert!((back.value() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lambda_for_area_rejects_out_of_range() {
-        let t = DieSizeTrend::paper_fit();
-        // Larger than the λ→0 asymptote: no positive λ reaches it... and
-        // areas above the amplitude imply negative λ.
-        assert!(t
-            .lambda_for_area(SquareCentimeters::new(20.0).unwrap())
-            .is_none());
     }
 
     #[test]

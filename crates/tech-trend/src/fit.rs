@@ -131,70 +131,6 @@ pub fn fit_exponential(points: &[(f64, f64)]) -> Result<ExponentialFit, UnitErro
     })
 }
 
-/// A power-law trend `y = amplitude · x^exponent`, fitted on ln–ln scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerLawFit {
-    amplitude: f64,
-    exponent: f64,
-    r_squared: f64,
-}
-
-impl PowerLawFit {
-    /// Amplitude (`y` at `x = 1`).
-    #[must_use]
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
-    /// The power-law exponent.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// R² of the underlying ln–ln linear fit.
-    #[must_use]
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-
-    /// Predicted `y` at `x` (requires `x > 0`).
-    #[must_use]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.amplitude * x.powf(self.exponent)
-    }
-}
-
-/// Fits `y = A·x^B` by linear least squares on `(ln x, ln y)`.
-///
-/// # Errors
-///
-/// Returns an error if any coordinate is non-positive or the underlying
-/// linear fit fails.
-pub fn fit_power_law(points: &[(f64, f64)]) -> Result<PowerLawFit, UnitError> {
-    for (x, y) in points {
-        if *x <= 0.0 || !x.is_finite() {
-            return Err(UnitError::NotPositive {
-                quantity: "power-law x value",
-                value: *x,
-            });
-        }
-        if *y <= 0.0 || !y.is_finite() {
-            return Err(UnitError::NotPositive {
-                quantity: "power-law y value",
-                value: *y,
-            });
-        }
-    }
-    let logged: Vec<(f64, f64)> = points.iter().map(|(x, y)| (x.ln(), y.ln())).collect();
-    let lin = fit_linear(&logged)?;
-    Ok(PowerLawFit {
-        amplitude: lin.intercept.exp(),
-        exponent: lin.slope,
-        r_squared: lin.r_squared,
-    })
-}
-
 /// The paper's wafer-cost escalation law fitted to data:
 /// `C_w(λ) = C₀ · X^{k(1−λ)}` with `k = 5 /µm` (DESIGN.md §1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -310,27 +246,6 @@ mod tests {
     fn exponential_fit_rejects_non_positive_y() {
         assert!(fit_exponential(&[(0.0, 1.0), (1.0, 0.0)]).is_err());
         assert!(fit_exponential(&[(0.0, 1.0), (1.0, -2.0)]).is_err());
-    }
-
-    #[test]
-    fn power_law_fit_recovers_exponent() {
-        // The Fig 5 tail: f ∝ R^{−4.07}.
-        let pts: Vec<(f64, f64)> = (1..10)
-            .map(|i| {
-                let r = i as f64 * 0.5;
-                (r, 3.0 * r.powf(-4.07))
-            })
-            .collect();
-        let fit = fit_power_law(&pts).unwrap();
-        assert!((fit.exponent() - (-4.07)).abs() < 1e-9);
-        assert!((fit.amplitude() - 3.0).abs() < 1e-9);
-        assert!((fit.predict(2.0) - 3.0 * 2.0f64.powf(-4.07)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_law_fit_rejects_non_positive_coordinates() {
-        assert!(fit_power_law(&[(0.0, 1.0), (1.0, 2.0)]).is_err());
-        assert!(fit_power_law(&[(1.0, 1.0), (2.0, -1.0)]).is_err());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("maly-cli", 0),
     ("maly-cost-model", 0),
     ("maly-cost-optim", 0),
-    ("maly-fabline-sim", 11),
+    ("maly-fabline-sim", 8),
     ("maly-lanes", 0),
     ("maly-loadgen", 0),
     ("maly-model", 0),

@@ -38,7 +38,6 @@
 
 pub mod defects;
 mod functional;
-pub mod learning;
 pub mod monte_carlo;
 pub mod prng;
 pub mod sampling;

@@ -11,6 +11,9 @@
 //!
 //! Running both against their closed forms is the crate's strongest
 //! validation: the analytic models and the simulator share no code.
+//! That is why the module is kept. No `repro` experiment or served
+//! query calls it; it is a cross-validation oracle for the analytic
+//! yield models, reached by `tests/cross_validation.rs`.
 
 use crate::prng::UniformSource;
 use maly_units::{DefectDensity, Probability, SquareCentimeters};

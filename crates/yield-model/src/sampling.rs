@@ -1,8 +1,13 @@
 //! Random samplers used by the yield Monte Carlo.
 //!
-//! `rand` (without `rand_distr`) provides only uniform sampling; the
-//! Poisson, normal and gamma variates needed here are implemented from
-//! first principles and validated against their analytic moments in tests.
+//! The workspace is std-only: [`crate::prng`] supplies uniform variates,
+//! and the Poisson, normal and gamma variates needed here are
+//! implemented from first principles and validated against their
+//! analytic moments in tests.
+//!
+//! The module serves only [`crate::monte_carlo`], the cross-validation
+//! oracle for the analytic yield models (`tests/cross_validation.rs`);
+//! no `repro` experiment or served query calls either.
 
 use crate::prng::UniformSource;
 

@@ -43,9 +43,9 @@
 //! |--------|----------|
 //! | [`units`] | Typed quantities (µm, cm², $, probabilities, densities) |
 //! | [`wafer_geom`] | Dies-per-wafer: eq. (4), raster placement, bounds |
-//! | [`yield_model`] | Poisson/Murphy/Seeds/NB yields, defect sizes, learning curves, Monte Carlo |
+//! | [`yield_model`] | Poisson/Murphy/Seeds/NB yields, defect sizes, Monte Carlo oracle |
 //! | [`tech_trend`] | Figs 1–4 datasets and trend fitting |
-//! | [`fabline`] | Fab capacity/utilization economics, product mix, DES |
+//! | [`fabline`] | Fab capacity/utilization economics, product mix, demand Monte Carlo, DES oracle |
 //! | [`test_economics`] | Test time, Williams–Brown escapes, MCM/KGD |
 //! | [`cost_model`] | Eqs (1)–(9): the transistor cost model and scenarios |
 //! | [`optim`] | λ optimization, Fig 8 contours, system partitioning |

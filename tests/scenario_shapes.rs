@@ -1,6 +1,7 @@
 //! The paper's qualitative claims, asserted end to end through the
 //! facade: who wins, in which direction, and where the crossovers are.
 
+use silicon_cost::cost_model::roadmap::CostRoadmap;
 use silicon_cost::prelude::*;
 use silicon_cost::tech_trend::diesize::DieSizeTrend;
 
@@ -119,4 +120,42 @@ fn bigger_wafers_cut_cost_at_equal_assumptions() {
     // Gain is roughly the area ratio adjusted for edge effects: 1.5–2.2×.
     let gain = six / eight;
     assert!((1.3..2.4).contains(&gain), "gain {gain}");
+}
+
+/// The calendar roadmap behaves per Fig 7's X-dependence: at the
+/// realistic X ≥ 1.8 the cost rises from the very start of the window
+/// (the decline is already over), while at a milder X = 1.4 the decline
+/// continues for years before an *interior* turning point.
+#[test]
+fn roadmap_turning_year_depends_on_escalation() {
+    // Paper default (X = 2.0): the minimum sits at the window start.
+    let steep = CostRoadmap::paper_default().unwrap();
+    let turning = steep
+        .realistic_turning_year(1986, 2002)
+        .unwrap()
+        .expect("turning year exists");
+    assert_eq!(turning, 1986, "at X = 2.0 the decline is already over");
+
+    // Milder escalation: the decline continues, then reverses mid-90s.
+    let mild = CostRoadmap::new(
+        silicon_cost::tech_trend::datasets::FEATURE_SIZE_BY_YEAR,
+        Scenario1::fig6(1.2).unwrap(),
+        Scenario2::fig7(1.4).unwrap(),
+    )
+    .unwrap();
+    let turning = mild
+        .realistic_turning_year(1986, 2002)
+        .unwrap()
+        .expect("interior turning year exists");
+    assert!(
+        (1988..=2000).contains(&turning),
+        "interior turn expected, got {turning}"
+    );
+    let points = mild.project(1986, 2002).unwrap();
+    let at = points[(turning - 1986) as usize].realistic.value();
+    assert!(points[0].realistic.value() > at, "cost falls into the turn");
+    assert!(
+        points.last().unwrap().realistic.value() > at,
+        "cost rises after the turn"
+    );
 }
