@@ -58,7 +58,7 @@ echo "== repro all vs the committed EXPERIMENTS.md (1 and 8 threads)"
 # drift between the two) must come with a regenerated file, and the
 # output must not depend on the executor width.
 cargo build -q --release -p maly-repro --bin all
-for T in 1 8; do
+for T in 1 2 8; do
     MALY_PAR_THREADS=$T ./target/release/all | cmp - EXPERIMENTS.md
 done
 
@@ -70,6 +70,7 @@ cat > target/ci_requests.jsonl <<'REQ'
 [{"id": 4, "query": {"type": "surface_tile", "lambda_min": 0.52, "lambda_max": 0.92, "lambda_steps": 7, "n_tr_min": 8.0e4, "n_tr_max": 6.0e5, "n_tr_steps": 6}}]
 [{"id": 5, "query": {"type": "surface_tile", "lambda_min": 0.52, "lambda_max": 0.92, "lambda_steps": 7, "n_tr_min": 8.0e4, "n_tr_max": 6.0e5, "n_tr_steps": 6}}]
 {"v": 1, "id": 6, "query": {"type": "chiplet_partition_sweep", "transistors": 2.0e6, "volume": 50000}}
+{"id": 7, "query": {"type": "scenario2_sweep", "x": 2.0, "lambda_min": 0.5, "lambda_max": 200.0, "steps": 3}}
 REQ
 cargo run -q -p maly-cli -- query --file target/ci_requests.jsonl \
     --trace-out target/trace_serve_ci.ndjson > target/ci_responses.jsonl
@@ -82,6 +83,11 @@ sed -n '4s/^\[{"id":5,"ok":\(.*\)}\]$/\1/p' target/ci_responses.jsonl \
     > target/ci_tile_warm.json
 grep -q '^{"kind":"surface",' target/ci_tile_cold.json
 cmp target/ci_tile_cold.json target/ci_tile_warm.json
+# A Scenario #2 window past the die-size trend's domain (id 7) is
+# answered with an error whose kind is in the wire registry.
+KIND=$(sed -n '6s/^{"id":7,"error":{"kind":"\([a-z-]*\)".*$/\1/p' target/ci_responses.jsonl)
+test -n "$KIND"
+sed -n '/^pub const KIND_REGISTRY/,/^];/p' crates/model/src/error.rs | grep -q "\"$KIND\","
 grep -q '"name":"serve.request"' target/trace_serve_ci.ndjson
 grep -q '"name":"model.queries"' target/trace_serve_ci.ndjson
 # The cold surface-tile request (id 4) must surface the tile-cache miss

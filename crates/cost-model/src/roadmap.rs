@@ -81,7 +81,7 @@ impl CostRoadmap {
     ///
     /// # Errors
     ///
-    /// Propagates λ extrapolation failures.
+    /// Propagates λ extrapolation and die-size trend failures.
     ///
     /// # Panics
     ///
@@ -96,7 +96,7 @@ impl CostRoadmap {
                     year,
                     lambda,
                     optimistic: self.optimistic.cost_per_transistor(lambda),
-                    realistic: self.realistic.cost_per_transistor(lambda),
+                    realistic: self.realistic.cost_per_transistor(lambda)?,
                 })
             })
             .collect()

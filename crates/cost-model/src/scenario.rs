@@ -110,7 +110,7 @@ impl Scenario1 {
         steps: usize,
     ) -> Result<Vec<(f64, Dollars)>, CostError> {
         sweep_lambda(lambda_min, lambda_max, steps, |l| {
-            self.cost_per_transistor(l)
+            Ok(self.cost_per_transistor(l))
         })
     }
 }
@@ -130,8 +130,8 @@ impl Scenario1 {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Fig 7: X = 2.4 — shrinking now RAISES the transistor cost.
 /// let s2 = Scenario2::fig7(2.4)?;
-/// let at_08 = s2.cost_per_transistor(Microns::new(0.8)?);
-/// let at_quarter = s2.cost_per_transistor(Microns::new(0.25)?);
+/// let at_08 = s2.cost_per_transistor(Microns::new(0.8)?)?;
+/// let at_quarter = s2.cost_per_transistor(Microns::new(0.25)?)?;
 /// assert!(at_quarter > at_08 * 3.0);
 /// # Ok(())
 /// # }
@@ -171,18 +171,25 @@ impl Scenario2 {
     }
 
     /// Die yield at feature size λ: `Y₀^{A_ch(λ)/A₀}` with `A₀ = 1 cm²`.
-    #[must_use]
-    pub fn die_yield(&self, lambda: Microns) -> Probability {
-        let area = self.die_trend.area_at(lambda);
-        self.reference_yield.powf(area.value())
+    ///
+    /// # Errors
+    ///
+    /// Propagates the die-size trend's failure where its area underflows
+    /// to 0 cm² (far above any printed λ).
+    pub fn die_yield(&self, lambda: Microns) -> Result<Probability, UnitError> {
+        let area = self.die_trend.area_at(lambda)?;
+        Ok(self.reference_yield.powf(area.value()))
     }
 
     /// Eq. (9): cost per transistor at feature size λ.
-    #[must_use]
-    pub fn cost_per_transistor(&self, lambda: Microns) -> Dollars {
-        let y = self.die_yield(lambda).value();
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario2::die_yield`].
+    pub fn cost_per_transistor(&self, lambda: Microns) -> Result<Dollars, UnitError> {
+        let y = self.die_yield(lambda)?.value();
         // Y is in (0, 1]; dividing by it scales the Scenario #1 cost up.
-        self.base.cost_per_transistor(lambda) / y
+        Ok(self.base.cost_per_transistor(lambda) / y)
     }
 
     /// Sweeps the cost over a λ range, producing a Fig 7 series.
@@ -190,7 +197,8 @@ impl Scenario2 {
     /// # Errors
     ///
     /// Returns [`CostError::InvalidSweep`] if `steps < 2` or the range
-    /// is not ascending.
+    /// is not ascending, and [`CostError::InvalidInput`] if a point lies
+    /// outside the die-size trend's domain.
     pub fn sweep(
         &self,
         lambda_min: Microns,
@@ -207,8 +215,7 @@ impl Scenario2 {
     ///
     /// # Errors
     ///
-    /// Returns [`CostError::InvalidSweep`] if `steps < 2` or the range
-    /// is not ascending.
+    /// As [`Scenario2::sweep`].
     pub fn optimal_lambda(
         &self,
         lambda_min: Microns,
@@ -235,7 +242,7 @@ fn sweep_lambda(
     lambda_min: Microns,
     lambda_max: Microns,
     steps: usize,
-    f: impl Fn(Microns) -> Dollars + Sync,
+    f: impl Fn(Microns) -> Result<Dollars, UnitError> + Sync,
 ) -> Result<Vec<(f64, Dollars)>, CostError> {
     let lo = lambda_min.value();
     let hi = lambda_max.value();
@@ -247,13 +254,16 @@ fn sweep_lambda(
         });
     }
     // Sweep points are independent; the executor returns them in index
-    // order, so the series is identical to the serial loop.
-    Ok(maly_par::Executor::from_env().map_indexed(steps, |i| {
-        let l = lo + (hi - lo) * i as f64 / (steps - 1) as f64;
-        ensure_finite!(l, "λ sweep interpolant");
-        // Interpolants of validated positive bounds stay positive.
-        (l, f(Microns::clamped(l)))
-    }))
+    // order, so the series (and its first failure) match the serial loop.
+    maly_par::Executor::from_env()
+        .map_indexed(steps, |i| {
+            let l = lo + (hi - lo) * i as f64 / (steps - 1) as f64;
+            ensure_finite!(l, "λ sweep interpolant");
+            // Interpolants of validated positive bounds stay positive.
+            Ok::<_, CostError>((l, f(Microns::clamped(l))?))
+        })
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -306,9 +316,9 @@ mod tests {
         // sub-micron sweep.
         for x in [1.8, 2.0, 2.2, 2.4] {
             let s2 = Scenario2::fig7(x).unwrap();
-            let c_08 = s2.cost_per_transistor(um(0.8)).value();
-            let c_05 = s2.cost_per_transistor(um(0.5)).value();
-            let c_025 = s2.cost_per_transistor(um(0.25)).value();
+            let c_08 = s2.cost_per_transistor(um(0.8)).unwrap().value();
+            let c_05 = s2.cost_per_transistor(um(0.5)).unwrap().value();
+            let c_025 = s2.cost_per_transistor(um(0.25)).unwrap().value();
             assert!(c_05 > c_08, "X={x}");
             assert!(c_025 > c_05, "X={x}");
         }
@@ -319,8 +329,16 @@ mod tests {
         // Hand-validated during calibration: X = 2.4 at λ = 0.8 gives
         // ≈ 9.5 µ$ and at λ = 0.25 ≈ 45 µ$ (see DESIGN.md §1).
         let s2 = Scenario2::fig7(2.4).unwrap();
-        let c_08 = s2.cost_per_transistor(um(0.8)).to_micro_dollars().value();
-        let c_025 = s2.cost_per_transistor(um(0.25)).to_micro_dollars().value();
+        let c_08 = s2
+            .cost_per_transistor(um(0.8))
+            .unwrap()
+            .to_micro_dollars()
+            .value();
+        let c_025 = s2
+            .cost_per_transistor(um(0.25))
+            .unwrap()
+            .to_micro_dollars()
+            .value();
         assert!((c_08 - 9.46).abs() < 0.1, "got {c_08}");
         assert!((c_025 - 45.1).abs() < 1.0, "got {c_025}");
     }
@@ -328,8 +346,8 @@ mod tests {
     #[test]
     fn fig7_yield_collapses_with_shrink() {
         let s2 = Scenario2::fig7(1.8).unwrap();
-        let y_08 = s2.die_yield(um(0.8)).value();
-        let y_025 = s2.die_yield(um(0.25)).value();
+        let y_08 = s2.die_yield(um(0.8)).unwrap().value();
+        let y_025 = s2.die_yield(um(0.25)).unwrap().value();
         assert!(y_08 > 0.9);
         assert!(y_025 < 0.25);
     }
@@ -340,9 +358,20 @@ mod tests {
         let s2 = Scenario2::new(base, Probability::ONE, DieSizeTrend::paper_fit());
         for l in [1.0, 0.5, 0.25] {
             let c1 = base.cost_per_transistor(um(l)).value();
-            let c2 = s2.cost_per_transistor(um(l)).value();
+            let c2 = s2.cost_per_transistor(um(l)).unwrap().value();
             assert!((c1 - c2).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn scenario2_sweep_past_the_trend_domain_errs() {
+        // Above ~140.6 µm the Fig 3 area underflows to 0 cm².
+        let s2 = Scenario2::fig7(2.0).unwrap();
+        assert!(matches!(
+            s2.sweep(um(0.5), um(200.0), 3),
+            Err(CostError::InvalidInput(UnitError::NotPositive { .. }))
+        ));
+        assert!(s2.sweep(um(0.5), um(100.0), 3).is_ok());
     }
 
     #[test]

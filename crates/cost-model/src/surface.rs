@@ -26,13 +26,16 @@ use crate::{CostError, TransistorCostModel, WaferCostModel};
 /// any other map item, and the work split never depends on the thread
 /// count. Each block pays its own buffers (and, through a memo, one
 /// read lock per memo shard), a few percent of a 56 × 48 surface at 512
-/// cells, so blocks are 1024 cells and a serial executor takes one call.
+/// cells, so blocks are 1024 cells. A dense surface dispatches whole
+/// λ-rows, `max(1, CELL_BLOCK / n_tr_steps)` per block, on every
+/// executor, serial included, so its memory is one block's temporaries
+/// per thread plus the result.
 const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
 /// thread-count-invariant Work counter: every consumer (dense scans
-/// and planned batch fusion) routes whole index sets
-/// through [`Eq1Kernel::eval_cells_with`], so this is the ground truth
+/// and planned batch fusion) prices its cells through the kernel's one
+/// batch routine, once each, so this is the ground truth
 /// for "how many eq. (1) evaluations actually ran" — the fusion
 /// goldens diff it directly instead of trusting wall clock.
 pub static EQ1_CELLS: maly_obs::Counter = maly_obs::Counter::work("eq1.cells");
@@ -102,11 +105,11 @@ struct Eq1Row {
 }
 
 /// The lane-batched eq. (1) kernel over a fixed `(λ × N_tr)` grid of
-/// caller-supplied axis values. The dense scan dispatches a whole
-/// surface through it, and `maly-model`'s batch planner unions the λ
-/// and `N_tr` axis values of every cold tile in a query batch,
-/// evaluates each unique `(λ, N_tr)` cell exactly once, and scatters
-/// the results back per tile.
+/// caller-supplied axis values. The dense scan prices a surface through
+/// it one block of λ-rows at a time, and `maly-model`'s batch planner
+/// unions the λ and `N_tr` axis values of every cold tile in a query
+/// batch, evaluates each unique `(λ, N_tr)` cell exactly once, and
+/// scatters the results back per tile.
 ///
 /// Per-cell values depend only on the cell's own `(λ, N_tr)` pair —
 /// never on which axes, tiles, or chunks surround it — so any tile
@@ -374,6 +377,11 @@ impl CostSurface {
     /// in `memo` when one is given. The surface is bit-identical with
     /// or without it.
     ///
+    /// Each executor item builds the cells of one block of whole
+    /// λ-rows, prices them in one kernel call and hands back its rows,
+    /// which move into the result. Block bounds depend only on the grid
+    /// shape, so values are bit-identical at every thread count.
+    ///
     /// # Panics
     ///
     /// Panics if either range is not ascending-positive or a step count
@@ -398,17 +406,24 @@ impl CostSurface {
         let lambda_axis = linear_axis(lambda_min, lambda_max, lambda_steps);
         let n_tr_axis = log_axis(n_tr_min, n_tr_max, n_tr_steps);
 
-        // Every grid node through one kernel dispatch, shared with the
-        // batch planner so served tiles and dense surfaces agree
-        // bit-for-bit.
+        // Every grid node through the kernel the batch planner shares,
+        // so served tiles and dense surfaces agree bit-for-bit.
         let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(memo);
-        let cells: Vec<(usize, usize)> = (0..lambda_steps)
-            .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
-            .collect();
-        let values = kernel
-            .eval_cells_with(exec, &cells)
-            .chunks(n_tr_steps)
-            .map(<[_]>::to_vec)
+        let rows_per_block = (CELL_BLOCK / n_tr_steps).max(1);
+        let values = exec
+            .map_indexed(lambda_steps.div_ceil(rows_per_block), |b| {
+                let rows = b * rows_per_block..lambda_steps.min((b + 1) * rows_per_block);
+                let cells: Vec<(usize, usize)> = rows
+                    .flat_map(|i| (0..n_tr_steps).map(move |j| (i, j)))
+                    .collect();
+                kernel
+                    .eq1_for_slice(&cells)
+                    .chunks(n_tr_steps)
+                    .map(<[_]>::to_vec)
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
             .collect();
 
         Self {

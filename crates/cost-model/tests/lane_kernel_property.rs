@@ -2,15 +2,30 @@
 //! the batch results must track the scalar reference (`cost_at`) within the
 //! documented accuracy contract, agree exactly on feasibility (die
 //! counts are integer-exact), and stay bit-identical across thread
-//! counts and with or without an eq. (4) memo, cold or warm.
+//! counts and with or without an eq. (4) memo, cold or warm. Dense
+//! surfaces price whole λ-rows per block; they must equal one flat
+//! kernel call over the same cells whatever the block shape.
 //!
 //! The workspace builds offline with no external crates, so the
 //! properties are checked over deterministic pseudo-random samples from
 //! a tiny SplitMix64 generator instead of proptest strategies.
 
-use maly_cost_model::surface::{CostSurface, Eq1Kernel, Memo, SurfaceParameters};
+use std::sync::{Mutex, MutexGuard};
+
+use maly_cost_model::surface::{
+    lambda_axis_values, n_tr_axis_values, CostSurface, Eq1Kernel, Memo, SurfaceParameters,
+    EQ1_CELLS,
+};
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
+
+/// Serializes the tests in this binary: one of them asserts deltas of
+/// the process-global `eq1.cells` counter.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Deterministic uniform sampler (SplitMix64).
 struct Sampler(u64);
@@ -98,6 +113,7 @@ fn assert_matches_scalar(params: &SurfaceParameters, points: &[(Microns, Transis
 /// remainders of 1–3 hit the scalar tail loop).
 #[test]
 fn batched_costs_match_scalar_across_randomized_points() {
+    let _guard = lock();
     let params = SurfaceParameters::fig8();
     let mut s = Sampler(0xC0FFEE);
     for len in [1usize, 2, 3, 5, 7, 33, 101] {
@@ -120,6 +136,7 @@ fn batched_costs_match_scalar_across_randomized_points() {
 /// mismatch at the boundary sample.
 #[test]
 fn exact_zone_staircase_boundaries_agree_with_scalar() {
+    let _guard = lock();
     let params = SurfaceParameters::fig8();
     // 2e7 transistors: feasible at small λ, the die outgrows the wafer
     // as λ rises, so the scan crosses many staircase steps and the
@@ -143,6 +160,7 @@ fn exact_zone_staircase_boundaries_agree_with_scalar() {
 /// surface and as the same nodes dispatched one cell per point.
 #[test]
 fn odd_sized_surfaces_match_scalar_reference() {
+    let _guard = lock();
     let params = SurfaceParameters::fig8();
     for (li, ni) in [(7usize, 13usize), (5, 9), (3, 2)] {
         let surface = CostSurface::compute(&params, (0.4, 1.5, li), (2.0e4, 4.0e6, ni));
@@ -185,6 +203,7 @@ fn odd_sized_surfaces_match_scalar_reference() {
 /// reassociates math across chunk boundaries.
 #[test]
 fn surface_is_bit_identical_at_1_2_and_8_threads() {
+    let _guard = lock();
     let params = SurfaceParameters::fig8();
     let window = ((0.4, 1.5, 56), (2.0e4, 4.0e6, 48));
     let bits = |threads: usize| -> Vec<Option<u64>> {
@@ -203,4 +222,115 @@ fn surface_is_bit_identical_at_1_2_and_8_threads() {
     let serial = bits(1);
     assert_eq!(serial, bits(2), "2-thread surface diverged");
     assert_eq!(serial, bits(8), "8-thread surface diverged");
+}
+
+/// Every cell of a dense surface, row-major, as bit patterns.
+fn surface_bits(surface: &CostSurface) -> Vec<Option<u64>> {
+    surface
+        .values()
+        .iter()
+        .flatten()
+        .map(|c| c.map(f64::to_bits))
+        .collect()
+}
+
+/// Row blocks: a dense surface prices `max(1, 1024 / n_tr_steps)`
+/// λ-rows per executor item. Column counts around the block width and
+/// λ step counts that leave a ragged last block must give exactly one
+/// flat kernel call over the row-major cell list, at 1, 2 and 8
+/// threads, with no memo and with a cold and a warm one, and count
+/// every cell once.
+#[test]
+fn row_blocks_match_one_flat_kernel_call() {
+    let _guard = lock();
+    let params = SurfaceParameters::fig8();
+    // (λ steps, N_tr steps): 512, 341 and 21 rows per block with a
+    // short last block, then one row per block around the block width.
+    for (rows, cols) in [
+        (1025usize, 2usize),
+        (700, 3),
+        (50, 47),
+        (3, 1023),
+        (3, 1024),
+        (3, 1025),
+        (3, 2049),
+    ] {
+        let (lambda_range, n_tr_range) = ((0.35, 1.45, rows), (2.0e4, 4.0e6, cols));
+        let lambda_axis = lambda_axis_values(lambda_range).unwrap();
+        let n_tr_axis = n_tr_axis_values(n_tr_range).unwrap();
+        let cells: Vec<(usize, usize)> = (0..rows)
+            .flat_map(|i| (0..cols).map(move |j| (i, j)))
+            .collect();
+        let expected = bits(
+            &Eq1Kernel::new(&params, &lambda_axis, &n_tr_axis)
+                .eval_cells_with(&Executor::serial(), &cells),
+        );
+        let counted = |compute: &dyn Fn() -> CostSurface| {
+            let cells0 = EQ1_CELLS.value();
+            let surface = compute();
+            assert_eq!(
+                EQ1_CELLS.value() - cells0,
+                (rows * cols) as u64,
+                "{rows}x{cols}: eq1.cells must count each cell once"
+            );
+            assert_eq!(surface.lambda_axis(), &lambda_axis[..]);
+            assert_eq!(surface.n_tr_axis(), &n_tr_axis[..]);
+            assert!(surface.values().iter().all(|row| row.len() == cols));
+            surface_bits(&surface)
+        };
+        for threads in [1, 2, 8] {
+            let exec = Executor::with_threads(threads);
+            let plain =
+                counted(&|| CostSurface::compute_with(&exec, &params, lambda_range, n_tr_range));
+            assert_eq!(plain, expected, "{rows}x{cols} at {threads} threads");
+            let memo = Memo::new();
+            let memoized = || {
+                CostSurface::compute_with_memo(
+                    &exec,
+                    Some(&memo),
+                    &params,
+                    lambda_range,
+                    n_tr_range,
+                )
+            };
+            let cold = counted(&memoized);
+            let misses = memo.stats().misses;
+            let warm = counted(&memoized);
+            assert_eq!(memo.stats().misses, misses, "a warm surface only hits");
+            assert_eq!(
+                cold, expected,
+                "{rows}x{cols} cold memo at {threads} threads"
+            );
+            assert_eq!(
+                warm, expected,
+                "{rows}x{cols} warm memo at {threads} threads"
+            );
+        }
+    }
+}
+
+/// A perfbench-sized surface (448 × 384, 224 row blocks) pinned to the
+/// FNV-1a digest of its value bits, recorded before dense surfaces
+/// were built in row blocks, at 1, 2 and 8 threads.
+#[test]
+fn large_surface_digest_is_pinned() {
+    let _guard = lock();
+    let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+    for threads in [1, 2, 8] {
+        let surface = CostSurface::compute_with(
+            &Executor::with_threads(threads),
+            &SurfaceParameters::fig8(),
+            (0.35, 1.45, 448),
+            (2.0e4, 4.0e6, 384),
+        );
+        let digest = surface
+            .values()
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325, |h, cell| match cell {
+                Some(c) => fnv(fnv(h, 1), c.to_bits()),
+                None => fnv(h, 0),
+            });
+        assert_eq!(digest, 0xb60d_6614_000a_7655, "digest at {threads} threads");
+    }
 }

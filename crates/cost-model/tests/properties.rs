@@ -182,9 +182,9 @@ fn scenario2_increasing() {
     for _ in 0..CASES {
         let x = s.uniform(1.8, 2.4);
         let s2 = Scenario2::fig7(x).unwrap();
-        let c_08 = s2.cost_per_transistor(Microns::new(0.8).unwrap());
-        let c_04 = s2.cost_per_transistor(Microns::new(0.4).unwrap());
-        let c_025 = s2.cost_per_transistor(Microns::new(0.25).unwrap());
+        let c_08 = s2.cost_per_transistor(Microns::new(0.8).unwrap()).unwrap();
+        let c_04 = s2.cost_per_transistor(Microns::new(0.4).unwrap()).unwrap();
+        let c_025 = s2.cost_per_transistor(Microns::new(0.25).unwrap()).unwrap();
         assert!(c_04 > c_08);
         assert!(c_025 > c_04);
     }

@@ -1,32 +1,23 @@
-//! maly-lanes — fixed-width f64 lane kernels for the batch hot paths.
+//! maly-lanes — the lane-wise polynomial `exp` of the eq. (1) batch
+//! kernel.
 //!
-//! The sweep kernels (eq. (1) transistor cost, eq. (4) dies-per-wafer,
-//! eq. (7) yields) process thousands of grid nodes per Fig 8 surface.
-//! This crate provides the shared lane vocabulary they build on:
-//! operations over [`Lane`] = `[f64; WIDTH]` blocks plus [`exp_slice`],
-//! which walks a buffer lane by lane and finishes the odd tail with the
-//! *same* per-element function, so results never depend on how a slice
-//! was chunked.
+//! The eq. (1) transistor-cost kernel prices thousands of grid nodes
+//! per Fig 8 surface, and each needs one eq. (7) yield `exp`.
+//! [`exp_slice`] walks a buffer in `[f64; WIDTH]` blocks and finishes
+//! the odd tail with the *same* per-element function, so results never
+//! depend on how a slice was chunked.
 //!
-//! Two kinds of operation live here:
-//!
-//! - **Exact lane ops** (`add`, `mul`, `mul_add`, `sqrt`, `max`, …):
-//!   elementwise IEEE-754 operations. Each lane element is the same
-//!   correctly rounded operation the scalar code would perform, so lane
-//!   and scalar results are bit-identical. `mul_add` is *fma-shaped*
-//!   (one multiply then one add, each rounded) rather than a fused
-//!   multiply-add — a hardware FMA would round once and change bits
-//!   between targets, breaking the workspace determinism contract.
-//! - **Polynomial exp** ([`exp_slice`]): a branch-free
-//!   argument-reduction + polynomial kernel evaluated identically on
-//!   every platform. It is *not* bit-identical to `std`'s libm (which
-//!   varies by platform anyway); the contract is a documented ulp bound
-//!   instead: within 2 ulp of the correctly rounded result over the
-//!   model's `[−40, 0]` exponent window (pinned by the accuracy tests
-//!   below at ≤ 4 ulp of this platform's libm over the full range, and
-//!   ≤ 2 ulp on that window). Callers that need bit-exactness keep
-//!   using the scalar reference path; callers on the lane path
-//!   document the bound.
+//! The exp is a branch-free argument-reduction + polynomial kernel
+//! evaluated identically on every platform. It is *not* bit-identical
+//! to `std`'s libm (which varies by platform anyway); the contract is a
+//! documented ulp bound instead: within 2 ulp of the correctly rounded
+//! result over the model's `[−40, 0]` exponent window (pinned by the
+//! accuracy tests below at ≤ 4 ulp of this platform's libm over the
+//! full range, and ≤ 2 ulp on that window). Callers that need
+//! bit-exactness keep using the scalar reference path; callers on the
+//! lane path document the bound. Exact elementwise arithmetic needs no
+//! helpers here: the eq. (4) chord table is a plain loop over the
+//! scalar kernel's own expressions.
 //!
 //! The crate is std-only, dependency-free, `forbid(unsafe_code)`, and
 //! has a panic budget of zero.
@@ -40,62 +31,6 @@
 /// and two 128-bit ones; the slice drivers below are written so the
 /// compiler can keep a whole block in registers.
 pub const WIDTH: usize = 4;
-
-/// One fixed-width block of f64 values.
-pub type Lane = [f64; WIDTH];
-
-// ---------------------------------------------------------------------
-// Exact elementwise lane ops (bit-identical to scalar)
-// ---------------------------------------------------------------------
-
-/// A lane with every element set to `x`.
-#[must_use]
-pub const fn splat(x: f64) -> Lane {
-    [x; WIDTH]
-}
-
-/// Elementwise `a + b`.
-#[must_use]
-pub fn add(a: Lane, b: Lane) -> Lane {
-    [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
-}
-
-/// Elementwise `a * b`.
-#[must_use]
-pub fn mul(a: Lane, b: Lane) -> Lane {
-    [a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]]
-}
-
-/// Elementwise fma-shaped `a * b + c`: one rounded multiply then one
-/// rounded add (deliberately *not* a fused multiply-add — see the
-/// crate docs for why).
-#[must_use]
-pub fn mul_add(a: Lane, b: Lane, c: Lane) -> Lane {
-    [
-        a[0] * b[0] + c[0],
-        a[1] * b[1] + c[1],
-        a[2] * b[2] + c[2],
-        a[3] * b[3] + c[3],
-    ]
-}
-
-/// Elementwise maximum (IEEE `f64::max`).
-#[must_use]
-pub fn max(a: Lane, b: Lane) -> Lane {
-    [
-        a[0].max(b[0]),
-        a[1].max(b[1]),
-        a[2].max(b[2]),
-        a[3].max(b[3]),
-    ]
-}
-
-/// Elementwise square root. IEEE-754 `sqrt` is correctly rounded, so
-/// each element is bit-identical to the scalar call.
-#[must_use]
-pub fn sqrt(a: Lane) -> Lane {
-    [a[0].sqrt(), a[1].sqrt(), a[2].sqrt(), a[3].sqrt()]
-}
 
 // ---------------------------------------------------------------------
 // Polynomial exp
@@ -161,7 +96,7 @@ fn exp_core(x: f64) -> f64 {
 }
 
 /// Lane exp: the polynomial exp kernel applied elementwise.
-fn exp(a: Lane) -> Lane {
+fn exp(a: [f64; WIDTH]) -> [f64; WIDTH] {
     [
         exp_core(a[0]),
         exp_core(a[1]),
@@ -274,36 +209,6 @@ mod tests {
             exp_slice(&mut exp_buf);
             for (x, got) in xs.iter().zip(&exp_buf) {
                 assert_eq!(got.to_bits(), exp_core(*x).to_bits(), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn exact_lane_ops_are_bit_identical_to_scalar() {
-        let mut rng = Rng(5);
-        for _ in 0..10_000 {
-            let a: Lane = [
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-            ];
-            let b: Lane = [
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-                rng.uniform(-10.0, 10.0),
-            ];
-            let c = splat(rng.uniform(-1.0, 1.0));
-            for i in 0..WIDTH {
-                assert_eq!(add(a, b)[i].to_bits(), (a[i] + b[i]).to_bits());
-                assert_eq!(mul(a, b)[i].to_bits(), (a[i] * b[i]).to_bits());
-                assert_eq!(
-                    mul_add(a, b, c)[i].to_bits(),
-                    (a[i] * b[i] + c[i]).to_bits()
-                );
-                assert_eq!(max(a, b)[i].to_bits(), a[i].max(b[i]).to_bits());
-                assert_eq!(sqrt(a)[i].to_bits(), a[i].sqrt().to_bits());
             }
         }
     }

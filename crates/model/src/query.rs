@@ -20,6 +20,7 @@ use std::sync::Arc;
 use maly_cost_model::product::ProductScenario;
 use maly_cost_model::scenario::{Scenario1, Scenario2};
 use maly_cost_model::surface::CostSurface;
+use maly_cost_model::CostError;
 use maly_cost_optim::search::optimal_feature_size_with;
 use maly_fabline_sim::cost::{product_mix_study, FabEconomics};
 use maly_fabline_sim::mc::{self, McConfig};
@@ -1086,11 +1087,23 @@ impl Query {
             } => {
                 check_window(*lambda_min, *lambda_max, *steps, MAX_SWEEP_STEPS)?;
                 let s2 = Scenario2::fig7(*x)?;
-                let series = s2.sweep(
-                    Microns::new(*lambda_min)?,
-                    Microns::new(*lambda_max)?,
-                    *steps,
-                )?;
+                let series = s2
+                    .sweep(
+                        Microns::new(*lambda_min)?,
+                        Microns::new(*lambda_max)?,
+                        *steps,
+                    )
+                    // The window is checked, so a unit failure here is
+                    // the Fig 3 die area underflowing at the top of it.
+                    .map_err(|e| match e {
+                        CostError::InvalidInput(unit) => Error::InvalidField {
+                            field: "lambda_max",
+                            message: format!(
+                                "the die-size trend has no positive area up to λ = {lambda_max} µm: {unit}"
+                            ),
+                        },
+                        other => other.into(),
+                    })?;
                 Ok(QueryResponse::Sweep(sweep_points(series)))
             }
             Query::SurfaceTile {

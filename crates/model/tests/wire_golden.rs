@@ -380,3 +380,45 @@ fn products_outside_the_bound_are_rejected_with_pinned_bytes() {
         assert!(query.evaluate().is_ok(), "{query:?}");
     }
 }
+
+/// Queries that reach the Fig 3 die-size trend past its domain (the
+/// area underflows to 0 cm² above ~140.6 µm) fail with pinned error
+/// bytes where they once panicked: a Scenario #2 window as
+/// `invalid-field` on `lambda_max`, and a roadmap whose early years
+/// extrapolate λ that far as `unit`. A window just inside the domain
+/// answers.
+#[test]
+fn queries_past_the_die_trend_are_rejected_with_pinned_bytes() {
+    use maly_model::error::KIND_REGISTRY;
+    use maly_model::json::Json;
+    let sweep = |lambda_max| Query::Scenario2Sweep {
+        x: 2.0,
+        lambda_min: 0.5,
+        lambda_max,
+        steps: 3,
+    };
+    let roadmap = Query::Roadmap {
+        from: 1800,
+        to: 1802,
+    };
+    for (query, expected) in [
+        (
+            sweep(200.0),
+            "{\"kind\":\"invalid-field\",\"message\":\"invalid field `lambda_max`: the die-size trend has no positive area up to λ = 200 µm: square centimeters must be positive, got 0\"}",
+        ),
+        (
+            roadmap,
+            "{\"kind\":\"unit\",\"message\":\"square centimeters must be positive, got 0\"}",
+        ),
+    ] {
+        let error = query.evaluate().expect_err("area underflows");
+        assert!(KIND_REGISTRY.contains(&error.kind()));
+        let wire = Json::obj(vec![
+            ("kind", Json::Str(error.kind().to_string())),
+            ("message", Json::Str(error.to_string())),
+        ])
+        .write();
+        assert_eq!(wire, expected, "{query:?}");
+    }
+    assert!(sweep(140.0).evaluate().is_ok());
+}

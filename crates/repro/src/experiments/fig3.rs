@@ -40,12 +40,14 @@ pub fn report() -> ExperimentReport {
         rel_err_percent(fitted.rate_per_um(), -5.3),
     ]);
     for node in [0.8, 0.5, 0.25] {
-        let lam = Microns::new(node).expect("positive");
+        let (a_paper, a_fitted) = Microns::new(node)
+            .and_then(|lam| Ok((paper.area_at(lam)?.value(), fitted.area_at(lam)?.value())))
+            .expect("printed nodes lie inside the trend's domain");
         table.row(vec![
             format!("A_ch({node}) [cm²]"),
-            format!("{:.3}", paper.area_at(lam).value()),
-            format!("{:.3}", fitted.area_at(lam).value()),
-            rel_err_percent(fitted.area_at(lam).value(), paper.area_at(lam).value()),
+            format!("{a_paper:.3}"),
+            format!("{a_fitted:.3}"),
+            rel_err_percent(a_fitted, a_paper),
         ]);
     }
 

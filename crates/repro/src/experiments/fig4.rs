@@ -13,9 +13,9 @@ use maly_model::context;
 /// Fig-3-trend die at 70% yield under Poisson statistics,
 /// `D_req(λ) = −ln(0.7) / A_ch(λ)`.
 fn derived_required_density(lambda: f64) -> f64 {
-    let area = context::shared()
-        .die_size_paper
-        .area_at(Microns::new(lambda).expect("positive node"))
+    let area = Microns::new(lambda)
+        .and_then(|l| context::shared().die_size_paper.area_at(l))
+        .expect("positive node inside the trend's domain")
         .value();
     -(0.7f64.ln()) / area
 }

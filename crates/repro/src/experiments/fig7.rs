@@ -40,15 +40,17 @@ pub fn report() -> ExperimentReport {
             .map(|(l, c)| (l, c.to_micro_dollars().value()))
             .collect();
         plot = plot.with_series(format!("X={x}"), &series);
-        let at_08 = s2
-            .cost_per_transistor(Microns::new(0.8).expect("positive"))
-            .to_micro_dollars()
-            .value();
-        let at_quarter = s2
-            .cost_per_transistor(Microns::new(0.25).expect("positive"))
-            .to_micro_dollars()
-            .value();
-        let y = s2.die_yield(Microns::new(0.25).expect("positive"));
+        // Eq. (9) in µ$ and the die yield at a printed node.
+        let at = |node: f64| {
+            Microns::new(node)
+                .and_then(|l| {
+                    let cost = s2.cost_per_transistor(l)?.to_micro_dollars().value();
+                    Ok((cost, s2.die_yield(l)?))
+                })
+                .expect("printed nodes lie inside the trend's domain")
+        };
+        let (at_08, _) = at(0.8);
+        let (at_quarter, y) = at(0.25);
         table.row(vec![
             format!("{x}"),
             format!("{at_08:.2}"),
@@ -88,15 +90,20 @@ pub fn series_csv() -> String {
     let rows: Vec<Vec<String>> = (0..steps)
         .map(|i| {
             let l = lo + (hi - lo) * f64::from(i) / f64::from(steps - 1);
-            let lambda = Microns::new(l).expect("positive");
-            let mut row = vec![format!("{l}")];
-            row.extend(scenarios.iter().map(|s| {
-                format!(
-                    "{}",
-                    s.cost_per_transistor(lambda).to_micro_dollars().value()
-                )
-            }));
-            row
+            let costs = Microns::new(l)
+                .and_then(|lambda| {
+                    scenarios
+                        .iter()
+                        .map(|s| {
+                            Ok(format!(
+                                "{}",
+                                s.cost_per_transistor(lambda)?.to_micro_dollars().value()
+                            ))
+                        })
+                        .collect::<Result<Vec<_>, _>>()
+                })
+                .expect("the printed sweep lies inside the trend's domain");
+            std::iter::once(format!("{l}")).chain(costs).collect()
         })
         .collect();
     maly_viz::csv::to_csv(
@@ -137,8 +144,12 @@ mod tests {
     fn every_curve_rises_toward_small_lambda() {
         for x in figures::fig7().x_values {
             let s2 = Scenario2::fig7(x).unwrap();
-            let penalty = s2.cost_per_transistor(Microns::new(0.25).unwrap()).value()
-                / s2.cost_per_transistor(Microns::new(0.8).unwrap()).value();
+            let cost = |l: f64| {
+                s2.cost_per_transistor(Microns::new(l).unwrap())
+                    .unwrap()
+                    .value()
+            };
+            let penalty = cost(0.25) / cost(0.8);
             assert!(penalty > 2.0, "X={x}: penalty {penalty}");
         }
         assert!(report().body.contains("increase in the transistor cost"));

@@ -401,6 +401,63 @@ fn subnormal_transistor_count_is_an_invalid_field_and_the_connection_survives() 
     join.join().expect("server thread exits cleanly");
 }
 
+/// Sends `line` alone on a fresh connection and returns everything the
+/// server writes back before closing, or panics after 5 s of silence.
+fn answer_alone(addr: &str, line: &str) -> String {
+    use std::io::{Read, Write};
+    let mut stream = client::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut answer = String::new();
+    stream
+        .read_to_string(&mut answer)
+        .unwrap_or_else(|e| panic!("no answer to {line}: {e}"));
+    answer
+}
+
+/// A Scenario #2 window whose top lies past the Fig 3 trend's domain
+/// (the die area underflows to 0 cm² above ~140.6 µm) is an
+/// `invalid-field` on `lambda_max`. Sent twice, once per worker of the
+/// default two, it must leave both workers serving.
+#[test]
+fn scenario2_window_past_the_die_trend_is_an_invalid_field_and_workers_survive() {
+    let _guard = lock();
+    let (handle, join) = start(ServeConfig::default().workers(2));
+    let addr = handle.addr().to_string();
+    let found = "{\"type\": \"scenario2_sweep\", \"x\": 2.0, \"lambda_min\": 0.5, \
+                 \"lambda_max\": 200.0, \"steps\": 3}";
+    let line = format!("{{\"id\": 1, \"query\": {found}}}");
+    for _ in 0..2 {
+        let answer = answer_alone(&addr, &line);
+        assert_eq!(answer.matches('\n').count(), 1, "{answer}");
+        let v = json::parse(answer.trim_end()).expect("protocol JSON");
+        let error = v.get("error").expect("error answer");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("invalid-field")
+        );
+        assert!(error
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("`lambda_max`")));
+    }
+    let answer = answer_alone(
+        &addr,
+        "{\"id\": 2, \"query\": {\"type\": \"table3_row\", \"id\": 1}}",
+    );
+    let ok = client::decode_response(answer.trim_end()).expect("table3_row answers");
+    assert_eq!(ok.get("kind").and_then(Json::as_str), Some("table3"));
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}
+
 #[test]
 fn oversized_payloads_are_rejected_and_the_connection_closed() {
     let _guard = lock();

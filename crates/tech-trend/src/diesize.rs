@@ -24,7 +24,7 @@ use crate::fit;
 /// assert_eq!(trend.amplitude_cm2(), 16.5);
 /// assert_eq!(trend.rate_per_um(), -5.3);
 /// // At 0.5 µm a leading die is ~1.16 cm².
-/// let a = trend.area_at(Microns::new(0.5)?);
+/// let a = trend.area_at(Microns::new(0.5)?)?;
 /// assert!((a.value() - 1.16).abs() < 0.01);
 /// # Ok(())
 /// # }
@@ -96,10 +96,13 @@ impl DieSizeTrend {
     }
 
     /// Die area at feature size λ.
-    #[must_use]
-    pub fn area_at(&self, lambda: Microns) -> SquareCentimeters {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnitError::NotPositive`] where `e^{b·λ}` underflows and
+    /// the area rounds to 0 cm² (λ above ~140.6 µm for the paper fit).
+    pub fn area_at(&self, lambda: Microns) -> Result<SquareCentimeters, UnitError> {
         SquareCentimeters::new(self.amplitude_cm2 * (self.rate_per_um * lambda.value()).exp())
-            .expect("positive amplitude and finite exponent")
     }
 }
 
@@ -116,8 +119,8 @@ mod tests {
     fn paper_fit_values_at_key_nodes() {
         let t = DieSizeTrend::paper_fit();
         // Spot values used when validating Fig 7 by hand.
-        assert!((t.area_at(um(0.8)).value() - 0.238).abs() < 5e-3);
-        assert!((t.area_at(um(0.25)).value() - 4.387).abs() < 5e-3);
+        assert!((t.area_at(um(0.8)).unwrap().value() - 0.238).abs() < 5e-3);
+        assert!((t.area_at(um(0.25)).unwrap().value() - 4.387).abs() < 5e-3);
     }
 
     #[test]
@@ -125,7 +128,7 @@ mod tests {
         let t = DieSizeTrend::paper_fit();
         let mut last = 0.0;
         for l in [1.0, 0.8, 0.65, 0.5, 0.35, 0.25] {
-            let a = t.area_at(um(l)).value();
+            let a = t.area_at(um(l)).unwrap().value();
             assert!(a > last);
             last = a;
         }
@@ -144,6 +147,17 @@ mod tests {
             "rate {}",
             t.rate_per_um()
         );
+    }
+
+    #[test]
+    fn area_underflow_is_an_error_not_a_panic() {
+        // 16.5 · e^{−5.3·200} underflows to 0 cm², which no area holds.
+        let t = DieSizeTrend::paper_fit();
+        assert!(t.area_at(um(140.0)).is_ok());
+        assert!(matches!(
+            t.area_at(um(200.0)),
+            Err(UnitError::NotPositive { .. })
+        ));
     }
 
     #[test]

@@ -139,16 +139,15 @@ const CHORD_BLOCK: usize = 256;
 /// Batched eq. (4): die counts for a slice of dies on one wafer, as a
 /// λ-sweep produces (one die geometry per feature-size sample).
 ///
-/// The wafer's usable radius (and its square) is hoisted once, and one
-/// fixed-size scratch table of `R_j` chords is shared across the whole
-/// batch: for each die, blocks of boundary half-widths `R_j = sqrt(R_w²
-/// − (j·b − R_w)²)` are filled in branchless four-wide lane blocks
-/// ([`maly_lanes`]), then the row sum reads neighbouring chords from
-/// the table. Every lane element performs the *same* correctly rounded
-/// IEEE operations as the scalar loop (`sqrt(max(sq, 0))` replaces the
-/// `sq <= 0` branch with identical bits), so each count stays
-/// bit-identical — integer-exact — to the scalar [`dies_per_wafer`],
-/// which remains the reference path.
+/// The wafer's usable radius is hoisted once, and one fixed-size
+/// scratch table of `R_j` chords is shared across the whole batch: for
+/// each die, blocks of boundary half-widths `R_j = sqrt(R_w² − (j·b −
+/// R_w)²)` are filled by a plain branch-free loop, then a second pass
+/// reads neighbouring chords from the table. Each chord is the *same*
+/// correctly rounded IEEE expression as the scalar loop's
+/// (`sqrt(max(sq, 0))` gives the `sq <= 0` branch's zero count), so
+/// each count stays bit-identical — integer-exact — to the scalar
+/// [`dies_per_wafer`], which remains the reference path.
 #[must_use]
 pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
     let r_w = wafer.usable_radius().value();
@@ -176,7 +175,12 @@ fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut [f64; CHORD_BLOCK +
     while first < rows && total < u32::MAX {
         let len = (rows - first).min(CHORD_BLOCK as u64) as usize;
         let table = &mut chords[..=len];
-        fill_chord_table(r_w, b, first, table);
+        // The wafer half-width at heights `k·b`, from the scalar
+        // kernel's own `R_w² − d²`.
+        for (k, chord) in (first..).zip(table.iter_mut()) {
+            let d = k as f64 * b - r_w;
+            *chord = (r_w * r_w - d * d).max(0.0).sqrt();
+        }
         // At most 256 rows of at most `u32::MAX` dies each: no overflow.
         let mut block: u64 = 0;
         for j in 0..len {
@@ -186,37 +190,6 @@ fn row_sum_from_table(r_w: f64, a: f64, b: f64, chords: &mut [f64; CHORD_BLOCK +
         first += len as u64;
     }
     DieCount::new(total)
-}
-
-/// Fills `chords` with the wafer half-width at heights `k·b` for
-/// `k = first..first + chords.len()`, in four-wide lane blocks with the
-/// odd tail computed by the same elementwise formula. `d·(−d) + R_w²` is
-/// bit-identical to the scalar kernel's `R_w² − d²` (negation and
-/// subtraction are exact sign manipulations), and lane `sqrt` is the
-/// correctly rounded IEEE primitive, so the table matches the scalar
-/// recurrence bit for bit.
-fn fill_chord_table(r_w: f64, b: f64, first: u64, chords: &mut [f64]) {
-    use maly_lanes as lanes;
-    let n = chords.len();
-    let r_sq = r_w * r_w;
-    let neg_r = lanes::splat(-r_w);
-    let height = |k: usize| (first + k as u64) as f64 * b;
-    let mut k = 0usize;
-    while k + lanes::WIDTH <= n {
-        let h: lanes::Lane = [height(k), height(k + 1), height(k + 2), height(k + 3)];
-        let d = lanes::add(h, neg_r);
-        let neg_d = lanes::mul(d, lanes::splat(-1.0));
-        let sq = lanes::mul_add(d, neg_d, lanes::splat(r_sq));
-        let chord = lanes::sqrt(lanes::max(sq, lanes::splat(0.0)));
-        chords[k..k + lanes::WIDTH].copy_from_slice(&chord);
-        k += lanes::WIDTH;
-    }
-    while k < n {
-        let d = height(k) - r_w;
-        let sq = d * -d + r_sq;
-        chords[k] = sq.max(0.0).sqrt();
-        k += 1;
-    }
 }
 
 /// Dies per wafer for the better of the two die orientations

@@ -88,9 +88,9 @@ pub const PANIC_BUDGETS: &[(&str, usize)] = &[
     ("maly-obs", 0),
     ("maly-paper-data", 0),
     ("maly-par", 0),
-    ("maly-repro", 55),
+    ("maly-repro", 53),
     ("maly-serve", 0),
-    ("maly-tech-trend", 1),
+    ("maly-tech-trend", 0),
     ("maly-test-economics", 2),
     ("maly-units", 3),
     ("maly-viz", 1),

@@ -45,8 +45,8 @@ fn fig7_shape_rising_penalty_grows_with_x() {
     let mut last_penalty = 0.0;
     for x in [1.8, 2.0, 2.2, 2.4] {
         let s = Scenario2::fig7(x).unwrap();
-        let penalty =
-            s.cost_per_transistor(um(0.25)).value() / s.cost_per_transistor(um(0.8)).value();
+        let penalty = s.cost_per_transistor(um(0.25)).unwrap().value()
+            / s.cost_per_transistor(um(0.8)).unwrap().value();
         assert!(penalty > 2.0, "X={x}: penalty {penalty}");
         assert!(
             penalty > last_penalty,
@@ -62,8 +62,14 @@ fn fig7_shape_rising_penalty_grows_with_x() {
 fn scenario_flip_is_yield_driven() {
     let base = Scenario1::fig6(1.2).unwrap();
     let perfect_yield_s2 = Scenario2::new(base, Probability::ONE, DieSizeTrend::paper_fit());
-    let falls = perfect_yield_s2.cost_per_transistor(um(0.25)).value()
-        < perfect_yield_s2.cost_per_transistor(um(1.0)).value();
+    let falls = perfect_yield_s2
+        .cost_per_transistor(um(0.25))
+        .unwrap()
+        .value()
+        < perfect_yield_s2
+            .cost_per_transistor(um(1.0))
+            .unwrap()
+            .value();
     assert!(falls, "with Y=1, shrinking must stay profitable");
 }
 
@@ -75,7 +81,8 @@ fn scenario_flip_is_yield_driven() {
 fn shrink_crossover_x_is_between_the_scenarios() {
     let pays = |x: f64| {
         let s = Scenario2::fig7(x).unwrap();
-        s.cost_per_transistor(um(0.5)).value() < s.cost_per_transistor(um(0.8)).value()
+        s.cost_per_transistor(um(0.5)).unwrap().value()
+            < s.cost_per_transistor(um(0.8)).unwrap().value()
     };
     // Find the flip on a fine grid.
     let mut crossover = None;
