@@ -94,6 +94,9 @@ grep -q '"name":"model.queries"' target/trace_serve_ci.ndjson
 # counter in the exported trace, and its repeat (id 5) the hit counter.
 grep -q '"name":"model.tile_misses"' target/trace_serve_ci.ndjson
 grep -q '"name":"model.tile_hits"' target/trace_serve_ci.ndjson
+# Every context registers its eviction counter, so a trace tells
+# whether misses followed evictions even when none happened.
+grep -q '"name":"model.tile_evictions"' target/trace_serve_ci.ndjson
 # The served chiplet sweep (id 6, sent under an explicit v:1 envelope)
 # must surface the partition-search counters in the same trace.
 grep -q '"name":"chiplet.partitions"' target/trace_serve_ci.ndjson

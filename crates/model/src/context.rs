@@ -10,14 +10,23 @@
 //!
 //! On top of the static artifacts, [`EvalContext`] owns a bounded cache
 //! of *surface tiles* keyed by quantized query parameters. An entry is
-//! the tile's serialized `ok` body ([`SurfaceBody`]), built once when
-//! the tile enters the cache; the grid it came from is dropped. A
-//! repeated `surface_tile` query for the same window answers with a
-//! reference-count bump — no grid cell re-evaluated, no number
+//! the tile's serialized `ok` body ([`SurfaceBody`]), written straight
+//! from the grid once, when the tile enters the cache; the grid is then
+//! dropped. A repeated `surface_tile` query for the same window answers
+//! with a reference-count bump — no grid cell re-evaluated, no number
 //! re-formatted — and the response splices the body into its envelope
 //! through [`crate::json::Json::Raw`]. The obs counters below make
 //! that checkable: the warm-cache integration test asserts
 //! `model.tile_cells` does not move on a repeat query.
+//!
+//! A full cache makes room one tile at a time: the new tile overwrites
+//! one slot, picked by the context's own SplitMix64 sequence. Clients
+//! sweep sliding windows cyclically, and on a cyclic scan longer than
+//! the cache LRU, FIFO and CLOCK replacement all miss every time; a
+//! random victim keeps part of the cycle warm. The sequence advances
+//! once per eviction, so the victims depend only on the order tiles
+//! enter the cache, and a hit stays a read-locked lookup with no
+//! bookkeeping.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -29,8 +38,9 @@ use maly_par::Executor;
 use maly_tech_trend::diesize::DieSizeTrend;
 use maly_tech_trend::fit::{CostEscalationFit, ExponentialFit};
 use maly_tech_trend::{datasets, fit};
+use maly_yield_model::prng::{SplitMix64, UniformSource};
 
-use crate::query::{SurfaceBody, SurfaceReport};
+use crate::query::SurfaceBody;
 
 /// The Fig 8 grid the reports render: `(λ min, λ max, steps)`.
 pub const FIG8_LAMBDA_RANGE: (f64, f64, usize) = (0.4, 1.5, 56);
@@ -47,12 +57,16 @@ pub static QUERIES: maly_obs::Counter = maly_obs::Counter::work("model.queries")
 pub static TILE_HITS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_hits");
 /// Surface-tile cache misses (diagnostic).
 pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_misses");
+/// Tile bodies dropped to make room in a full cache, one per eviction
+/// (diagnostic). Registered when a context is built, so `server_stats`
+/// reports it, zero or not, next to the hits and misses.
+pub static TILE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_evictions");
 /// Per-query evaluation latency, attached to the `model.query` span.
 pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.eval_ns");
 /// Batch planning latency (compile + fused prefetch + scatter),
 /// attached to the `model.plan` span.
 pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.plan_ns");
-/// Serializing one cold tile into its cached body, attached to the
+/// Writing one cold tile into its cached body, attached to the
 /// `model.tile_serialize` span (nested in the span of the query or
 /// batch that missed).
 pub static TILE_SERIALIZE_NS: maly_obs::Histogram =
@@ -153,12 +167,61 @@ impl TileKey {
     }
 }
 
-/// Most tiles a server keeps warm. An entry is the tile's serialized
-/// body, ~23 B per cell: 64 KiB for the 56×48 Fig 8 report tile, 4–15
-/// KiB for 12–24-step windows, ~6 MiB for a 512×512 tile at
-/// `MAX_TILE_STEPS`. The 16 B-per-cell grid a body came from is not
-/// kept, so every hit is a reference-count bump and one copy.
+/// Most tiles a server keeps warm; one more evicts one. An entry is
+/// the tile's serialized body, ~23 B per cell: 64 KiB for the 56×48
+/// Fig 8 report tile, 4–15 KiB for 12–24-step windows, ~6 MiB for a
+/// 512×512 tile at `MAX_TILE_STEPS`. The 16 B-per-cell grid a body came
+/// from is not kept, so every hit is a reference-count bump and one
+/// copy.
 const TILE_CACHE_CAPACITY: usize = 64;
+
+/// The tile bodies behind [`EvalContext`]'s lock, with the slots random
+/// replacement picks its victims from.
+#[derive(Debug)]
+struct TileCache {
+    bodies: HashMap<TileKey, SurfaceBody>,
+    /// The key each slot holds, in insertion order until the cache
+    /// fills; then a new tile overwrites the slot of its victim.
+    slots: Vec<TileKey>,
+    /// Picks the victim slot, one draw per eviction.
+    victims: SplitMix64,
+}
+
+impl TileCache {
+    fn new() -> Self {
+        Self {
+            bodies: HashMap::with_capacity(TILE_CACHE_CAPACITY),
+            slots: Vec::with_capacity(TILE_CACHE_CAPACITY),
+            victims: SplitMix64::new(0),
+        }
+    }
+
+    /// Caches `body` under `key`, evicting one body if the cache is
+    /// full, and returns the change in bytes held.
+    fn insert(&mut self, key: TileKey, body: SurfaceBody) -> i64 {
+        let mut delta = body_len(&body);
+        if let Some(held) = self.bodies.get_mut(&key) {
+            // Two threads that miss the same key both insert; the
+            // bodies are equal, and the second replaces the first in
+            // place without evicting anything.
+            delta -= body_len(held);
+            *held = body;
+            return delta;
+        }
+        if self.slots.len() < TILE_CACHE_CAPACITY {
+            self.slots.push(key);
+        } else {
+            let slot = (self.victims.next_u64() % TILE_CACHE_CAPACITY as u64) as usize;
+            let victim = std::mem::replace(&mut self.slots[slot], key);
+            if let Some(old) = self.bodies.remove(&victim) {
+                delta -= body_len(&old);
+            }
+            TILE_EVICTIONS.incr();
+        }
+        self.bodies.insert(key, body);
+        delta
+    }
+}
 
 /// The query API's long-lived state: the shared artifacts plus a
 /// bounded cache of serialized surface tiles and a bounded eq. (4)
@@ -168,7 +231,7 @@ const TILE_CACHE_CAPACITY: usize = 64;
 /// sizes, so a served context gets its inserts back.
 #[derive(Debug)]
 pub struct EvalContext {
-    tiles: RwLock<HashMap<TileKey, SurfaceBody>>,
+    tiles: RwLock<TileCache>,
     memo: Memo,
 }
 
@@ -183,8 +246,9 @@ impl EvalContext {
     /// and need no per-context setup).
     #[must_use]
     pub fn new() -> Self {
+        TILE_EVICTIONS.add(0);
         Self {
-            tiles: RwLock::new(HashMap::new()),
+            tiles: RwLock::new(TileCache::new()),
             memo: Memo::new(),
         }
     }
@@ -212,7 +276,7 @@ impl EvalContext {
     ) -> SurfaceBody {
         let key = TileKey::new(lambda_range, n_tr_range);
         if let Ok(cache) = self.tiles.read() {
-            if let Some(body) = cache.get(&key) {
+            if let Some(body) = cache.bodies.get(&key) {
                 TILE_HITS.incr();
                 return body.clone();
             }
@@ -236,7 +300,7 @@ impl EvalContext {
     pub(crate) fn has_tile(&self, key: &TileKey) -> bool {
         self.tiles
             .read()
-            .map(|c| c.contains_key(key))
+            .map(|c| c.bodies.contains_key(key))
             .unwrap_or(false)
     }
 
@@ -252,27 +316,16 @@ impl EvalContext {
         self.store_tile(key, tile);
     }
 
-    /// Serializes a cold tile — the one time its numbers are
-    /// formatted — and caches the body.
+    /// Writes a cold tile's body straight from its grid — the one time
+    /// its numbers are formatted — and caches it, evicting one body if
+    /// the cache is full.
     fn store_tile(&self, key: TileKey, tile: &CostSurface) -> SurfaceBody {
         let body = {
             let _span = maly_obs::span("model.tile_serialize").with_histogram(&TILE_SERIALIZE_NS);
-            SurfaceBody::from(&SurfaceReport::from_surface(tile))
+            SurfaceBody::from_surface(tile)
         };
         if let Ok(mut cache) = self.tiles.write() {
-            if cache.len() >= TILE_CACHE_CAPACITY {
-                // Bounded, not LRU: full flush is simple, deterministic
-                // in effect (the next query recomputes), and the
-                // capacity is far above any real request mix.
-                TILE_CACHE_BYTES.add(-body_bytes(cache.values()));
-                cache.clear();
-            }
-            TILE_CACHE_BYTES.add(body_bytes([&body]));
-            // Two threads that miss the same key both insert; the
-            // bodies are equal, and the gauge drops the one replaced.
-            if let Some(old) = cache.insert(key, body.clone()) {
-                TILE_CACHE_BYTES.add(-body_bytes([&old]));
-            }
+            TILE_CACHE_BYTES.add(cache.insert(key, body.clone()));
         }
         body
     }
@@ -280,7 +333,7 @@ impl EvalContext {
     /// Number of cached tiles (for tests and diagnostics).
     #[must_use]
     pub fn cached_tiles(&self) -> usize {
-        self.tiles.read().map(|c| c.len()).unwrap_or(0)
+        self.tiles.read().map(|c| c.bodies.len()).unwrap_or(0)
     }
 
     /// The eq. (4) memo this context's kernel dispatches share.
@@ -299,14 +352,19 @@ impl EvalContext {
 impl Drop for EvalContext {
     fn drop(&mut self) {
         if let Ok(cache) = self.tiles.get_mut() {
-            TILE_CACHE_BYTES.add(-body_bytes(cache.values()));
+            let held: i64 = cache
+                .slots
+                .iter()
+                .map(|k| cache.bodies.get(k).map_or(0, body_len))
+                .sum();
+            TILE_CACHE_BYTES.add(-held);
         }
     }
 }
 
-/// Total length of the given bodies, as a gauge delta.
-fn body_bytes<'a>(bodies: impl IntoIterator<Item = &'a SurfaceBody>) -> i64 {
-    bodies.into_iter().map(|b| b.as_str().len() as i64).sum()
+/// A body's length, as a gauge delta.
+fn body_len(body: &SurfaceBody) -> i64 {
+    body.as_str().len() as i64
 }
 
 /// Serializes lib tests that read the process-global counters; cargo
@@ -325,6 +383,27 @@ mod tests {
 
     use super::*;
     use crate::json::Json;
+    use crate::query::SurfaceReport;
+
+    /// The body the tree writer gives a tile: the cache must hold
+    /// exactly these bytes.
+    fn oracle(tile: &CostSurface) -> String {
+        SurfaceReport {
+            lambda_axis: tile.lambda_axis().to_vec(),
+            n_tr_axis: tile.n_tr_axis().to_vec(),
+            values: tile.values().to_vec(),
+            optimal_lambda_per_n_tr: tile.optimal_lambda_per_n_tr_with(&Executor::serial()),
+            global_minimum: tile.global_minimum(),
+        }
+        .to_json()
+        .write()
+    }
+
+    /// A 2 × 2 tile window, distinct for every `i`.
+    fn small_tile(i: usize) -> ((f64, f64, usize), (f64, f64, usize)) {
+        let lo = 0.4 + 0.01 * i as f64;
+        ((lo, lo + 0.2, 2), (1.0e5, 2.0e5, 2))
+    }
 
     #[test]
     fn shared_context_is_one_instance() {
@@ -423,7 +502,7 @@ mod tests {
         assert_eq!(TILE_HITS.value() - hits0, 1, "surface_tile must hit it");
         assert_eq!(
             again.as_str(),
-            SurfaceReport::from_surface(&tile).to_json().write(),
+            oracle(&tile),
             "the hit answers with the inserted tile's body"
         );
     }
@@ -458,9 +537,9 @@ mod tests {
         let answers = crate::Query::evaluate_batch(&exec, &ctx, &batch);
         assert!(answers.iter().all(Result::is_ok));
         let cache = ctx.tiles.read().unwrap();
-        assert_eq!(cache.len(), 5);
-        assert!(cache.values().any(|b| b.as_str().contains("null")));
-        for body in cache.values() {
+        assert_eq!(cache.bodies.len(), 5);
+        assert!(cache.bodies.values().any(|b| b.as_str().contains("null")));
+        for body in cache.bodies.values() {
             let parsed = crate::json::parse(body.as_str()).expect("cached body is JSON");
             assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("surface"));
             assert_eq!(parsed.write(), body.as_str());
@@ -468,28 +547,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_bytes_gauge_tracks_inserts_flushes_and_drops() {
+    fn cache_bytes_gauge_tracks_inserts_evictions_and_drops() {
         let _guard = counter_test_lock();
         let exec = Executor::serial();
         let params = SurfaceParameters::fig8();
         let bytes0 = TILE_CACHE_BYTES.value();
         let ctx = EvalContext::new();
-        let tile = |i: usize| {
-            let lo = 0.4 + 0.01 * i as f64;
-            ((lo, lo + 0.2, 2), (1.0e5, 2.0e5, 2))
+        let held = |ctx: &EvalContext| -> i64 {
+            ctx.tiles
+                .read()
+                .unwrap()
+                .bodies
+                .values()
+                .map(body_len)
+                .sum()
         };
-        let mut held = 0;
         for i in 0..TILE_CACHE_CAPACITY {
-            let (l, n) = tile(i);
-            held += ctx.surface_tile(&exec, &params, l, n).as_str().len() as i64;
+            let (l, n) = small_tile(i);
+            ctx.surface_tile(&exec, &params, l, n);
+            assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held(&ctx), "tile {i}");
         }
-        assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held);
+        assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
         let stats = crate::query::StatsReport::capture();
         assert!(
             stats
                 .gauges
                 .iter()
-                .any(|(name, v)| name == "model.tile_cache_bytes" && *v >= held),
+                .any(|(name, v)| name == "model.tile_cache_bytes" && *v >= held(&ctx)),
             "server_stats exports the gauge: {:?}",
             stats.gauges
         );
@@ -500,17 +584,92 @@ mod tests {
                 .all(|(name, _)| !name.starts_with("model.tile_cache")),
             "the gauge is no Work counter"
         );
-        // One more tile flushes the full cache: only the new body stays.
-        let (l, n) = tile(TILE_CACHE_CAPACITY);
-        let last = ctx.surface_tile(&exec, &params, l, n).as_str().len() as i64;
-        assert_eq!(ctx.cached_tiles(), 1);
-        assert_eq!(TILE_CACHE_BYTES.value() - bytes0, last);
+        assert!(
+            stats
+                .diag
+                .iter()
+                .any(|(name, _)| name == "model.tile_evictions"),
+            "server_stats exports the eviction count: {:?}",
+            stats.diag
+        );
+        // Each tile past capacity evicts exactly one body.
+        for i in TILE_CACHE_CAPACITY..2 * TILE_CACHE_CAPACITY {
+            let evictions0 = TILE_EVICTIONS.value();
+            let (l, n) = small_tile(i);
+            let body = ctx.surface_tile(&exec, &params, l, n);
+            assert_eq!(TILE_EVICTIONS.value() - evictions0, 1, "tile {i}");
+            assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY, "tile {i}");
+            assert!(ctx.has_tile(&TileKey::new(l, n)), "tile {i} is cached");
+            assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held(&ctx), "tile {i}");
+            assert!(body.as_str().starts_with("{\"kind\":\"surface\""));
+        }
         drop(ctx);
         assert_eq!(
             TILE_CACHE_BYTES.value(),
             bytes0,
             "a dropped cache holds nothing"
         );
+    }
+
+    #[test]
+    fn reinserting_a_cached_key_evicts_nothing() {
+        let _guard = counter_test_lock();
+        let exec = Executor::serial();
+        let params = SurfaceParameters::fig8();
+        let ctx = EvalContext::new();
+        for i in 0..TILE_CACHE_CAPACITY {
+            let (l, n) = small_tile(i);
+            ctx.surface_tile(&exec, &params, l, n);
+        }
+        // The planner materializes a window a connection worker has
+        // just cached: the full cache takes it back in place.
+        let (l, n) = small_tile(TILE_CACHE_CAPACITY - 1);
+        let tile = CostSurface::compute_with(&exec, &params, l, n);
+        let evictions0 = TILE_EVICTIONS.value();
+        ctx.insert_cold_tile(TileKey::new(l, n), 4, &tile);
+        assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
+        assert_eq!(TILE_EVICTIONS.value(), evictions0);
+        let (hits0, cells0) = (TILE_HITS.value(), TILE_CELLS.value());
+        let (l, n) = small_tile(0);
+        ctx.surface_tile(&exec, &params, l, n);
+        assert_eq!(TILE_HITS.value() - hits0, 1, "the oldest tile still hits");
+        assert_eq!(TILE_CELLS.value(), cells0, "and evaluates no cell");
+    }
+
+    #[test]
+    fn fresh_contexts_evict_the_same_tiles() {
+        let _guard = counter_test_lock();
+        let exec = Executor::serial();
+        let params = SurfaceParameters::fig8();
+        // A cyclic sweep over one and a half cache's worth of windows,
+        // twice: 3 × capacity requests, evicting and hitting.
+        let run = || {
+            let ctx = EvalContext::new();
+            let (hits0, misses0, evictions0) = (
+                TILE_HITS.value(),
+                TILE_MISSES.value(),
+                TILE_EVICTIONS.value(),
+            );
+            for k in 0..3 * TILE_CACHE_CAPACITY {
+                let (l, n) = small_tile(k % (3 * TILE_CACHE_CAPACITY / 2));
+                ctx.surface_tile(&exec, &params, l, n);
+            }
+            let deltas = (
+                TILE_HITS.value() - hits0,
+                TILE_MISSES.value() - misses0,
+                TILE_EVICTIONS.value() - evictions0,
+            );
+            let keys: std::collections::HashSet<TileKey> =
+                ctx.tiles.read().unwrap().bodies.keys().copied().collect();
+            (deltas, keys)
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first, second);
+        let (hits, misses, evictions) = first.0;
+        assert!(hits > 0, "the second cycle hits part of the first");
+        assert_eq!(hits + misses, 3 * TILE_CACHE_CAPACITY as u64);
+        assert_eq!(evictions, misses - TILE_CACHE_CAPACITY as u64);
+        assert_eq!(first.1.len(), TILE_CACHE_CAPACITY);
     }
 
     #[test]

@@ -109,15 +109,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Shortest round-trip representation: parsing it
-                    // back yields the same bits.
-                    crate::shortest::push_f64(out, *v);
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => push_num(out, *v),
             Json::Str(s) => write_string(s, out),
             Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
@@ -143,6 +135,17 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Writes a number as [`Json::write`] does: shortest round-trip text,
+/// so parsing it back yields the same bits, and `null` for the
+/// non-finite values JSON cannot spell.
+pub(crate) fn push_num(out: &mut String, v: f64) {
+    if v.is_finite() {
+        crate::shortest::push_f64(out, v);
+    } else {
+        out.push_str("null");
     }
 }
 

@@ -30,7 +30,7 @@ use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, Tran
 
 use crate::context::{self, EvalContext};
 use crate::error::Error;
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// Most grid steps a single sweep/scan may request — a service bound,
 /// far above anything the paper's figures need (Fig 6/7 use ≤ 481).
@@ -353,22 +353,10 @@ pub struct SurfaceReport {
 }
 
 impl SurfaceReport {
-    /// The report for a computed tile. The per-column optimum scan
-    /// runs serially: it happens once per tile, when the tile enters
-    /// the cache.
-    pub(crate) fn from_surface(tile: &CostSurface) -> Self {
-        Self {
-            lambda_axis: tile.lambda_axis().to_vec(),
-            n_tr_axis: tile.n_tr_axis().to_vec(),
-            values: tile.values().to_vec(),
-            optimal_lambda_per_n_tr: tile.optimal_lambda_per_n_tr_with(&Executor::serial()),
-            global_minimum: tile.global_minimum(),
-        }
-    }
-
     /// The wire form of a surface response — the `ok` body every
-    /// `surface_tile` answer carries. The tile cache stores exactly
-    /// these bytes.
+    /// `surface_tile` answer carries. The tile cache writes the same
+    /// bytes straight from the grid ([`SurfaceBody`]); this tree form
+    /// stays as the oracle the body tests compare against.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -434,6 +422,58 @@ impl SurfaceBody {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// Serializes a computed tile straight from its grid: the bytes
+    /// [`SurfaceReport::to_json`] writes for the tile's report, without
+    /// copying the grid into a report or building a `Json` node per
+    /// number. The per-column optimum scan runs serially: it happens
+    /// once per tile, when the tile enters the cache.
+    pub(crate) fn from_surface(tile: &CostSurface) -> Self {
+        let (lambdas, n_trs) = (tile.lambda_axis(), tile.n_tr_axis());
+        // ~23 B per number, so one reservation holds a typical body.
+        let numbers = lambdas.len() * (n_trs.len() + 1) + 3 * n_trs.len() + 3;
+        let mut out = String::with_capacity(128 + 24 * numbers);
+        let num = |out: &mut String, v: &f64| json::push_num(out, *v);
+        out.push_str("{\"kind\":\"surface\",\"lambda_axis\":");
+        push_list(&mut out, lambdas, num);
+        out.push_str(",\"n_tr_axis\":");
+        push_list(&mut out, n_trs, num);
+        out.push_str(",\"values\":");
+        push_list(&mut out, tile.values(), |out, row| {
+            push_list(out, row, |out, cell| match cell {
+                Some(v) => json::push_num(out, *v),
+                None => out.push_str("null"),
+            });
+        });
+        out.push_str(",\"optimal_lambda_per_n_tr\":");
+        push_list(
+            &mut out,
+            &tile.optimal_lambda_per_n_tr_with(&Executor::serial()),
+            |out, col| match col {
+                Some((l, c)) => push_list(out, &[*l, *c], num),
+                None => out.push_str("null"),
+            },
+        );
+        out.push_str(",\"global_minimum\":");
+        match tile.global_minimum() {
+            Some((l, n, c)) => push_list(&mut out, &[l, n, c], num),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+        Self(Arc::from(out))
+    }
+}
+
+/// Writes `[a,b,…]`, each item through `item`.
+fn push_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, v);
+    }
+    out.push(']');
 }
 
 impl From<&SurfaceReport> for SurfaceBody {

@@ -8,7 +8,10 @@
 //! a fresh `CostSurface::compute`, a `SurfaceReport` filled from its
 //! public accessors, then `SurfaceReport::to_json().write()`. Every
 //! served `ok` payload must equal it byte for byte, at 1, 2 and 8
-//! executor threads.
+//! executor threads. The cache writes its bodies straight from the grid
+//! rather than through that tree, so seeded random windows — with
+//! feasible, partly and wholly infeasible cells, past the cache's
+//! capacity — check the two writers against each other.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -155,6 +158,100 @@ fn in_batch_duplicates_match_the_oracle() {
             served(&answers[1]),
             oracle(other.0, other.1, threads),
             "slot 1 at {threads} threads"
+        );
+    }
+}
+
+/// Deterministic uniform sampler (SplitMix64).
+struct Sampler(u64);
+
+impl Sampler {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        lo + (hi - lo) * u
+    }
+
+    fn steps(&mut self) -> usize {
+        2 + (self.next_u64() % 23) as usize
+    }
+}
+
+/// A window of 2..=24 steps per axis. `N_tr` reaches 10¹⁰, past what
+/// the largest λ can fit on the Fig 8 wafer, so some windows hold
+/// infeasible cells and some nothing but.
+fn random_window(s: &mut Sampler) -> (Range, Range) {
+    let lambda_min = s.uniform(0.3, 1.4);
+    let lambda = (lambda_min, lambda_min + s.uniform(0.02, 1.0), s.steps());
+    let n_tr_min = 10f64.powf(s.uniform(4.0, 9.0));
+    let n_tr = (
+        n_tr_min,
+        n_tr_min * 10f64.powf(s.uniform(0.05, 1.5)),
+        s.steps(),
+    );
+    (lambda, n_tr)
+}
+
+#[test]
+fn random_windows_match_the_oracle() {
+    let _guard = lock();
+    let mut s = Sampler(0x5eed_0b0d_1e5);
+    let windows: Vec<(Range, Range)> = (0..240).map(|_| random_window(&mut s)).collect();
+    let ctx = EvalContext::new();
+    let (mut partial, mut infeasible) = (0, 0);
+    // Alternate single queries and planned batches of four, cycling
+    // the thread count; 240 windows overfill the cache, so later ones
+    // are written into evicted slots.
+    for (g, group) in windows.chunks(4).enumerate() {
+        let threads = THREADS[g % THREADS.len()];
+        let exec = Executor::with_threads(threads);
+        let answers: Vec<_> = if g % 2 == 0 {
+            group
+                .iter()
+                .map(|&(l, n)| tile(l, n).evaluate_with(&exec, &ctx))
+                .collect()
+        } else {
+            let batch: Vec<Query> = group.iter().map(|&(l, n)| tile(l, n)).collect();
+            Query::evaluate_batch(&exec, &ctx, &batch)
+        };
+        for (&(lambda, n_tr), answer) in group.iter().zip(&answers) {
+            let body = served(answer);
+            assert_eq!(
+                body,
+                oracle(lambda, n_tr, threads),
+                "window {lambda:?} × {n_tr:?} at {threads} threads"
+            );
+            if body.ends_with("\"global_minimum\":null}") {
+                infeasible += 1;
+            } else if body.contains("null") {
+                partial += 1;
+            }
+        }
+    }
+    assert!(
+        partial >= 20,
+        "{partial} windows with some infeasible cells"
+    );
+    assert!(
+        infeasible >= 20,
+        "{infeasible} windows with no feasible cell"
+    );
+    // A second pass answers from whatever the cache kept and recomputes
+    // the rest, to the same bytes.
+    let exec = Executor::serial();
+    for &(lambda, n_tr) in windows.iter().rev().take(80) {
+        let answer = tile(lambda, n_tr).evaluate_with(&exec, &ctx);
+        assert_eq!(
+            served(&answer),
+            oracle(lambda, n_tr, 1),
+            "{lambda:?} × {n_tr:?}"
         );
     }
 }

@@ -212,8 +212,9 @@ impl Memo {
     /// Memoized [`crate::maly::dies_per_wafer_batch`]: one pass of
     /// lookups over the dies, with the misses computed through the
     /// batched row-sum kernel and stored back. A warm batch is pure
-    /// lookups; a cold one pays one kernel run plus the inserts. Counts
-    /// are bit-identical to the direct call.
+    /// lookups; a cold one pays one kernel run plus the inserts, under
+    /// one write lock per shard it touches. Counts are bit-identical to
+    /// the direct call.
     #[must_use]
     pub fn dies_per_wafer_batch(&self, wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
         let r_key = quantize(wafer.usable_radius().value());
@@ -221,7 +222,8 @@ impl Memo {
         // them; a flat Vec<DieCount> keeps the warm path free of Option
         // repacking.
         let mut out: Vec<DieCount> = Vec::with_capacity(dies.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
+        // (shard, batch index, key) of each miss.
+        let mut misses: Vec<(usize, usize, Key)> = Vec::new();
         let mut miss_dies: Vec<DieDimensions> = Vec::new();
         {
             // One read acquisition per shard for the whole batch, instead
@@ -231,10 +233,11 @@ impl Memo {
             let guards: Vec<RwLockReadGuard<'_, KeyMap>> = self.shards.iter().map(read).collect();
             for (i, die) in dies.iter().enumerate() {
                 let key = die_key(r_key, die);
-                if let Some(&count) = guards[shard_of(&key)].get(&key) {
+                let shard = shard_of(&key);
+                if let Some(&count) = guards[shard].get(&key) {
                     out.push(DieCount::new(count));
                 } else {
-                    miss_idx.push(i);
+                    misses.push((shard, i, key));
                     miss_dies.push(*die);
                     out.push(DieCount::new(0));
                 }
@@ -248,21 +251,34 @@ impl Memo {
             CACHE_MISSES.add(miss_dies.len() as u64);
             self.misses
                 .fetch_add(miss_dies.len() as u64, Ordering::SeqCst);
+            // Group the misses by shard, keeping batch order within
+            // each, so every touched shard is write-locked once.
+            let mut stores: Vec<(usize, Key, DieCount)> = misses
+                .iter()
+                .zip(&computed)
+                .map(|(&(shard, i, key), &count)| {
+                    out[i] = count;
+                    (shard, key, count)
+                })
+                .collect();
+            stores.sort_by_key(|&(shard, ..)| shard);
             let mut entries = 0i64;
-            for ((&i, die), count) in miss_idx.iter().zip(&miss_dies).zip(&computed) {
-                entries += self.store(die_key(r_key, die), count.value());
-                out[i] = *count;
+            for run in stores.chunk_by(|a, b| a.0 == b.0) {
+                let mut guard = write(&self.shards[run[0].0]);
+                for &(_, key, count) in run {
+                    entries += self.store(&mut guard, key, count.value());
+                }
             }
             CACHE_ENTRIES.add(entries);
         }
         out
     }
 
-    /// Inserts one entry, first emptying the shard if it is full, and
-    /// returns the change in entries held. Clearing keeps the table's
-    /// allocation, so a full shard costs no reallocation.
-    fn store(&self, key: Key, value: u32) -> i64 {
-        let mut guard = write(&self.shards[shard_of(&key)]);
+    /// Inserts one entry into a locked shard, first emptying the shard
+    /// if it is full, and returns the change in entries held. Clearing
+    /// keeps the table's allocation, so a full shard costs no
+    /// reallocation.
+    fn store(&self, guard: &mut KeyMap, key: Key, value: u32) -> i64 {
         let mut delta = 0;
         if guard.len() >= self.shard_capacity && !guard.contains_key(&key) {
             CACHE_EVICTIONS.add(guard.len() as u64);
