@@ -90,10 +90,10 @@ test -n "$KIND"
 sed -n '/^pub const KIND_REGISTRY/,/^];/p' crates/model/src/error.rs | grep -q "\"$KIND\","
 grep -q '"name":"serve.request"' target/trace_serve_ci.ndjson
 grep -q '"name":"model.queries"' target/trace_serve_ci.ndjson
-# The cold surface-tile request (id 4) must surface the tile-cache miss
-# counter in the exported trace, and its repeat (id 5) the hit counter.
-grep -q '"name":"model.tile_misses"' target/trace_serve_ci.ndjson
-grep -q '"name":"model.tile_hits"' target/trace_serve_ci.ndjson
+# The cold surface-tile request (id 4) is the trace's one tile-cache
+# miss and its repeat (id 5) the one hit: each tile query counts once.
+grep -q '"name":"model.tile_misses","value":1}' target/trace_serve_ci.ndjson
+grep -q '"name":"model.tile_hits","value":1}' target/trace_serve_ci.ndjson
 # Every context registers its eviction counter, so a trace tells
 # whether misses followed evictions even when none happened.
 grep -q '"name":"model.tile_evictions"' target/trace_serve_ci.ndjson

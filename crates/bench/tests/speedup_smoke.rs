@@ -251,8 +251,8 @@ fn planned_batch_parallel_not_slower() {
     use maly_model::{EvalContext, Query};
 
     // Cold surface tiles (a fresh context per call), a partition sweep,
-    // a Monte Carlo study and Table 3 in one planned batch: the planner
-    // maps its unique queries, and each query's own maps run inline.
+    // a Monte Carlo study and Table 3 in one planned batch: the batch
+    // maps its queries, and each query's own maps run inline.
     let mut batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
         .iter()
         .map(|&lo| Query::SurfaceTile {

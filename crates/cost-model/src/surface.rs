@@ -106,7 +106,7 @@ struct Eq1Row {
 
 /// The lane-batched eq. (1) kernel over a fixed `(λ × N_tr)` grid of
 /// caller-supplied axis values. The dense scan prices a surface through
-/// it one block of λ-rows at a time, and `maly-model`'s batch planner
+/// it one block of λ-rows at a time, and `maly-model`'s batch path
 /// unions the λ and `N_tr` axis values of every cold tile in a query
 /// batch, evaluates each unique `(λ, N_tr)` cell exactly once, and
 /// scatters the results back per tile.
@@ -275,35 +275,31 @@ fn ascending_positive(lo: f64, hi: f64) -> bool {
     lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi
 }
 
-/// The exact λ axis [`CostSurface::compute`] derives for this range —
-/// linear spacing — or `None` when the range is degenerate (not
-/// ascending-positive, or fewer than 2 steps). The planner keys its
+/// The exact λ axis (linear spacing) and `N_tr` axis (logarithmic, one
+/// `exp` per point) [`CostSurface::compute`] derives for these ranges,
+/// or `None` when either range is degenerate (not ascending-positive,
+/// or fewer than 2 steps). `maly-model`'s batch path keys its
 /// cell-level fusion on bit-equality of axis values, so they must come
 /// from the same arithmetic as the compute path; the panicking contract
-/// stays with `compute`. The two axes are separate functions so a batch
-/// planner whose tiles repeat one axis range (the usual sliding-window
-/// shape) can compute each distinct axis once.
+/// stays with `compute`.
 #[must_use]
-pub fn lambda_axis_values((min, max, steps): (f64, f64, usize)) -> Option<Vec<f64>> {
-    if steps < 2 || !ascending_positive(min, max) {
+pub fn tile_axes(
+    lambda_range: (f64, f64, usize),
+    n_tr_range: (f64, f64, usize),
+) -> Option<(Vec<f64>, Vec<f64>)> {
+    let valid = |(min, max, steps): (f64, f64, usize)| steps >= 2 && ascending_positive(min, max);
+    if !valid(lambda_range) || !valid(n_tr_range) {
         return None;
     }
-    Some(linear_axis(min, max, steps))
-}
-
-/// The exact `N_tr` axis [`CostSurface::compute`] derives for this
-/// range — logarithmic spacing, one `exp` per point — with the same
-/// validation as [`lambda_axis_values`].
-#[must_use]
-pub fn n_tr_axis_values((min, max, steps): (f64, f64, usize)) -> Option<Vec<f64>> {
-    if steps < 2 || !ascending_positive(min, max) {
-        return None;
-    }
-    Some(log_axis(min, max, steps))
+    let ((l_min, l_max, l_steps), (n_min, n_max, n_steps)) = (lambda_range, n_tr_range);
+    Some((
+        linear_axis(l_min, l_max, l_steps),
+        log_axis(n_min, n_max, n_steps),
+    ))
 }
 
 /// Assembles a [`CostSurface`] from externally computed parts (the
-/// planner's scatter path), or `None` when the value grid's shape does
+/// fused batch path's scatter), or `None` when the value grid's shape does
 /// not match the axes or an axis is shorter than 2 entries.
 #[must_use]
 pub fn surface_from_grid(
@@ -406,7 +402,7 @@ impl CostSurface {
         let lambda_axis = linear_axis(lambda_min, lambda_max, lambda_steps);
         let n_tr_axis = log_axis(n_tr_min, n_tr_max, n_tr_steps);
 
-        // Every grid node through the kernel the batch planner shares,
+        // Every grid node through the kernel the batch path shares,
         // so served tiles and dense surfaces agree bit-for-bit.
         let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(memo);
         let rows_per_block = (CELL_BLOCK / n_tr_steps).max(1);
@@ -618,9 +614,8 @@ mod tests {
                 "feasible cell at {threads} threads"
             );
         }
-        let n_tr_axis = n_tr_axis_values(n_tr_range).unwrap();
-        let points: Vec<(Microns, TransistorCount)> = lambda_axis_values(lambda_range)
-            .unwrap()
+        let (lambda_axis, n_tr_axis) = tile_axes(lambda_range, n_tr_range).unwrap();
+        let points: Vec<(Microns, TransistorCount)> = lambda_axis
             .into_iter()
             .flat_map(|l| n_tr_axis.iter().map(move |&n| (l, n)))
             .map(|(l, n)| (Microns::clamped(l), TransistorCount::clamped(n)))

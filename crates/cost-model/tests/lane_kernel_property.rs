@@ -13,8 +13,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use maly_cost_model::surface::{
-    lambda_axis_values, n_tr_axis_values, CostSurface, Eq1Kernel, Memo, SurfaceParameters,
-    EQ1_CELLS,
+    tile_axes, CostSurface, Eq1Kernel, Memo, SurfaceParameters, EQ1_CELLS,
 };
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
@@ -256,8 +255,7 @@ fn row_blocks_match_one_flat_kernel_call() {
         (3, 2049),
     ] {
         let (lambda_range, n_tr_range) = ((0.35, 1.45, rows), (2.0e4, 4.0e6, cols));
-        let lambda_axis = lambda_axis_values(lambda_range).unwrap();
-        let n_tr_axis = n_tr_axis_values(n_tr_range).unwrap();
+        let (lambda_axis, n_tr_axis) = tile_axes(lambda_range, n_tr_range).unwrap();
         let cells: Vec<(usize, usize)> = (0..rows)
             .flat_map(|i| (0..cols).map(move |j| (i, j)))
             .collect();

@@ -29,6 +29,7 @@
 //! bookkeeping.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 use maly_cost_model::roadmap::CostRoadmap;
@@ -62,15 +63,15 @@ pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_
 /// reports it, zero or not, next to the hits and misses.
 pub static TILE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_evictions");
 /// Per-query evaluation latency, attached to the `model.query` span.
-pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.eval_ns");
-/// Batch planning latency (compile + fused prefetch + scatter),
-/// attached to the `model.plan` span.
-pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.plan_ns");
+pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.eval_ns");
+/// Whole-batch latency (the fused cold-tile dispatch plus every
+/// query's evaluation), attached to the `model.plan` span.
+pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.plan_ns");
 /// Writing one cold tile into its cached body, attached to the
 /// `model.tile_serialize` span (nested in the span of the query or
 /// batch that missed).
 pub static TILE_SERIALIZE_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("model.tile_serialize_ns");
+    maly_obs::Histogram::new("model.tile_serialize_ns");
 /// Bytes of serialized tile bodies held by every live [`EvalContext`]
 /// (diagnostic: depends on request history).
 pub static TILE_CACHE_BYTES: maly_obs::Gauge = maly_obs::Gauge::new("model.tile_cache_bytes");
@@ -175,11 +176,20 @@ impl TileKey {
 /// copy.
 const TILE_CACHE_CAPACITY: usize = 64;
 
+/// A cached tile body. A body the batch path inserts ahead of its own
+/// query starts *unclaimed*: that query already counted the miss, so
+/// the first lookup clears the flag instead of counting a hit.
+#[derive(Debug)]
+struct Cached {
+    body: SurfaceBody,
+    unclaimed: AtomicBool,
+}
+
 /// The tile bodies behind [`EvalContext`]'s lock, with the slots random
 /// replacement picks its victims from.
 #[derive(Debug)]
 struct TileCache {
-    bodies: HashMap<TileKey, SurfaceBody>,
+    bodies: HashMap<TileKey, Cached>,
     /// The key each slot holds, in insertion order until the cache
     /// fills; then a new tile overwrites the slot of its victim.
     slots: Vec<TileKey>,
@@ -198,14 +208,18 @@ impl TileCache {
 
     /// Caches `body` under `key`, evicting one body if the cache is
     /// full, and returns the change in bytes held.
-    fn insert(&mut self, key: TileKey, body: SurfaceBody) -> i64 {
-        let mut delta = body_len(&body);
+    fn insert(&mut self, key: TileKey, body: SurfaceBody, unclaimed: bool) -> i64 {
+        let entry = Cached {
+            body,
+            unclaimed: AtomicBool::new(unclaimed),
+        };
+        let mut delta = body_len(&entry);
         if let Some(held) = self.bodies.get_mut(&key) {
             // Two threads that miss the same key both insert; the
             // bodies are equal, and the second replaces the first in
             // place without evicting anything.
             delta -= body_len(held);
-            *held = body;
+            *held = entry;
             return delta;
         }
         if self.slots.len() < TILE_CACHE_CAPACITY {
@@ -218,7 +232,7 @@ impl TileCache {
             }
             TILE_EVICTIONS.incr();
         }
-        self.bodies.insert(key, body);
+        self.bodies.insert(key, entry);
         delta
     }
 }
@@ -262,7 +276,9 @@ impl EvalContext {
 
     /// The serialized body of a surface tile for the given ranges:
     /// cached when warm; computed on the executor (and counted in
-    /// [`struct@TILE_CELLS`]), then serialized once, when cold.
+    /// [`struct@TILE_CELLS`]), then serialized once, when cold. Each
+    /// call counts one hit or one miss, except the first lookup of a
+    /// body [`Self::insert_cold_tile`] stored, whose miss is counted.
     ///
     /// The caller must have validated the ranges
     /// (ascending-positive, ≥ 2 steps) — `CostSurface::compute` panics
@@ -276,9 +292,11 @@ impl EvalContext {
     ) -> SurfaceBody {
         let key = TileKey::new(lambda_range, n_tr_range);
         if let Ok(cache) = self.tiles.read() {
-            if let Some(body) = cache.bodies.get(&key) {
-                TILE_HITS.incr();
-                return body.clone();
+            if let Some(held) = cache.bodies.get(&key) {
+                if !held.unclaimed.swap(false, Ordering::Relaxed) {
+                    TILE_HITS.incr();
+                }
+                return held.body.clone();
             }
         }
         TILE_MISSES.incr();
@@ -290,13 +308,12 @@ impl EvalContext {
             lambda_range,
             n_tr_range,
         );
-        self.store_tile(key, &tile)
+        self.store_tile(key, &tile, false)
     }
 
-    /// Whether a tile for this key is already warm. Deliberately bumps
-    /// no counters: the batch planner probes with this before deciding
-    /// what to fuse, and the hit/miss ledger must reflect only actual
-    /// tile requests, identically to the unplanned path.
+    /// Whether a tile for this key is cached. Bumps no counters: the
+    /// batch path probes with this to pick the tiles to fuse, and only
+    /// the tile queries themselves count hits and misses.
     pub(crate) fn has_tile(&self, key: &TileKey) -> bool {
         self.tiles
             .read()
@@ -304,28 +321,29 @@ impl EvalContext {
             .unwrap_or(false)
     }
 
-    /// Inserts a tile the batch planner materialized outside
-    /// [`Self::surface_tile`]. Counts the same miss + cell ledger the
-    /// unplanned cold path would — `cells` is the tile's *full* cell
-    /// count even when fusion evaluated fewer, so `model.tile_cells`
-    /// goldens hold with the planner on or off; the fusion saving shows
-    /// up in `eq1.cells` and `plan.nodes_evaluated` instead.
+    /// Caches a tile the batch path fused ahead of its query, counting
+    /// the miss and cells that query's [`Self::surface_tile`] would
+    /// have counted. The body is stored unclaimed, so that query's
+    /// lookup counts no hit. `cells` is the tile's *full* cell count
+    /// even when fusion evaluated fewer, so `model.tile_cells` reads
+    /// the same on the unplanned path; the fusion saving shows up in
+    /// `eq1.cells` and `plan.nodes_evaluated` instead.
     pub(crate) fn insert_cold_tile(&self, key: TileKey, cells: u64, tile: &CostSurface) {
         TILE_MISSES.incr();
         TILE_CELLS.add(cells);
-        self.store_tile(key, tile);
+        self.store_tile(key, tile, true);
     }
 
     /// Writes a cold tile's body straight from its grid — the one time
     /// its numbers are formatted — and caches it, evicting one body if
     /// the cache is full.
-    fn store_tile(&self, key: TileKey, tile: &CostSurface) -> SurfaceBody {
+    fn store_tile(&self, key: TileKey, tile: &CostSurface, unclaimed: bool) -> SurfaceBody {
         let body = {
             let _span = maly_obs::span("model.tile_serialize").with_histogram(&TILE_SERIALIZE_NS);
             SurfaceBody::from_surface(tile)
         };
         if let Ok(mut cache) = self.tiles.write() {
-            TILE_CACHE_BYTES.add(cache.insert(key, body.clone()));
+            TILE_CACHE_BYTES.add(cache.insert(key, body.clone(), unclaimed));
         }
         body
     }
@@ -362,9 +380,9 @@ impl Drop for EvalContext {
     }
 }
 
-/// A body's length, as a gauge delta.
-fn body_len(body: &SurfaceBody) -> i64 {
-    body.as_str().len() as i64
+/// A cached body's length, as a gauge delta.
+fn body_len(held: &Cached) -> i64 {
+    held.body.as_str().len() as i64
 }
 
 /// Serializes lib tests that read the process-global counters; cargo
@@ -498,13 +516,21 @@ mod tests {
         assert_eq!(TILE_MISSES.value() - misses0, 1);
         assert_eq!(TILE_CELLS.value() - cells0, 12);
         assert_eq!(TILE_HITS.value() - hits0, 0, "probes bump nothing");
-        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
-        assert_eq!(TILE_HITS.value() - hits0, 1, "surface_tile must hit it");
+        let first = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
         assert_eq!(
-            again.as_str(),
-            oracle(&tile),
-            "the hit answers with the inserted tile's body"
+            TILE_HITS.value() - hits0,
+            0,
+            "the tile's own query claims it: its miss is already counted"
         );
+        assert_eq!(
+            first.as_str(),
+            oracle(&tile),
+            "the lookup answers with the inserted tile's body"
+        );
+        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        assert_eq!(TILE_HITS.value() - hits0, 1, "a repeat is one hit");
+        assert_eq!(TILE_MISSES.value() - misses0, 1, "and no further miss");
+        assert!(Arc::ptr_eq(&first.0, &again.0));
     }
 
     #[test]
@@ -515,7 +541,7 @@ mod tests {
         let params = SurfaceParameters::fig8();
         // Direct cold tiles — one whose largest dies do not fit the
         // wafer, so it holds `null` cells and optima — plus a fused
-        // planner batch.
+        // batch.
         for ranges in [
             ((0.4, 1.5, 7), (2.0e4, 4.0e6, 6)),
             ((0.4, 1.5, 3), (1.0e6, 1.0e9, 3)),
@@ -538,8 +564,11 @@ mod tests {
         assert!(answers.iter().all(Result::is_ok));
         let cache = ctx.tiles.read().unwrap();
         assert_eq!(cache.bodies.len(), 5);
-        assert!(cache.bodies.values().any(|b| b.as_str().contains("null")));
-        for body in cache.bodies.values() {
+        assert!(cache
+            .bodies
+            .values()
+            .any(|held| held.body.as_str().contains("null")));
+        for body in cache.bodies.values().map(|held| &held.body) {
             let parsed = crate::json::parse(body.as_str()).expect("cached body is JSON");
             assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("surface"));
             assert_eq!(parsed.write(), body.as_str());
@@ -621,7 +650,7 @@ mod tests {
             let (l, n) = small_tile(i);
             ctx.surface_tile(&exec, &params, l, n);
         }
-        // The planner materializes a window a connection worker has
+        // The batch path materializes a window a connection worker has
         // just cached: the full cache takes it back in place.
         let (l, n) = small_tile(TILE_CACHE_CAPACITY - 1);
         let tile = CostSurface::compute_with(&exec, &params, l, n);

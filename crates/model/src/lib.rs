@@ -12,11 +12,11 @@
 //!   artifacts (moved here from `maly-repro`) plus the [`EvalContext`]
 //!   surface-tile cache that makes warm repeat queries measurably
 //!   cheaper (asserted via obs Work counters, not wall clock).
-//! * [`plan`] — the evaluation-plan IR behind [`Query::evaluate_batch`]:
-//!   a batch compiles to deduplicated queries plus unique grid nodes,
-//!   and cold surface-tile nodes across *all* requests fuse into one
-//!   lane-batched kernel dispatch (bit-identical by contract to the
-//!   direct per-query oracle [`Query::evaluate_batch_unplanned`]).
+//! * [`plan`] — the batch path behind [`Query::evaluate_batch`]: the
+//!   cold surface tiles of *all* requests fuse into one lane-batched
+//!   kernel dispatch, then every query evaluates on its own
+//!   (bit-identical by contract to the direct per-query oracle
+//!   [`Query::evaluate_batch_unplanned`]).
 //! * [`error`] — the consolidated [`Error`] type with `From` impls for
 //!   every subsystem failure, mapped to stable wire `kind` tags.
 //! * [`json`] — a std-only, deterministic, line-oriented JSON value
@@ -34,7 +34,6 @@ pub mod context;
 pub mod error;
 pub mod json;
 pub mod plan;
-pub(crate) mod planner;
 pub mod query;
 mod shortest;
 

@@ -1,297 +1,167 @@
-//! The evaluation-plan IR: what a query batch *needs* before anything
-//! runs.
+//! The batch path: the cold surface tiles of a whole batch priced in
+//! one fused eq. (1) dispatch, then every query through the per-query
+//! path.
 //!
-//! A batch of [`Query`]s compiles to a `Plan` — the deduplicated
-//! query list, the slot map scattering answers back to request order,
-//! and the set of unique surface-tile grid nodes the batch will touch.
-//! The planner (`crate::planner`) then executes the plan: cold tile
-//! nodes across *all* queries fuse into one lane-batched eq. (1)
-//! dispatch, and byte-identical queries are answered once.
+//! [`Query::evaluate_batch`] collects the batch's cold tile keys in
+//! first-occurrence order and materializes them through one
+//! [`Eq1Kernel`] dispatch over the union of their axis values, each
+//! unique `(λ, N_tr)` cell evaluated once. The fused tiles enter the
+//! context's cache counted as misses and unclaimed, and every query
+//! then runs through [`Query::evaluate_with`] under the executor's
+//! index-ordered `map_indexed`: a tile query answers from the cache,
+//! the first lookup of each fused tile counting no hit.
 //!
-//! Node keying matches the warm-tile cache grain exactly
-//! ([`crate::context`]'s quantized `TileKey`): two queries whose
-//! windows differ only by float noise share a node, just as they would
-//! share a cache entry on the unplanned path. Everything coarser — the
-//! per-cell `(λ, N_tr)` fusion inside a dispatch — is keyed on *bit
-//! equality* of the axis values, so fusion can never change a single
-//! output bit.
-//!
-//! Every batch is planned. The planned path is bit-identical to the
-//! direct per-query oracle [`crate::Query::evaluate_batch_unplanned`]
-//! by contract, enforced by the `plan_fusion` property tests and the
-//! serve loopback suite, which diff the two.
+//! Determinism contract: the batch path is bit-identical to
+//! [`Query::evaluate_batch_unplanned`] at every executor width.
+//! `Eq1Kernel` cells depend only on their own `(λ, N_tr)` bits, and
+//! cells only fuse when their axis values are *bit-equal*, so a fused
+//! tile holds exactly the bytes a per-tile `CostSurface::compute_with`
+//! would. Tiles keep the ranges of their first requester (tile keys
+//! match the cache grain), as a left-to-right evaluation against a
+//! shared context would cache them. The `plan_fusion` property tests
+//! and the serve loopback suite diff the two paths.
 
-use std::collections::HashMap;
+use maly_cost_model::surface::{self, Eq1Kernel};
+use maly_par::Executor;
 
-use crate::context::TileKey;
-use crate::query::{ProductSpec, Query};
+use crate::context::{self, EvalContext, TileKey};
+use crate::error::Error;
+use crate::query::{Query, QueryResponse};
 
-/// Grid nodes a batch asked for, before dedup/fusion: every cell of
-/// every surface-tile query plus one node per non-tile query. Work
-/// counter — determined by batch contents alone.
+/// Grid nodes a batch asked for: every cell of every surface-tile
+/// query plus one node per other query. Work counter — determined by
+/// batch contents alone.
 pub static NODES_REQUESTED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_requested");
-/// Grid nodes actually evaluated after cross-request dedup and warm
-/// cache elision. The fusion goldens assert this stays well under
-/// [`static@NODES_REQUESTED`] on overlapping batches.
+/// Grid nodes actually evaluated: the fused dispatch's cells plus one
+/// node per non-tile query. The fusion goldens assert this stays well
+/// under [`static@NODES_REQUESTED`] on overlapping batches.
 pub static NODES_EVALUATED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_evaluated");
 /// Fused kernel dispatches issued (one per batch with ≥ 1 cold tile).
 pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.fused_dispatches");
-/// Queries answered by fan-out from an identical batch-mate instead of
-/// re-evaluation (diagnostic: depends on request history).
-pub static DEDUPED_QUERIES: maly_obs::Counter = maly_obs::Counter::diag("plan.deduped_queries");
 
-/// One unique surface-tile grid node: the cache-grain key plus the
-/// exact ranges that materialize it.
-#[derive(Debug, Clone)]
-pub(crate) struct TileNode {
-    /// Cache-grain identity (quantized endpoints, exact step counts).
-    pub key: TileKey,
-    /// `(λ min, λ max, steps)` of the first query requesting this node.
-    pub lambda_range: (f64, f64, usize),
-    /// `(N_tr min, N_tr max, steps)` of that query.
-    pub n_tr_range: (f64, f64, usize),
-}
+/// A cold tile: its cache key and its λ and `N_tr` axis values.
+type ColdTile = (TileKey, Vec<f64>, Vec<f64>);
 
-/// A compiled batch: what to evaluate, and how to scatter it back.
-#[derive(Debug)]
-pub(crate) struct Plan {
-    /// Unique queries in first-occurrence order.
-    pub unique: Vec<Query>,
-    /// `slots[i]` = index into `unique` answering input query `i`.
-    pub slots: Vec<usize>,
-    /// Unique surface-tile nodes in first-occurrence order.
-    pub tiles: Vec<TileNode>,
-    /// Total grid nodes the raw batch asked for.
-    pub nodes_requested: u64,
-}
-
-/// A bit-exact query identity: variant tag, the product label when one
-/// exists, and every numeric field as raw bits. Strictly finer than
-/// (or equal to) wire-format identity — two queries sharing a key
-/// serialize to the same bytes, but building the key costs integer
-/// moves instead of float formatting, which matters because compile
-/// overhead is paid by every batch whether or not anything fuses.
-fn dedup_key(q: &Query) -> (u8, String, Vec<u64>) {
-    fn spec_bits(spec: &ProductSpec, bits: &mut Vec<u64>) {
-        bits.extend([
-            spec.transistors.to_bits(),
-            spec.lambda_um.to_bits(),
-            spec.density.to_bits(),
-            spec.radius_cm.to_bits(),
-            spec.yield0.to_bits(),
-            spec.c0.to_bits(),
-            spec.x.to_bits(),
-        ]);
+/// Evaluates a batch: fused cold tiles first, then every query in
+/// index order. Per-element errors, input order and the `model.*`
+/// ledger match the unplanned path; only the amount of grid work
+/// differs.
+pub(crate) fn evaluate(
+    exec: &Executor,
+    ctx: &EvalContext,
+    queries: &[Query],
+) -> Vec<Result<QueryResponse, Error>> {
+    let _span = maly_obs::span("model.plan").with_histogram(&context::PLAN_NS);
+    let mut requested = 0u64;
+    let mut singles = 0u64;
+    let mut cold: Vec<ColdTile> = Vec::new();
+    for q in queries {
+        let Some((lambda_range, n_tr_range)) = q.tile_request() else {
+            requested += 1;
+            singles += 1;
+            continue;
+        };
+        requested += (lambda_range.2 * n_tr_range.2) as u64;
+        let key = TileKey::new(lambda_range, n_tr_range);
+        if cold.iter().any(|(k, ..)| *k == key) || ctx.has_tile(&key) {
+            continue;
+        }
+        // Axes from the same arithmetic as the compute path: the
+        // bit-equality fusion keys on is meaningful only because of that.
+        if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
+            cold.push((key, l, n));
+        }
     }
-    let mut bits: Vec<u64> = Vec::with_capacity(10);
-    let mut name = String::new();
-    let tag = match q {
-        Query::Product(spec) => {
-            name.push_str(&spec.name);
-            spec_bits(spec, &mut bits);
-            0
-        }
-        Query::Table3Row { id } => {
-            bits.push(u64::from(*id));
-            1
-        }
-        Query::Table3 => 2,
-        Query::Scenario1Sweep {
-            x,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            bits.extend([
-                x.to_bits(),
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *steps as u64,
-            ]);
-            3
-        }
-        Query::Scenario2Sweep {
-            x,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            bits.extend([
-                x.to_bits(),
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *steps as u64,
-            ]);
-            4
-        }
-        Query::SurfaceTile {
-            lambda_min,
-            lambda_max,
-            lambda_steps,
-            n_tr_min,
-            n_tr_max,
-            n_tr_steps,
-        } => {
-            bits.extend([
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *lambda_steps as u64,
-                n_tr_min.to_bits(),
-                n_tr_max.to_bits(),
-                *n_tr_steps as u64,
-            ]);
-            5
-        }
-        Query::OptimalLambda {
-            spec,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            name.push_str(&spec.name);
-            spec_bits(spec, &mut bits);
-            bits.extend([lambda_min.to_bits(), lambda_max.to_bits(), *steps as u64]);
-            6
-        }
-        Query::McYield {
-            products,
-            volume_each,
-            replications,
-            jitter,
-            seed,
-        } => {
-            bits.extend([
-                *products as u64,
-                volume_each.to_bits(),
-                *replications as u64,
-                jitter.to_bits(),
-                *seed,
-            ]);
-            7
-        }
-        Query::Roadmap { from, to } => {
-            bits.extend([u64::from(*from), u64::from(*to)]);
-            8
-        }
-        Query::ProductMix {
-            products,
-            volume_each,
-            mono_volume,
-        } => {
-            bits.extend([
-                *products as u64,
-                volume_each.to_bits(),
-                mono_volume.to_bits(),
-            ]);
-            9
-        }
-        Query::ServerStats => 10,
-        Query::ChipletCost {
-            transistors,
-            lambda_um,
-            chiplets,
-            spares,
-            volume,
-        } => {
-            bits.extend([
-                transistors.to_bits(),
-                lambda_um.to_bits(),
-                *chiplets as u64,
-                *spares as u64,
-                *volume,
-            ]);
-            11
-        }
-        Query::ChipletPartitionSweep {
-            transistors,
-            volume,
-            lambda_min,
-            lambda_max,
-            lambda_steps,
-            max_chiplets,
-            max_spares,
-        } => {
-            bits.extend([
-                transistors.to_bits(),
-                *volume,
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *lambda_steps as u64,
-                *max_chiplets as u64,
-                *max_spares as u64,
-            ]);
-            12
-        }
+    NODES_REQUESTED.add(requested);
+    NODES_EVALUATED.add(singles);
+    fuse_cold_tiles(exec, ctx, cold);
+    exec.map_indexed(queries.len(), |i| queries[i].evaluate_with(exec, ctx))
+}
+
+/// Materializes the cold tiles in one kernel dispatch: union the
+/// tiles' axis values, evaluate each bit-unique `(λ, N_tr)` cell
+/// exactly once, scatter per-tile grids back out, and insert them as
+/// cold cache entries.
+fn fuse_cold_tiles(exec: &Executor, ctx: &EvalContext, tiles: Vec<ColdTile>) {
+    if tiles.is_empty() {
+        return;
+    }
+    let lambdas = bit_union(tiles.iter().map(|t| &t.1));
+    let n_trs = bit_union(tiles.iter().map(|t| &t.2));
+    // Every axis value is in its union by construction, and `total_cmp`
+    // orders distinct bit patterns distinctly, so the search always
+    // lands on the entry carrying exactly `v`'s bits.
+    let ranks = |axis: &[f64], union: &[f64]| -> Vec<usize> {
+        axis.iter()
+            .map(|v| {
+                union
+                    .binary_search_by(|p| p.total_cmp(v))
+                    .unwrap_or_else(|i| i)
+            })
+            .collect()
     };
-    (tag, name, bits)
+    let tile_idx: Vec<(Vec<usize>, Vec<usize>)> = tiles
+        .iter()
+        .map(|(_, l, n)| (ranks(l, &lambdas), ranks(n, &n_trs)))
+        .collect();
+    // First-occurrence unique cells over the union grid; `slot` maps a
+    // union cell to its position in the dispatch.
+    let n_cols = n_trs.len();
+    let mut slot = vec![usize::MAX; lambdas.len() * n_cols];
+    let mut cells: Vec<(usize, usize)> = Vec::new();
+    for (l_idx, n_idx) in &tile_idx {
+        for &ri in l_idx {
+            for &ci in n_idx {
+                let k = ri * n_cols + ci;
+                if slot[k] == usize::MAX {
+                    slot[k] = cells.len();
+                    cells.push((ri, ci));
+                }
+            }
+        }
+    }
+    NODES_EVALUATED.add(cells.len() as u64);
+    FUSED_DISPATCHES.incr();
+    let values = Eq1Kernel::new(&context::shared().fig8_params, &lambdas, &n_trs)
+        .with_memo(Some(ctx.memo()))
+        .eval_cells_with(exec, &cells);
+    for ((key, l_axis, n_axis), (l_idx, n_idx)) in tiles.into_iter().zip(&tile_idx) {
+        let grid = l_idx
+            .iter()
+            .map(|&ri| {
+                n_idx
+                    .iter()
+                    .map(|&ci| values[slot[ri * n_cols + ci]])
+                    .collect()
+            })
+            .collect();
+        let tile_cells = (l_axis.len() * n_axis.len()) as u64;
+        if let Some(tile) = surface::surface_from_grid(l_axis, n_axis, grid) {
+            ctx.insert_cold_tile(key, tile_cells, &tile);
+        }
+    }
 }
 
-impl Plan {
-    /// Compiles a batch: dedups bit-identical queries (see
-    /// [`dedup_key`] — finer than the wire format's equivalence, so
-    /// fan-out can never conflate queries that would serialize
-    /// differently) and collects the unique tile nodes, all in
-    /// first-occurrence order so execution matches a sequential
-    /// left-to-right evaluation of the same batch against a shared
-    /// context.
-    pub(crate) fn compile(queries: &[Query]) -> Self {
-        let mut unique: Vec<Query> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(queries.len());
-        // Lookup-only maps (never iterated): result order comes from
-        // the `unique`/`tiles` vectors.
-        let mut slot_of: HashMap<(u8, String, Vec<u64>), usize> = HashMap::new();
-        let mut seen_tiles: HashMap<TileKey, ()> = HashMap::new();
-        let mut tiles: Vec<TileNode> = Vec::new();
-        let mut nodes_requested: u64 = 0;
-        for q in queries {
-            nodes_requested += match q.tile_request() {
-                Some((l, n)) => (l.2 * n.2) as u64,
-                None => 1,
-            };
-            let key = dedup_key(q);
-            let slot = match slot_of.get(&key) {
-                Some(&u) => u,
-                None => {
-                    let u = unique.len();
-                    slot_of.insert(key, u);
-                    if let Some((lambda_range, n_tr_range)) = q.tile_request() {
-                        let key = TileKey::new(lambda_range, n_tr_range);
-                        if seen_tiles.insert(key, ()).is_none() {
-                            tiles.push(TileNode {
-                                key,
-                                lambda_range,
-                                n_tr_range,
-                            });
-                        }
-                    }
-                    unique.push(q.clone());
-                    u
-                }
-            };
-            slots.push(slot);
-        }
-        Self {
-            unique,
-            slots,
-            tiles,
-            nodes_requested,
-        }
-    }
-
-    /// Input queries answered by fan-out rather than evaluation.
-    pub(crate) fn duplicate_queries(&self) -> u64 {
-        (self.slots.len() - self.unique.len()) as u64
-    }
+/// The sorted, bit-deduped union of some axes. Bit-equal values are
+/// indistinguishable and everything else is strictly ordered by
+/// `total_cmp`, so an unstable sort cannot change the result.
+fn bit_union<'a>(axes: impl Iterator<Item = &'a Vec<f64>>) -> Vec<f64> {
+    let mut union: Vec<f64> = axes.flatten().copied().collect();
+    union.sort_unstable_by(f64::total_cmp);
+    union.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    union
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{counter_test_lock, TILE_CELLS, TILE_HITS, TILE_MISSES};
+    use maly_obs::Counter;
 
-    fn tile(lo: f64) -> Query {
+    fn tile(lambda_min: f64, lambda_max: f64) -> Query {
         Query::SurfaceTile {
-            lambda_min: lo,
-            lambda_max: lo + 0.5,
+            lambda_min,
+            lambda_max,
             lambda_steps: 9,
             n_tr_min: 2.0e4,
             n_tr_max: 4.0e6,
@@ -299,48 +169,67 @@ mod tests {
         }
     }
 
+    /// Each answer's bytes, with the deltas of `counters` over the
+    /// batch on a fresh context.
+    fn run<const N: usize>(batch: &[Query], counters: [&Counter; N]) -> (Vec<String>, [u64; N]) {
+        let before = counters.map(Counter::value);
+        let answers = evaluate(&Executor::serial(), &EvalContext::new(), batch);
+        let bytes = answers
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .map_or_else(|e| format!("err:{e:?}"), |ok| ok.to_json().write())
+            })
+            .collect();
+        let mut delta = counters.map(Counter::value);
+        delta.iter_mut().zip(before).for_each(|(d, b)| *d -= b);
+        (bytes, delta)
+    }
+
     #[test]
-    fn compile_dedups_queries_and_tile_nodes() {
-        let batch = vec![
-            tile(0.5),
+    fn batch_fuses_each_cold_tile_key_once() {
+        let _guard = counter_test_lock();
+        // A repeat, and float noise within the 1 nm key grain: three
+        // distinct requests, one cached tile.
+        let batch = [
+            tile(0.5, 1.0),
             Query::Table3,
-            tile(0.5),
-            // Float noise within the 1 nm key grain: distinct query
-            // text, same tile node.
-            Query::SurfaceTile {
-                lambda_min: 0.5 + 1e-9,
-                lambda_max: 1.0,
-                lambda_steps: 9,
-                n_tr_min: 2.0e4,
-                n_tr_max: 4.0e6,
-                n_tr_steps: 24,
-            },
-            tile(0.625),
+            tile(0.5, 1.0),
+            tile(0.5 + 1e-9, 1.0),
+            tile(0.625, 1.125),
         ];
-        let plan = Plan::compile(&batch);
-        assert_eq!(plan.slots, vec![0, 1, 0, 2, 3]);
-        assert_eq!(plan.unique.len(), 4);
-        assert_eq!(plan.duplicate_queries(), 1);
-        assert_eq!(plan.tiles.len(), 2, "noise-duplicate shares a node");
-        assert_eq!(plan.nodes_requested, 4 * 9 * 24 + 1);
-        // First-occurrence ranges win, matching a sequential shared-
-        // context evaluation where the first requester computes.
-        assert_eq!(plan.tiles[0].lambda_range, (0.5, 1.0, 9));
-        assert_eq!(plan.tiles[1].lambda_range, (0.625, 1.125, 9));
+        let (bytes, delta) = run(
+            &batch,
+            [
+                &NODES_REQUESTED,
+                &FUSED_DISPATCHES,
+                &TILE_HITS,
+                &TILE_MISSES,
+                &TILE_CELLS,
+            ],
+        );
+        // Two cold keys, one dispatch; each of the four tile queries is
+        // one lookup: the first of each key claims its miss, the two
+        // repeats hit.
+        assert_eq!(delta, [4 * 9 * 24 + 1, 1, 2, 2, 2 * 9 * 24]);
+        // The first requester's ranges win, as in a left-to-right
+        // evaluation against a shared context.
+        assert_eq!(bytes[2], bytes[0]);
+        assert_eq!(bytes[3], bytes[0]);
+        assert_ne!(bytes[4], bytes[0]);
     }
 
     #[test]
     fn malformed_tiles_are_single_nodes() {
-        let bad = Query::SurfaceTile {
-            lambda_min: 1.0,
-            lambda_max: 0.5,
-            lambda_steps: 9,
-            n_tr_min: 2.0e4,
-            n_tr_max: 4.0e6,
-            n_tr_steps: 24,
-        };
-        let plan = Plan::compile(&[bad]);
-        assert_eq!(plan.tiles.len(), 0);
-        assert_eq!(plan.nodes_requested, 1);
+        let _guard = counter_test_lock();
+        let (bytes, delta) = run(
+            &[tile(1.0, 0.5)],
+            [&NODES_REQUESTED, &NODES_EVALUATED, &FUSED_DISPATCHES],
+        );
+        assert!(
+            bytes[0].starts_with("err:"),
+            "the malformed tile keeps its error"
+        );
+        assert_eq!(delta, [1, 1, 0], "one node each, nothing to fuse");
     }
 }

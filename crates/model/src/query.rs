@@ -1339,7 +1339,7 @@ impl Query {
     }
 
     /// The validated grid ranges when this query is a well-formed
-    /// [`Query::SurfaceTile`] — the batch planner's node extraction.
+    /// [`Query::SurfaceTile`] — the tiles the batch path fuses.
     /// Malformed tiles return `None` and keep their per-query typed
     /// error from [`Query::evaluate_with`].
     pub(crate) fn tile_request(&self) -> Option<((f64, f64, usize), (f64, f64, usize))> {
@@ -1364,24 +1364,25 @@ impl Query {
     /// Evaluates a batch of queries, preserving input order. Each
     /// element fails independently.
     ///
-    /// The batch compiles to an evaluation plan first
-    /// ([`crate::plan`]): byte-identical queries are answered once and
-    /// fanned back out, and the cold surface-tile nodes of the whole
-    /// batch fuse into a single deduplicated kernel dispatch. Results
-    /// are bit-identical to [`Query::evaluate_batch_unplanned`] (and to
-    /// per-query [`Query::evaluate_with`]) at every executor width.
+    /// The cold surface tiles of the whole batch are priced first, in
+    /// one fused kernel dispatch that evaluates each shared grid cell
+    /// once ([`crate::plan`]); then every query evaluates through
+    /// [`Query::evaluate_with`], its tiles answering from the cache.
+    /// Results are bit-identical to [`Query::evaluate_batch_unplanned`]
+    /// (and to per-query [`Query::evaluate_with`]) at every executor
+    /// width.
     #[must_use]
     pub fn evaluate_batch(
         exec: &Executor,
         ctx: &EvalContext,
         queries: &[Query],
     ) -> Vec<Result<QueryResponse, Error>> {
-        crate::planner::evaluate(exec, ctx, queries)
+        crate::plan::evaluate(exec, ctx, queries)
     }
 
     /// The direct batch path: every query scheduled independently
-    /// across the executor, no cross-request dedup or fusion. Kept only
-    /// as the planner's bit-identity oracle for tests and benches; no
+    /// across the executor, no cross-request fusion. Kept only as the
+    /// batch path's bit-identity oracle for tests and benches; no
     /// service path calls it.
     #[must_use]
     pub fn evaluate_batch_unplanned(

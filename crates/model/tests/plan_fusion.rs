@@ -8,7 +8,10 @@
 //! * **Fusion changes no bytes.** Randomized batches (overlapping
 //!   tiles, float-noise near-duplicates, exact duplicates, non-tile
 //!   queries) answer bit-identically to sequential per-query
-//!   evaluation, at 1, 2, and 8 executor threads.
+//!   evaluation, at 1, 2, and 8 executor threads, and move the tile
+//!   hit, miss and cell counters exactly as the unplanned path does.
+//! * **Every query is counted once.** A mixed batch requests and
+//!   evaluates one node per non-tile query, duplicates included.
 //!
 //! The workspace builds offline with no external crates, so the
 //! property runs over deterministic SplitMix64 samples.
@@ -16,9 +19,10 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use maly_cost_model::surface::EQ1_CELLS;
-use maly_model::plan;
 use maly_model::query::ProductSpec;
+use maly_model::{context, plan};
 use maly_model::{EvalContext, Query};
+use maly_obs::Counter;
 use maly_par::Executor;
 
 /// Counters are process-global; serialize the tests in this binary.
@@ -168,6 +172,18 @@ fn random_query(s: &mut Sampler) -> Query {
     }
 }
 
+/// A batch's response bytes with the deltas of `counters` it caused.
+fn deltas<const N: usize>(
+    counters: [&Counter; N],
+    run: impl FnOnce() -> Vec<Result<maly_model::QueryResponse, maly_model::Error>>,
+) -> (Vec<String>, [u64; N]) {
+    let before = counters.map(Counter::value);
+    let bytes = run().iter().map(response_bytes).collect();
+    let mut delta = counters.map(Counter::value);
+    delta.iter_mut().zip(before).for_each(|(d, b)| *d -= b);
+    (bytes, delta)
+}
+
 #[test]
 fn planned_batches_match_sequential_evaluation_at_1_2_8_threads() {
     let _guard = lock();
@@ -187,6 +203,21 @@ fn planned_batches_match_sequential_evaluation_at_1_2_8_threads() {
             .iter()
             .map(|q| response_bytes(&q.evaluate_with(&serial, &ref_ctx)))
             .collect();
+        // The tile ledger counts each tile query once either way.
+        let ledger = [
+            &context::TILE_HITS,
+            &context::TILE_MISSES,
+            &context::TILE_CELLS,
+        ];
+        let planned = deltas(ledger, || {
+            Query::evaluate_batch(&serial, &EvalContext::new(), &batch)
+        });
+        let unplanned = deltas(ledger, || {
+            Query::evaluate_batch_unplanned(&serial, &EvalContext::new(), &batch)
+        });
+        assert_eq!(planned.0, reference, "round {round}");
+        assert_eq!(unplanned.0, reference, "round {round}");
+        assert_eq!(planned.1, unplanned.1, "round {round}: hits, misses, cells");
         for threads in [1usize, 2, 8] {
             let got = Query::evaluate_batch(
                 &Executor::with_threads(threads),
@@ -204,4 +235,45 @@ fn planned_batches_match_sequential_evaluation_at_1_2_8_threads() {
             }
         }
     }
+}
+
+#[test]
+fn mixed_batch_counts_every_query_once() {
+    let _guard = lock();
+    let _ = maly_model::shared();
+    let product = Query::Product(ProductSpec {
+        name: "mixed".to_string(),
+        transistors: 2.0e6,
+        lambda_um: 0.7,
+        density: 150.0,
+        radius_cm: 7.5,
+        yield0: 0.9,
+        c0: 700.0,
+        x: 1.4,
+    });
+    let batch = vec![
+        product.clone(),
+        overlapping_tiles().remove(0),
+        product,
+        Query::ProductMix {
+            products: 4,
+            volume_each: 1.0e5,
+            mono_volume: 4.0e5,
+        },
+    ];
+    let (bytes, delta) = deltas(
+        [
+            &plan::NODES_REQUESTED,
+            &plan::NODES_EVALUATED,
+            &plan::FUSED_DISPATCHES,
+            &context::QUERIES,
+        ],
+        || Query::evaluate_batch(&Executor::serial(), &EvalContext::new(), &batch),
+    );
+    assert!(bytes.iter().all(|b| !b.starts_with("err:")), "{bytes:?}");
+    assert_eq!(
+        delta,
+        [3 + 9 * 24, 3 + 9 * 24, 1, 4],
+        "nodes requested, nodes evaluated, fused dispatches, queries"
+    );
 }

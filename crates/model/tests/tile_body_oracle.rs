@@ -1,7 +1,7 @@
 //! An independent oracle for surface-tile answers.
 //!
 //! The tile cache serializes a tile once, when it enters the cache, and
-//! every later answer — a warm hit, a fused batch, a deduplicated
+//! every later answer — a warm hit, a fused batch, an in-batch
 //! duplicate — copies those bytes. The planned and unplanned batch
 //! paths therefore share one body and cannot check each other's
 //! writer. This test rebuilds each expected body from scratch instead:
@@ -139,13 +139,7 @@ fn in_batch_duplicates_match_the_oracle() {
     let batch = vec![a.clone(), tile(other.0, other.1), a.clone(), a];
     for threads in THREADS {
         let ctx = EvalContext::new();
-        let deduped0 = plan::DEDUPED_QUERIES.value();
         let answers = Query::evaluate_batch(&Executor::with_threads(threads), &ctx, &batch);
-        assert_eq!(
-            plan::DEDUPED_QUERIES.value() - deduped0,
-            2,
-            "{threads} threads"
-        );
         let expected = oracle(lambda, n_tr, threads);
         for i in [0, 2, 3] {
             assert_eq!(

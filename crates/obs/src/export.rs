@@ -74,12 +74,13 @@ pub fn export_ndjson() -> String {
             g.value
         );
     }
+    // Every histogram buckets quarter-octaves; the `hires` tag keeps a
+    // trace self-describing next to older traces' `log2` records.
     for h in histograms_snapshot() {
         let _ = write!(
             out,
-            "{{\"type\":\"hist\",\"name\":\"{}\",\"resolution\":\"{}\",\"count\":{},\"total_ns\":{},\"buckets\":[",
+            "{{\"type\":\"hist\",\"name\":\"{}\",\"resolution\":\"hires\",\"count\":{},\"total_ns\":{},\"buckets\":[",
             escape(h.name),
-            h.resolution.as_str(),
             h.count,
             h.total_ns
         );
@@ -126,7 +127,7 @@ mod tests {
 
     static EXPORT_COUNTER: Counter = Counter::work("test.export.counter");
     static EXPORT_GAUGE: Gauge = Gauge::new("test.export.gauge");
-    static EXPORT_HIRES: Histogram = Histogram::high_resolution("test.export.hires_ns");
+    static EXPORT_HIRES: Histogram = Histogram::new("test.export.hires_ns");
 
     #[test]
     fn export_lines_are_well_formed() {

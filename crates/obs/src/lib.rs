@@ -15,11 +15,10 @@
 //!   process-wide registry for snapshotting.
 //! * [`Gauge`] — sharded signed level gauges (queue depths, in-flight
 //!   requests); always diagnostic, never golden-compared.
-//! * [`Histogram`] — fixed-bucket log-scale duration histograms, at
-//!   log₂ ([`Histogram::new`]) or quarter-octave resolution
-//!   ([`Histogram::high_resolution`], for sub-millisecond request
-//!   timing); [`HistogramSnapshot::percentile_ns`] interpolates
-//!   p50/p90/p99/p999 latencies from the buckets.
+//! * [`Histogram`] — fixed-bucket log-scale duration histograms at
+//!   quarter-octave resolution ([`hist_bucket`]), fine enough for
+//!   sub-millisecond request timing; [`HistogramSnapshot::percentile_ns`]
+//!   interpolates p50/p90/p99/p999 latencies from the buckets.
 //! * [`export_ndjson`] / [`write_trace`] — an ndjson exporter (one JSON
 //!   object per line: spans in completion order, then counters, gauges,
 //!   and histograms, each sorted by name).
@@ -73,9 +72,9 @@ mod span;
 
 pub use export::{export_ndjson, write_trace, write_trace_if_requested};
 pub use metrics::{
-    counters_snapshot, gauges_snapshot, histograms_snapshot, reset_metrics, Counter, CounterKind,
-    CounterSnapshot, Gauge, GaugeSnapshot, HistResolution, Histogram, HistogramSnapshot,
-    LatencyPercentiles, HIRES_HIST_BUCKETS, HIST_BUCKETS,
+    counters_snapshot, gauges_snapshot, hist_bucket, hist_bucket_bounds, histograms_snapshot,
+    reset_metrics, Counter, CounterKind, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
+    HistogramSnapshot, LatencyPercentiles, HIST_BUCKETS,
 };
 pub use span::{
     current_span, finished_spans, reset_spans, span, span_child, SpanGuard, SpanRecord,

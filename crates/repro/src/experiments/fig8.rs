@@ -76,8 +76,8 @@ pub fn report() -> ExperimentReport {
     let minima = count_local_minima(&slice);
 
     // The serve-path analogue: a client sweeping this surface tile by
-    // tile sends overlapping windows in one batch, and the evaluation
-    // planner fuses their shared grid nodes into a single kernel
+    // tile sends overlapping windows in one batch, and the batch path
+    // fuses their shared grid nodes into a single kernel
     // dispatch. Run the 4-tile acceptance batch on a fresh context and
     // report the plan counters — the same numbers the fusion goldens
     // gate on.

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! A line holding a JSON *array* of such objects is a batch: the server
-//! evaluates its queries together through the evaluation planner and
-//! answers with one JSON array line, element `i` answering request `i`.
+//! prices the cold surface tiles of all its queries in one fused kernel
+//! dispatch, evaluates every query, and answers with one JSON array
+//! line, element `i` answering request `i`.
 //!
 //! The envelope is versioned: `v` names the protocol version, and an
 //! absent `v` means version 1, so every pre-envelope client (and every
@@ -49,17 +50,15 @@ pub static BATCHED_QUERIES: maly_obs::Counter = maly_obs::Counter::work("serve.b
 
 /// End-to-end request latency (parse through serialized response),
 /// attached to the `serve.request` span.
-pub static REQUEST_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("serve.request_ns");
+pub static REQUEST_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.request_ns");
 /// Request-line JSON parse latency (`serve.parse` span).
-pub static PARSE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("serve.parse_ns");
+pub static PARSE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.parse_ns");
 /// Evaluation latency for the line's queries (`serve.evaluate` span).
-pub static EVALUATE_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("serve.evaluate_ns");
+pub static EVALUATE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.evaluate_ns");
 /// Response serialization latency (`serve.write` span): building and
 /// printing the response JSON only. The socket write that follows is
 /// `serve.socket_write_ns` in `server.rs`.
-pub static WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("serve.write_ns");
+pub static WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.write_ns");
 
 /// The response object for one evaluated request.
 #[must_use]
@@ -222,10 +221,10 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
 /// output (no trailing newline) — transport errors aside, a client can
 /// match responses to requests by line position alone.
 ///
-/// Array lines go through [`Query::evaluate_batch`], so byte-identical
-/// queries in one line are answered once and fanned back out, and
-/// overlapping surface tiles fuse their shared grid work
-/// (`maly_model::plan`); the served bytes are identical either way.
+/// Array lines go through [`Query::evaluate_batch`], so overlapping
+/// surface tiles in one line fuse their shared grid work
+/// (`maly_model::plan`) and a repeated tile answers from the cache; the
+/// served bytes are those of evaluating each query on its own.
 #[must_use]
 pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
     let exec = &Executor::serial();

@@ -43,8 +43,7 @@ pub static QUEUE_DEPTH: maly_obs::Gauge = maly_obs::Gauge::new("serve.queue_dept
 pub static INFLIGHT: maly_obs::Gauge = maly_obs::Gauge::new("serve.inflight");
 /// Time to hand one response line to the socket (`serve.socket_write`
 /// span). Serialization is timed apart, by `serve.write_ns`.
-pub static SOCKET_WRITE_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("serve.socket_write_ns");
+pub static SOCKET_WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.socket_write_ns");
 
 /// State shared between the accept loop, the workers, and handles.
 #[derive(Debug)]

@@ -583,7 +583,8 @@ fn duplicate_batch_queries_answer_per_id_without_reevaluation() {
     );
     let cells0 = maly_model::context::TILE_CELLS.value();
     let queries0 = maly_model::context::QUERIES.value();
-    let deduped0 = maly_model::plan::DEDUPED_QUERIES.value();
+    let misses0 = maly_model::context::TILE_MISSES.value();
+    let hits0 = maly_model::context::TILE_HITS.value();
     let got = client::query_lines(&addr, std::slice::from_ref(&line)).expect("batch line");
     assert_eq!(
         maly_model::context::TILE_CELLS.value() - cells0,
@@ -593,12 +594,17 @@ fn duplicate_batch_queries_answer_per_id_without_reevaluation() {
     assert_eq!(
         maly_model::context::QUERIES.value() - queries0,
         5,
-        "every answered query stays on the ledger, deduped or not"
+        "every answered query is on the ledger"
     );
     assert_eq!(
-        maly_model::plan::DEDUPED_QUERIES.value() - deduped0,
-        3,
-        "two tile repeats and one product repeat fan out"
+        maly_model::context::TILE_MISSES.value() - misses0,
+        1,
+        "the first tile query misses"
+    );
+    assert_eq!(
+        maly_model::context::TILE_HITS.value() - hits0,
+        2,
+        "and its two repeats hit"
     );
     // One response line carrying all five ids, duplicates byte-equal.
     let batch = json::parse(&got[0]).expect("protocol JSON");

@@ -68,7 +68,7 @@ pub const MIN_PARALLEL_SPEEDUP: f64 = 1.1;
 /// least one workload big enough to scale.
 pub const PARALLEL_GATED_GROUPS: &[&str] = &["sweeps/fig8_surface", "sweeps/contours", "sweeps/mc"];
 
-/// Minimum fused-over-unfused batch speedup the evaluation planner must
+/// Minimum fused-over-unfused batch speedup the fused batch path must
 /// demonstrate on its acceptance batch. Unlike the parallel gate this
 /// is active on every machine: the comparison runs both engines at one
 /// thread, so the ratio measures eliminated work, not scheduling.

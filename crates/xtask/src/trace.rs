@@ -283,7 +283,9 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
                     ));
                 }
                 // The resolution tag is optional (pre-gauge traces omit
-                // it) but must be a known value when present.
+                // it) but must be a known value when present. Only
+                // older traces carry `log2`; new ones tag every
+                // histogram `hires`.
                 if let Some(res) = str_field(line, "resolution") {
                     if !matches!(res, "log2" | "hires") {
                         return Err(format!(
