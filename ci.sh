@@ -101,10 +101,12 @@ grep -q '"name":"model.tile_evictions"' target/trace_serve_ci.ndjson
 # must surface the partition-search counters in the same trace.
 grep -q '"name":"chiplet.partitions"' target/trace_serve_ci.ndjson
 grep -q '"name":"chiplet.die_points"' target/trace_serve_ci.ndjson
-# The serving context owns an eq. (4) memo, which its cold tiles and
-# its sweep filled: the trace reports a positive entries gauge.
-grep -Eq '"type":"gauge","name":"wafer_geom.cache.entries","value":[1-9]' \
-    target/trace_serve_ci.ndjson
+# A serving context computes eq. (4) directly, as library sweeps do:
+# its cold tiles and its sweep leave no memo entries behind.
+if grep -Eq '"name":"wafer_geom.cache.entries","value":[1-9]' target/trace_serve_ci.ndjson; then
+    echo "served trace holds eq. (4) memo entries" >&2
+    exit 1
+fi
 cargo run -q -p xtask -- trace-check target/trace_serve_ci.ndjson
 
 echo "== chiplet partition goldens (1/2/8 threads, MALY_OBS=1)"

@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use maly_cost_model::surface::{Eq1Kernel, Memo, SurfaceParameters};
+use maly_cost_model::surface::{Eq1Kernel, SurfaceParameters};
 // Re-exported so callers can name the error type every public entry
 // point here returns without depending on maly-cost-model directly.
 pub use maly_cost_model::CostError;
@@ -201,23 +201,6 @@ impl ChipletParameters {
     /// Returns an error when the spec is degenerate (empty grid, zero
     /// volume, inverted λ window) or no grid candidate is feasible.
     pub fn sweep(&self, spec: &SweepSpec, exec: &Executor) -> Result<SweepOutcome, CostError> {
-        self.sweep_with_memo(spec, exec, None)
-    }
-
-    /// [`ChipletParameters::sweep`] with the die grid's eq. (4) counts
-    /// looked up in `memo` when one is given: a server that answers
-    /// the same sweep specs again keeps one across requests. The
-    /// outcome is bit-identical with or without it.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChipletParameters::sweep`].
-    pub fn sweep_with_memo(
-        &self,
-        spec: &SweepSpec,
-        exec: &Executor,
-        memo: Option<&Memo>,
-    ) -> Result<SweepOutcome, CostError> {
         spec.validate()?;
         let _span = maly_obs::span("chiplet.sweep");
         let lambdas = spec.lambdas();
@@ -230,7 +213,7 @@ impl ChipletParameters {
             .collect::<Result<_, _>>()?;
         let lambda_axis: Vec<f64> = lambdas.iter().map(|l| l.value()).collect();
         let n_tr_axis: Vec<f64> = per_chiplet.iter().map(|n| n.value()).collect();
-        let kernel = Eq1Kernel::new(&self.surface, &lambda_axis, &n_tr_axis).with_memo(memo);
+        let kernel = Eq1Kernel::new(&self.surface, &lambda_axis, &n_tr_axis);
         let cells: Vec<(usize, usize)> = (0..per_chiplet.len())
             .flat_map(|j| (0..lambdas.len()).map(move |i| (i, j)))
             .collect();

@@ -65,6 +65,11 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         return Err("no command given".to_string());
     };
     let flags = Flags::parse(rest)?;
+    // `--help` prints usage for every command, before any of them
+    // acts (`serve` would bind and block).
+    if flags.has_switch("help") {
+        return Ok(usage());
+    }
     let trace_out = flags.str_opt("trace-out").map(std::path::PathBuf::from);
     if trace_out.is_some() {
         maly_obs::set_enabled(true);
@@ -674,6 +679,8 @@ mod tests {
     #[test]
     fn help_and_errors() {
         assert!(run(&argv("help")).unwrap().contains("USAGE"));
+        assert!(run(&argv("cost --help")).unwrap().contains("USAGE"));
+        assert!(run(&argv("serve --help")).unwrap().contains("USAGE"));
         assert!(run(&argv("bogus")).is_err());
         assert!(run(&[]).is_err());
         let err = run(&argv("cost --lambda 0.8")).unwrap_err();

@@ -13,9 +13,6 @@ use maly_units::{
     DefectDensity, DesignDensity, Dollars, Microns, Probability, ReferenceDefectDensity,
     TransistorCount,
 };
-// Re-exported so callers of the memo-taking entry points can name the
-// memo without depending on maly-wafer-geom directly.
-pub use maly_wafer_geom::cache::Memo;
 use maly_wafer_geom::{maly, DieDimensions, Wafer};
 use maly_yield_model::ScaledPoissonYield;
 
@@ -24,12 +21,11 @@ use crate::{CostError, TransistorCostModel, WaferCostModel};
 /// Grid cells per executor work item in the lane-kernel sweeps. The
 /// block is fixed, not one per thread: the executor prices a block like
 /// any other map item, and the work split never depends on the thread
-/// count. Each block pays its own buffers (and, through a memo, one
-/// read lock per memo shard), a few percent of a 56 × 48 surface at 512
-/// cells, so blocks are 1024 cells. A dense surface dispatches whole
-/// λ-rows, `max(1, CELL_BLOCK / n_tr_steps)` per block, on every
-/// executor, serial included, so its memory is one block's temporaries
-/// per thread plus the result.
+/// count. Each block pays its own buffers, a few percent of a 56 × 48
+/// surface at 512 cells, so blocks are 1024 cells. A dense surface
+/// dispatches whole λ-rows, `max(1, CELL_BLOCK / n_tr_steps)` per
+/// block, on every executor, serial included, so its memory is one
+/// block's temporaries per thread plus the result.
 const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
@@ -124,13 +120,8 @@ struct Eq1Row {
 /// point), and the clamped [`TransistorCount`] per column. The
 /// per-point work is then one eq. (4) row sum and one lane-`exp`
 /// element — no scalar transcendentals on the hot path.
-///
-/// A kernel computes eq. (4) directly unless [`Eq1Kernel::with_memo`]
-/// hands it a [`Memo`]: only a caller that keeps the memo across
-/// dispatches (a server's evaluation context) gets its inserts back.
-pub struct Eq1Kernel<'m> {
+pub struct Eq1Kernel {
     wafer: Wafer,
-    memo: Option<&'m Memo>,
     density: DesignDensity,
     /// Whether the eq. (7) `(D, p)` calibration is valid. When it is
     /// not, [`SurfaceParameters::cost_at`] errs on every point, so
@@ -140,9 +131,9 @@ pub struct Eq1Kernel<'m> {
     cols: Vec<TransistorCount>,
 }
 
-impl<'m> Eq1Kernel<'m> {
+impl Eq1Kernel {
     /// Builds the kernel for a parameter set over explicit axis values
-    /// (λ in µm, both axes positive), computing eq. (4) without a memo.
+    /// (λ in µm, both axes positive).
     #[must_use]
     pub fn new(params: &SurfaceParameters, lambda_axis: &[f64], n_tr_axis: &[f64]) -> Self {
         // Same calibration validation as ScaledPoissonYield::new (the
@@ -172,7 +163,6 @@ impl<'m> Eq1Kernel<'m> {
             .collect();
         Self {
             wafer: params.wafer,
-            memo: None,
             density: params.density,
             calibrated,
             rows,
@@ -180,27 +170,11 @@ impl<'m> Eq1Kernel<'m> {
         }
     }
 
-    /// The same kernel with its die counts looked up in (and stored to)
-    /// `memo`, or computed directly for `None`. Counts are bit-identical
-    /// either way.
-    #[must_use]
-    pub fn with_memo<'n>(self, memo: Option<&'n Memo>) -> Eq1Kernel<'n> {
-        Eq1Kernel {
-            wafer: self.wafer,
-            memo,
-            density: self.density,
-            calibrated: self.calibrated,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
     /// Batched eq. (1) over grid indices `(i, j)` into the row/column
-    /// axes: die counts come from one eq. (4) batch (through the memo
-    /// when the kernel has one), eq. (7) yields through one lane-`exp`
-    /// pass over the hoisted `−D/λ^p · A` exponents, and the final
-    /// combine runs in the same operation order as
-    /// [`TransistorCostModel::evaluate`].
+    /// axes: die counts come from one eq. (4) batch, eq. (7) yields
+    /// through one lane-`exp` pass over the hoisted `−D/λ^p · A`
+    /// exponents, and the final combine runs in the same operation
+    /// order as [`TransistorCostModel::evaluate`].
     ///
     /// Accuracy: die counts and the feasibility mask are integer-exact;
     /// the only departure from the scalar path is the lane `exp`
@@ -225,10 +199,7 @@ impl<'m> Eq1Kernel<'m> {
                 ))
             })
             .collect();
-        let counts = match self.memo {
-            Some(memo) => memo.dies_per_wafer_batch(&self.wafer, &dies),
-            None => maly::dies_per_wafer_batch(&self.wafer, &dies),
-        };
+        let counts = maly::dies_per_wafer_batch(&self.wafer, &dies);
         // Eq. (7) exponents ln Y = −D/λ^p · A over the *realized* die
         // areas (side², after the √ of square_with_area, exactly as
         // `evaluate` does), then one lane exp pass for the whole set.
@@ -355,24 +326,6 @@ impl CostSurface {
     /// independent, so they are tiled across the executor's threads;
     /// the result is bit-identical at every thread count.
     ///
-    /// # Panics
-    ///
-    /// Panics if either range is not ascending-positive or a step count
-    /// is below 2.
-    #[must_use]
-    pub fn compute_with(
-        exec: &Executor,
-        params: &SurfaceParameters,
-        lambda_range: (f64, f64, usize),
-        n_tr_range: (f64, f64, usize),
-    ) -> Self {
-        Self::compute_with_memo(exec, None, params, lambda_range, n_tr_range)
-    }
-
-    /// [`CostSurface::compute_with`] with its eq. (4) counts looked up
-    /// in `memo` when one is given. The surface is bit-identical with
-    /// or without it.
-    ///
     /// Each executor item builds the cells of one block of whole
     /// λ-rows, prices them in one kernel call and hands back its rows,
     /// which move into the result. Block bounds depend only on the grid
@@ -383,9 +336,8 @@ impl CostSurface {
     /// Panics if either range is not ascending-positive or a step count
     /// is below 2.
     #[must_use]
-    pub fn compute_with_memo(
+    pub fn compute_with(
         exec: &Executor,
-        memo: Option<&Memo>,
         params: &SurfaceParameters,
         (lambda_min, lambda_max, lambda_steps): (f64, f64, usize),
         (n_tr_min, n_tr_max, n_tr_steps): (f64, f64, usize),
@@ -404,7 +356,7 @@ impl CostSurface {
 
         // Every grid node through the kernel the batch path shares,
         // so served tiles and dense surfaces agree bit-for-bit.
-        let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(memo);
+        let kernel = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis);
         let rows_per_block = (CELL_BLOCK / n_tr_steps).max(1);
         let values = exec
             .map_indexed(lambda_steps.div_ceil(rows_per_block), |b| {

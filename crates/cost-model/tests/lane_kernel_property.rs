@@ -2,7 +2,7 @@
 //! the batch results must track the scalar reference (`cost_at`) within the
 //! documented accuracy contract, agree exactly on feasibility (die
 //! counts are integer-exact), and stay bit-identical across thread
-//! counts and with or without an eq. (4) memo, cold or warm. Dense
+//! counts. Dense
 //! surfaces price whole λ-rows per block; they must equal one flat
 //! kernel call over the same cells whatever the block shape.
 //!
@@ -12,9 +12,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use maly_cost_model::surface::{
-    tile_axes, CostSurface, Eq1Kernel, Memo, SurfaceParameters, EQ1_CELLS,
-};
+use maly_cost_model::surface::{tile_axes, CostSurface, Eq1Kernel, SurfaceParameters, EQ1_CELLS};
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
 
@@ -66,8 +64,7 @@ fn bits(cells: &[Option<f64>]) -> Vec<Option<u64>> {
 
 /// Prices `points` through one [`Eq1Kernel`] whose axes are the points'
 /// own λ and `N_tr` values, one cell `(k, k)` per point, and holds each
-/// cell to the scalar `cost_at`. The same dispatch through a cold and
-/// then a warm [`Memo`] must be bit-identical to the memo-free one.
+/// cell to the scalar `cost_at`.
 fn assert_matches_scalar(params: &SurfaceParameters, points: &[(Microns, TransistorCount)]) {
     let lambda_axis: Vec<f64> = points.iter().map(|(l, _)| l.value()).collect();
     let n_tr_axis: Vec<f64> = points.iter().map(|(_, n)| n.value()).collect();
@@ -75,15 +72,6 @@ fn assert_matches_scalar(params: &SurfaceParameters, points: &[(Microns, Transis
     let exec = Executor::serial();
     let batched = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).eval_cells_with(&exec, &cells);
     assert_eq!(batched.len(), points.len());
-    let memo = Memo::new();
-    let memoized = Eq1Kernel::new(params, &lambda_axis, &n_tr_axis).with_memo(Some(&memo));
-    let cold = memoized.eval_cells_with(&exec, &cells);
-    assert!(!memo.is_empty(), "a cold dispatch fills the memo");
-    let misses = memo.stats().misses;
-    let warm = memoized.eval_cells_with(&exec, &cells);
-    assert_eq!(memo.stats().misses, misses, "a warm dispatch only hits");
-    assert_eq!(bits(&cold), bits(&batched), "cold memo changed a cell");
-    assert_eq!(bits(&warm), bits(&batched), "warm memo changed a cell");
     for (k, &(lambda, n_tr)) in points.iter().enumerate() {
         let scalar = params.cost_at(lambda, n_tr).ok().map(|d| d.value());
         match (batched[k], scalar) {
@@ -237,8 +225,7 @@ fn surface_bits(surface: &CostSurface) -> Vec<Option<u64>> {
 /// λ-rows per executor item. Column counts around the block width and
 /// λ step counts that leave a ragged last block must give exactly one
 /// flat kernel call over the row-major cell list, at 1, 2 and 8
-/// threads, with no memo and with a cold and a warm one, and count
-/// every cell once.
+/// threads, and count every cell once.
 #[test]
 fn row_blocks_match_one_flat_kernel_call() {
     let _guard = lock();
@@ -263,9 +250,10 @@ fn row_blocks_match_one_flat_kernel_call() {
             &Eq1Kernel::new(&params, &lambda_axis, &n_tr_axis)
                 .eval_cells_with(&Executor::serial(), &cells),
         );
-        let counted = |compute: &dyn Fn() -> CostSurface| {
+        for threads in [1, 2, 8] {
+            let exec = Executor::with_threads(threads);
             let cells0 = EQ1_CELLS.value();
-            let surface = compute();
+            let surface = CostSurface::compute_with(&exec, &params, lambda_range, n_tr_range);
             assert_eq!(
                 EQ1_CELLS.value() - cells0,
                 (rows * cols) as u64,
@@ -274,34 +262,10 @@ fn row_blocks_match_one_flat_kernel_call() {
             assert_eq!(surface.lambda_axis(), &lambda_axis[..]);
             assert_eq!(surface.n_tr_axis(), &n_tr_axis[..]);
             assert!(surface.values().iter().all(|row| row.len() == cols));
-            surface_bits(&surface)
-        };
-        for threads in [1, 2, 8] {
-            let exec = Executor::with_threads(threads);
-            let plain =
-                counted(&|| CostSurface::compute_with(&exec, &params, lambda_range, n_tr_range));
-            assert_eq!(plain, expected, "{rows}x{cols} at {threads} threads");
-            let memo = Memo::new();
-            let memoized = || {
-                CostSurface::compute_with_memo(
-                    &exec,
-                    Some(&memo),
-                    &params,
-                    lambda_range,
-                    n_tr_range,
-                )
-            };
-            let cold = counted(&memoized);
-            let misses = memo.stats().misses;
-            let warm = counted(&memoized);
-            assert_eq!(memo.stats().misses, misses, "a warm surface only hits");
             assert_eq!(
-                cold, expected,
-                "{rows}x{cols} cold memo at {threads} threads"
-            );
-            assert_eq!(
-                warm, expected,
-                "{rows}x{cols} warm memo at {threads} threads"
+                surface_bits(&surface),
+                expected,
+                "{rows}x{cols} at {threads} threads"
             );
         }
     }

@@ -27,13 +27,16 @@
 //! once per eviction, so the victims depend only on the order tiles
 //! enter the cache, and a hit stays a read-locked lookup with no
 //! bookkeeping.
+//!
+//! The tile cache is the context's only state. A cold tile computes
+//! eq. (4) directly, as every library sweep does: the die count is a
+//! pure function of wafer and die, and warm tiles never reach it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 use maly_cost_model::roadmap::CostRoadmap;
-use maly_cost_model::surface::{CostSurface, Memo, SurfaceParameters};
+use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_paper_data::table3::{self, Table3Row};
 use maly_par::Executor;
 use maly_tech_trend::diesize::DieSizeTrend;
@@ -64,8 +67,9 @@ pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_
 pub static TILE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_evictions");
 /// Per-query evaluation latency, attached to the `model.query` span.
 pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.eval_ns");
-/// Whole-batch latency (the fused cold-tile dispatch plus every
-/// query's evaluation), attached to the `model.plan` span.
+/// Whole-batch latency (the fused cold-tile dispatch, every query's
+/// evaluation and the fused tiles' cache inserts), attached to the
+/// `model.plan` span.
 pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.plan_ns");
 /// Writing one cold tile into its cached body, attached to the
 /// `model.tile_serialize` span (nested in the span of the query or
@@ -176,20 +180,17 @@ impl TileKey {
 /// copy.
 const TILE_CACHE_CAPACITY: usize = 64;
 
-/// A cached tile body. A body the batch path inserts ahead of its own
-/// query starts *unclaimed*: that query already counted the miss, so
-/// the first lookup clears the flag instead of counting a hit.
-#[derive(Debug)]
-struct Cached {
-    body: SurfaceBody,
-    unclaimed: AtomicBool,
-}
+/// The tile bodies a batch fused for its own queries, keyed like the
+/// cache. They answer that batch's tile queries ahead of the cache and
+/// enter it only after the batch's answers, so no fused tile can evict
+/// another one before its query reads it.
+pub(crate) type FusedTiles = HashMap<TileKey, SurfaceBody>;
 
 /// The tile bodies behind [`EvalContext`]'s lock, with the slots random
 /// replacement picks its victims from.
 #[derive(Debug)]
 struct TileCache {
-    bodies: HashMap<TileKey, Cached>,
+    bodies: HashMap<TileKey, SurfaceBody>,
     /// The key each slot holds, in insertion order until the cache
     /// fills; then a new tile overwrites the slot of its victim.
     slots: Vec<TileKey>,
@@ -208,18 +209,14 @@ impl TileCache {
 
     /// Caches `body` under `key`, evicting one body if the cache is
     /// full, and returns the change in bytes held.
-    fn insert(&mut self, key: TileKey, body: SurfaceBody, unclaimed: bool) -> i64 {
-        let entry = Cached {
-            body,
-            unclaimed: AtomicBool::new(unclaimed),
-        };
-        let mut delta = body_len(&entry);
+    fn insert(&mut self, key: TileKey, body: SurfaceBody) -> i64 {
+        let mut delta = body_len(&body);
         if let Some(held) = self.bodies.get_mut(&key) {
             // Two threads that miss the same key both insert; the
             // bodies are equal, and the second replaces the first in
             // place without evicting anything.
             delta -= body_len(held);
-            *held = entry;
+            *held = body;
             return delta;
         }
         if self.slots.len() < TILE_CACHE_CAPACITY {
@@ -232,21 +229,16 @@ impl TileCache {
             }
             TILE_EVICTIONS.incr();
         }
-        self.bodies.insert(key, entry);
+        self.bodies.insert(key, body);
         delta
     }
 }
 
-/// The query API's long-lived state: the shared artifacts plus a
-/// bounded cache of serialized surface tiles and a bounded eq. (4)
-/// memo. Every kernel dispatch the context makes — a cold tile, a
-/// fused tile batch, a partition sweep — looks its die counts up in
-/// the memo: sliding tile windows and repeated sweep specs revisit die
-/// sizes, so a served context gets its inserts back.
+/// The query API's long-lived state: a bounded cache of serialized
+/// surface tiles (the shared artifacts are process-wide).
 #[derive(Debug)]
 pub struct EvalContext {
     tiles: RwLock<TileCache>,
-    memo: Memo,
 }
 
 impl Default for EvalContext {
@@ -263,7 +255,6 @@ impl EvalContext {
         TILE_EVICTIONS.add(0);
         Self {
             tiles: RwLock::new(TileCache::new()),
-            memo: Memo::new(),
         }
     }
 
@@ -275,10 +266,12 @@ impl EvalContext {
     }
 
     /// The serialized body of a surface tile for the given ranges:
-    /// cached when warm; computed on the executor (and counted in
+    /// taken from `fused` when the query's batch fused it, cached when
+    /// warm; computed on the executor (and counted in
     /// [`struct@TILE_CELLS`]), then serialized once, when cold. Each
-    /// call counts one hit or one miss, except the first lookup of a
-    /// body [`Self::insert_cold_tile`] stored, whose miss is counted.
+    /// cache lookup counts one hit or one miss; the batch that fused a
+    /// tile has already counted its queries' ledger (see
+    /// [`crate::plan`]), so a `fused` answer counts nothing.
     ///
     /// The caller must have validated the ranges
     /// (ascending-positive, ≥ 2 steps) — `CostSurface::compute` panics
@@ -289,31 +282,29 @@ impl EvalContext {
         params: &SurfaceParameters,
         lambda_range: (f64, f64, usize),
         n_tr_range: (f64, f64, usize),
+        fused: &FusedTiles,
     ) -> SurfaceBody {
         let key = TileKey::new(lambda_range, n_tr_range);
+        if let Some(body) = fused.get(&key) {
+            return body.clone();
+        }
         if let Ok(cache) = self.tiles.read() {
-            if let Some(held) = cache.bodies.get(&key) {
-                if !held.unclaimed.swap(false, Ordering::Relaxed) {
-                    TILE_HITS.incr();
-                }
-                return held.body.clone();
+            if let Some(body) = cache.bodies.get(&key) {
+                TILE_HITS.incr();
+                return body.clone();
             }
         }
         TILE_MISSES.incr();
         TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
-        let tile = CostSurface::compute_with_memo(
-            exec,
-            Some(&self.memo),
-            params,
-            lambda_range,
-            n_tr_range,
-        );
-        self.store_tile(key, &tile, false)
+        let tile = CostSurface::compute_with(exec, params, lambda_range, n_tr_range);
+        let body = serialize_tile(&tile);
+        self.store_tile(key, body.clone());
+        body
     }
 
     /// Whether a tile for this key is cached. Bumps no counters: the
-    /// batch path probes with this to pick the tiles to fuse, and only
-    /// the tile queries themselves count hits and misses.
+    /// batch path probes with this to pick the tiles to fuse, and a
+    /// warm tile's own lookup counts its hit.
     pub(crate) fn has_tile(&self, key: &TileKey) -> bool {
         self.tiles
             .read()
@@ -321,49 +312,19 @@ impl EvalContext {
             .unwrap_or(false)
     }
 
-    /// Caches a tile the batch path fused ahead of its query, counting
-    /// the miss and cells that query's [`Self::surface_tile`] would
-    /// have counted. The body is stored unclaimed, so that query's
-    /// lookup counts no hit. `cells` is the tile's *full* cell count
-    /// even when fusion evaluated fewer, so `model.tile_cells` reads
-    /// the same on the unplanned path; the fusion saving shows up in
-    /// `eq1.cells` and `plan.nodes_evaluated` instead.
-    pub(crate) fn insert_cold_tile(&self, key: TileKey, cells: u64, tile: &CostSurface) {
-        TILE_MISSES.incr();
-        TILE_CELLS.add(cells);
-        self.store_tile(key, tile, true);
-    }
-
-    /// Writes a cold tile's body straight from its grid — the one time
-    /// its numbers are formatted — and caches it, evicting one body if
-    /// the cache is full.
-    fn store_tile(&self, key: TileKey, tile: &CostSurface, unclaimed: bool) -> SurfaceBody {
-        let body = {
-            let _span = maly_obs::span("model.tile_serialize").with_histogram(&TILE_SERIALIZE_NS);
-            SurfaceBody::from_surface(tile)
-        };
+    /// Caches a cold tile's body, evicting one body if the cache is
+    /// full. Counts nothing: the lookup that missed, or the batch that
+    /// fused the tile, has counted it.
+    pub(crate) fn store_tile(&self, key: TileKey, body: SurfaceBody) {
         if let Ok(mut cache) = self.tiles.write() {
-            TILE_CACHE_BYTES.add(cache.insert(key, body.clone(), unclaimed));
+            TILE_CACHE_BYTES.add(cache.insert(key, body));
         }
-        body
     }
 
     /// Number of cached tiles (for tests and diagnostics).
     #[must_use]
     pub fn cached_tiles(&self) -> usize {
         self.tiles.read().map(|c| c.bodies.len()).unwrap_or(0)
-    }
-
-    /// The eq. (4) memo this context's kernel dispatches share.
-    pub(crate) fn memo(&self) -> &Memo {
-        &self.memo
-    }
-
-    /// Number of eq. (4) counts the context's memo holds (for tests and
-    /// diagnostics).
-    #[must_use]
-    pub fn memo_entries(&self) -> usize {
-        self.memo.len()
     }
 }
 
@@ -380,9 +341,16 @@ impl Drop for EvalContext {
     }
 }
 
+/// Writes a cold tile's body straight from its grid — the one time its
+/// numbers are formatted.
+pub(crate) fn serialize_tile(tile: &CostSurface) -> SurfaceBody {
+    let _span = maly_obs::span("model.tile_serialize").with_histogram(&TILE_SERIALIZE_NS);
+    SurfaceBody::from_surface(tile)
+}
+
 /// A cached body's length, as a gauge delta.
-fn body_len(held: &Cached) -> i64 {
-    held.body.as_str().len() as i64
+fn body_len(body: &SurfaceBody) -> i64 {
+    body.as_str().len() as i64
 }
 
 /// Serializes lib tests that read the process-global counters; cargo
@@ -453,10 +421,10 @@ mod tests {
         let params = SurfaceParameters::fig8();
         let ranges = ((0.4, 1.2, 6), (1.0e5, 1.0e6, 5));
         let (hits0, misses0) = (TILE_HITS.value(), TILE_MISSES.value());
-        let first = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        let first = ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
         assert_eq!(TILE_MISSES.value() - misses0, 1, "cold query is one miss");
         assert_eq!(TILE_HITS.value() - hits0, 0);
-        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
         assert!(
             Arc::ptr_eq(&first.0, &again.0),
             "repeat must answer with the cached body itself"
@@ -467,70 +435,47 @@ mod tests {
     }
 
     #[test]
-    fn memo_fills_on_cold_tiles_only() {
-        // The memo count is per context; the lock only keeps this test's
-        // tile misses out of the tests that diff the tile counters.
-        let _guard = counter_test_lock();
-        let ctx = EvalContext::new();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
-        let ranges = ((0.45, 1.1, 9), (5.0e4, 2.0e6, 7));
-        assert_eq!(ctx.memo_entries(), 0);
-        ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
-        let cold = ctx.memo_entries();
-        assert!(cold > 0, "a cold tile stores its die counts");
-        // A warm repeat, with a library surface over a fresh window
-        // computed on another thread meanwhile: neither touches the
-        // context's memo.
-        let library = std::thread::scope(|s| {
-            let library = s.spawn(|| {
-                CostSurface::compute_with(&exec, &params, (0.41, 1.3, 11), (3.0e4, 3.0e6, 9))
-            });
-            ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
-            library.join().expect("library surface")
-        });
-        assert_eq!(ctx.memo_entries(), cold);
-        // The memo never changes an answer: a library tile over the
-        // context's window is bit-identical to the memoized one.
-        let direct = CostSurface::compute_with(&exec, &params, ranges.0, ranges.1);
-        let memoized =
-            CostSurface::compute_with_memo(&exec, Some(ctx.memo()), &params, ranges.0, ranges.1);
-        assert_eq!(ctx.memo_entries(), cold, "the window is warm");
-        assert_eq!(direct, memoized);
-        assert_eq!(library.values().len(), 11);
-    }
-
-    #[test]
     fn cold_insert_counts_like_an_unplanned_miss() {
+        // A one-tile batch fuses its tile: its query is the tile's one
+        // miss and answers from the batch, and the body enters the
+        // cache after, so a repeat is one hit on the same body.
         let _guard = counter_test_lock();
         let ctx = EvalContext::new();
         let exec = Executor::serial();
         let params = SurfaceParameters::fig8();
-        let ranges = ((0.5, 1.0, 4), (1.0e5, 1.0e6, 3));
-        let tile = CostSurface::compute_with(&exec, &params, ranges.0, ranges.1);
-        let key = TileKey::new(ranges.0, ranges.1);
+        let (lambda, n_tr) = ((0.5, 1.0, 4), (1.0e5, 1.0e6, 3));
+        let query = crate::Query::SurfaceTile {
+            lambda_min: lambda.0,
+            lambda_max: lambda.1,
+            lambda_steps: lambda.2,
+            n_tr_min: n_tr.0,
+            n_tr_max: n_tr.1,
+            n_tr_steps: n_tr.2,
+        };
+        let key = TileKey::new(lambda, n_tr);
         assert!(!ctx.has_tile(&key));
         let (hits0, misses0, cells0) = (TILE_HITS.value(), TILE_MISSES.value(), TILE_CELLS.value());
-        ctx.insert_cold_tile(key, 12, &tile);
-        assert!(ctx.has_tile(&key), "inserted tile must be warm");
+        let answers = crate::Query::evaluate_batch(&exec, &ctx, &[query]);
+        let Ok(crate::QueryResponse::Surface(first)) = &answers[0] else {
+            panic!("a tile query answers with a surface: {answers:?}");
+        };
+        assert!(ctx.has_tile(&key), "the fused tile enters the cache");
         assert_eq!(TILE_MISSES.value() - misses0, 1);
         assert_eq!(TILE_CELLS.value() - cells0, 12);
-        assert_eq!(TILE_HITS.value() - hits0, 0, "probes bump nothing");
-        let first = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
         assert_eq!(
             TILE_HITS.value() - hits0,
             0,
-            "the tile's own query claims it: its miss is already counted"
+            "the tile's own query is its miss"
         );
-        assert_eq!(
-            first.as_str(),
-            oracle(&tile),
-            "the lookup answers with the inserted tile's body"
-        );
-        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+        let tile = CostSurface::compute_with(&exec, &params, lambda, n_tr);
+        assert_eq!(first.as_str(), oracle(&tile));
+        let again = ctx.surface_tile(&exec, &params, lambda, n_tr, &FusedTiles::new());
         assert_eq!(TILE_HITS.value() - hits0, 1, "a repeat is one hit");
         assert_eq!(TILE_MISSES.value() - misses0, 1, "and no further miss");
-        assert!(Arc::ptr_eq(&first.0, &again.0));
+        assert!(
+            Arc::ptr_eq(&first.0, &again.0),
+            "the batch's answer is the body it cached"
+        );
     }
 
     #[test]
@@ -547,7 +492,7 @@ mod tests {
             ((0.4, 1.5, 3), (1.0e6, 1.0e9, 3)),
             ((0.8, 1.2, 2), (1.0e5, 2.0e5, 2)),
         ] {
-            ctx.surface_tile(&exec, &params, ranges.0, ranges.1);
+            ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
         }
         let batch: Vec<crate::Query> = [0.5, 0.6]
             .iter()
@@ -567,8 +512,8 @@ mod tests {
         assert!(cache
             .bodies
             .values()
-            .any(|held| held.body.as_str().contains("null")));
-        for body in cache.bodies.values().map(|held| &held.body) {
+            .any(|body| body.as_str().contains("null")));
+        for body in cache.bodies.values() {
             let parsed = crate::json::parse(body.as_str()).expect("cached body is JSON");
             assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("surface"));
             assert_eq!(parsed.write(), body.as_str());
@@ -593,7 +538,7 @@ mod tests {
         };
         for i in 0..TILE_CACHE_CAPACITY {
             let (l, n) = small_tile(i);
-            ctx.surface_tile(&exec, &params, l, n);
+            ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
             assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held(&ctx), "tile {i}");
         }
         assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
@@ -625,7 +570,7 @@ mod tests {
         for i in TILE_CACHE_CAPACITY..2 * TILE_CACHE_CAPACITY {
             let evictions0 = TILE_EVICTIONS.value();
             let (l, n) = small_tile(i);
-            let body = ctx.surface_tile(&exec, &params, l, n);
+            let body = ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
             assert_eq!(TILE_EVICTIONS.value() - evictions0, 1, "tile {i}");
             assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY, "tile {i}");
             assert!(ctx.has_tile(&TileKey::new(l, n)), "tile {i} is cached");
@@ -648,19 +593,19 @@ mod tests {
         let ctx = EvalContext::new();
         for i in 0..TILE_CACHE_CAPACITY {
             let (l, n) = small_tile(i);
-            ctx.surface_tile(&exec, &params, l, n);
+            ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
         }
         // The batch path materializes a window a connection worker has
         // just cached: the full cache takes it back in place.
         let (l, n) = small_tile(TILE_CACHE_CAPACITY - 1);
         let tile = CostSurface::compute_with(&exec, &params, l, n);
         let evictions0 = TILE_EVICTIONS.value();
-        ctx.insert_cold_tile(TileKey::new(l, n), 4, &tile);
+        ctx.store_tile(TileKey::new(l, n), serialize_tile(&tile));
         assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
         assert_eq!(TILE_EVICTIONS.value(), evictions0);
         let (hits0, cells0) = (TILE_HITS.value(), TILE_CELLS.value());
         let (l, n) = small_tile(0);
-        ctx.surface_tile(&exec, &params, l, n);
+        ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
         assert_eq!(TILE_HITS.value() - hits0, 1, "the oldest tile still hits");
         assert_eq!(TILE_CELLS.value(), cells0, "and evaluates no cell");
     }
@@ -681,7 +626,7 @@ mod tests {
             );
             for k in 0..3 * TILE_CACHE_CAPACITY {
                 let (l, n) = small_tile(k % (3 * TILE_CACHE_CAPACITY / 2));
-                ctx.surface_tile(&exec, &params, l, n);
+                ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
             }
             let deltas = (
                 TILE_HITS.value() - hits0,

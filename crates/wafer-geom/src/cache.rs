@@ -4,13 +4,18 @@
 //! Fig 8 surface, a partition search, or a Table 3 regeneration asks
 //! for `N_ch` thousands of times. A [`Memo`] stores those counts, but
 //! it pays only where the same `(usable radius, die width, die height)`
-//! triple comes back: a long-lived server whose sliding tile windows
-//! and repeated sweep specs revisit die sizes. A one-shot dense sweep
-//! asks for mostly new keys, and inserting them costs more than
-//! computing them, so library sweeps call
-//! [`crate::maly::dies_per_wafer_batch`] directly and only a caller
-//! that owns a memo (`maly-model`'s evaluation context) routes through
-//! one.
+//! triple comes back. A one-shot dense sweep asks for mostly new keys,
+//! and inserting them costs more than computing them; a server answers
+//! repeated windows from its tile cache before eq. (4) is reached. So
+//! every sweep and every served query calls
+//! [`crate::maly::dies_per_wafer_batch`] directly, and no workspace
+//! path routes through a memo.
+//!
+//! The memo's only callers are two frozen benchmarks: the `eq4_cache`
+//! group of `maly-bench`'s sweeps bench builds its own [`Memo`]s, and
+//! the standalone perf harness's `eq4.*` probe uses the process-wide
+//! shims [`dies_per_wafer_batch`], [`stats`] and [`clear`]. The memo
+//! goes with their next change.
 //!
 //! The key is the *only* input the formula reads — the usable radius
 //! and the two die edges — each quantized to an integer number of
@@ -24,14 +29,9 @@
 //!
 //! A memo is sharded to keep lock contention negligible under the
 //! parallel executor, and safe across panics: a poisoned shard is
-//! recovered, not unwrapped. It is also bounded. Under `maly-serve` the
-//! die edges come from client windows, so distinct keys are unlimited;
-//! each shard holds at most [`SHARD_CAPACITY`] entries, and a full shard
-//! is emptied before its next insert.
-//!
-//! [`dies_per_wafer_batch`], [`stats`] and [`clear`] are thin shims over
-//! one lazily built process-wide memo, kept for the standalone perf
-//! harness's eq. (4) probe; nothing in the workspace calls them.
+//! recovered, not unwrapped. It is also bounded: distinct keys are
+//! unlimited, so each shard holds at most [`SHARD_CAPACITY`] entries,
+//! and a full shard is emptied before its next insert.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,10 +72,8 @@ type Key = (u64, u64, u64);
 
 /// Multiply-rotate hasher for the fixed-shape integer key. The default
 /// `HashMap` hasher (SipHash) is DoS-resistant but costs more than the
-/// whole warm-hit budget of this memo. The keys are not trusted: under
-/// `maly-serve` the die edges come from client windows, and this mix
-/// has no secret, so keys crafted to collide would slow every lookup in
-/// their shard. [`SHARD_CAPACITY`] bounds how long such a shard can get.
+/// whole warm-hit budget of this memo. The mix has no secret, so keys
+/// crafted to collide would slow every lookup in their shard. [`SHARD_CAPACITY`] bounds how long such a shard can get.
 /// Each `u64` word folds in as `state = (rotl(state, 5) ^ word) × φ64`
 /// (the 64-bit golden-ratio constant), whose high and low halves are
 /// both well distributed for hashbrown's control-byte scheme.

@@ -13,7 +13,7 @@
 //! * [`approx`] — classical closed-form estimates (gross area ratio and the
 //!   edge-corrected variant) useful for sanity bounds and quick sizing,
 //! * [`cache`] — a bounded memo in front of eq. (4), keyed on quantized
-//!   wafer/die dimensions and owned by the caller that reuses it.
+//!   wafer/die dimensions; only two frozen benchmarks still call it.
 //!
 //! # Examples
 //!
