@@ -1,5 +1,5 @@
 //! Serial vs parallel timing for every sweep hot path, plus the
-//! eq. (4) memo cache — the `BENCH_sweeps.json` baseline.
+//! eq. (4) memo — the `BENCH_sweeps.json` baseline.
 //!
 //! Before timing anything, each comparison asserts the parallel result
 //! is **bit-identical** to the serial one: a fast wrong sweep would be
@@ -20,7 +20,7 @@ use maly_cost_optim::partition::{optimize_with, SUBSETS_PRICED};
 use maly_cost_optim::search::grid_min_with;
 use maly_par::Executor;
 use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, TransistorCount};
-use maly_wafer_geom::{cache::Memo, DieDimensions, Wafer};
+use maly_wafer_geom::{cache, maly, DieDimensions, Wafer};
 
 /// Threads for the "parallel" side: at least 4 so the baseline captures
 /// the issue's 4-thread target even when the ambient default is 1.
@@ -420,29 +420,28 @@ fn bench_eq4_cache() {
             DieDimensions::square(side)
         })
         .collect();
-    // Cold times one batch through a fresh memo: every lookup misses,
-    // computes eq. (4) and inserts. Warm serves the same batch from a
-    // memo the setup filled, so every lookup hits.
-    let warm_memo = Memo::new();
-    black_box(warm_memo.dies_per_wafer_batch(&wafer, &dies));
+    // Cold empties the process-wide memo and prices one batch through
+    // it: every lookup misses, computes eq. (4) and inserts. Warm
+    // repeats the batch, which every cold sample leaves stored, so every
+    // lookup hits.
+    cache::clear();
+    let direct = maly::dies_per_wafer_batch(&wafer, &dies);
+    assert_eq!(cache::dies_per_wafer_batch(&wafer, &dies), direct);
+    assert_eq!(cache::dies_per_wafer_batch(&wafer, &dies), direct);
+    let n = dies.len() as u64;
+    assert_eq!(cache::stats(), cache::CacheStats { hits: n, misses: n });
     let (cold, warm) = bench_pair(
         "dies_per_wafer_64_dies/cold",
         || {
-            black_box(Memo::new().dies_per_wafer_batch(&wafer, &dies));
+            cache::clear();
+            black_box(cache::dies_per_wafer_batch(&wafer, &dies));
         },
         "dies_per_wafer_64_dies/warm",
         || {
-            black_box(warm_memo.dies_per_wafer_batch(&wafer, &dies));
+            black_box(cache::dies_per_wafer_batch(&wafer, &dies));
         },
     );
     record_speedup("dies_per_wafer_64_dies_cold_vs_warm", cold, warm);
-    let stats = warm_memo.stats();
-    println!(
-        "warm memo stats: {} hits / {} misses ({:.1}% hit rate)",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0
-    );
 }
 
 fn bench_obs_work() {
@@ -456,7 +455,7 @@ fn bench_obs_work() {
     // whatever iteration counts the timed benches above calibrated to.
     // Only Work-kind counters land in the baseline — they are
     // thread-count-invariant and deterministic; Diag counters (par
-    // scheduling, cache hit/miss) legitimately vary by machine.
+    // scheduling) legitimately vary by machine.
     maly_obs::reset_metrics();
     let serial_exec = Executor::serial();
     black_box(fig8_surface(&serial_exec));

@@ -12,8 +12,9 @@
 //!   Monte Carlo and the wafer-map renderer,
 //! * [`approx`] — classical closed-form estimates (gross area ratio and the
 //!   edge-corrected variant) useful for sanity bounds and quick sizing,
-//! * [`cache`] — a bounded memo in front of eq. (4), keyed on quantized
-//!   wafer/die dimensions; only two frozen benchmarks still call it.
+//! * [`cache`] — one process-wide, bounded memo in front of eq. (4),
+//!   keyed on quantized wafer/die dimensions, behind three functions
+//!   that only two frozen benchmarks call.
 //!
 //! # Examples
 //!

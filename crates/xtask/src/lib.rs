@@ -16,7 +16,8 @@
 //!    via `partial_cmp`, no float-literal `==`;
 //! 4. **crate hygiene** — workspace-inherited metadata, `[lints]`
 //!    inheritance, `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]`
-//!    crate roots, no wildcard versions or placeholder URLs;
+//!    crate roots, no wildcard versions or placeholder URLs, no
+//!    `maly-*` dependency that no source of the crate names;
 //! 5. **raw-thread containment** — no raw `std::thread::spawn` outside
 //!    `crates/par`, so every parallel path stays deterministic and
 //!    honors `MALY_PAR_THREADS`;
@@ -280,7 +281,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "hygiene\n\
              Manifests inherit workspace version/edition/license and [lints], carry\n\
              a description, and pin dependency versions; crate roots carry\n\
-             #![forbid(unsafe_code)] and #![warn(missing_docs)]. No escape."
+             #![forbid(unsafe_code)] and #![warn(missing_docs)]. A maly-* entry\n\
+             under [dependencies] must be named (as maly_foo) by some .rs file\n\
+             under the crate's src/, tests/, benches/ or examples/: a dead edge\n\
+             still builds the dependency first. No escape."
         }
         "raw-thread" => {
             "raw-thread\n\
@@ -462,6 +466,17 @@ pub fn run_lint(root: &Path) -> io::Result<Report> {
 
         let mut files = Vec::new();
         rust_files(&dir.join("src"), &mut files);
+        let mut crate_files = files.clone();
+        for sub in ["tests", "benches", "examples"] {
+            rust_files(&dir.join(sub), &mut crate_files);
+        }
+        let sources: Vec<String> = crate_files
+            .iter()
+            .filter_map(|f| fs::read_to_string(f).ok())
+            .collect();
+        report
+            .violations
+            .extend(rules::dead_dependencies(&manifest_rel, &manifest, &sources));
         let mut panic_sites = Vec::new();
         let mut unit_escapes = 0usize;
         for file in &files {

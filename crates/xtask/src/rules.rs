@@ -542,6 +542,43 @@ pub fn check_manifest(file: &str, text: &str) -> Vec<Violation> {
     out
 }
 
+/// Flags each `maly-*` entry under a manifest's `[dependencies]` whose
+/// Rust identifier (`maly-foo` → `maly_foo`) no file in `sources` names
+/// as a whole word: a dead edge still builds the dependency first and
+/// ties the crate to it.
+#[must_use]
+pub fn dead_dependencies(file: &str, manifest: &str, sources: &[String]) -> Vec<Violation> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let names = |source: &str, ident: &str| {
+        source.match_indices(ident).any(|(at, _)| {
+            !source[..at].ends_with(is_ident) && !source[at + ident.len()..].starts_with(is_ident)
+        })
+    };
+    let mut out = Vec::new();
+    let mut in_dependencies = false;
+    for (idx, l) in manifest.lines().enumerate() {
+        let t = l.trim();
+        if t.starts_with('[') {
+            in_dependencies = t == "[dependencies]";
+            continue;
+        }
+        let name = t.split(['.', '=', ' ']).next().unwrap_or(t);
+        if !in_dependencies || !name.starts_with("maly-") {
+            continue;
+        }
+        let ident = name.replace('-', "_");
+        if !sources.iter().any(|s| names(s, &ident)) {
+            out.push(Violation {
+                file: file.to_string(),
+                line: idx + 1,
+                rule: Rule::Hygiene,
+                message: format!("dependency `{name}` is unused: no source names `{ident}`"),
+            });
+        }
+    }
+    out
+}
+
 /// Checks a crate-root source file for the mandatory lint headers.
 #[must_use]
 pub fn check_crate_root_source(file: &str, text: &str) -> Vec<Violation> {

@@ -209,6 +209,39 @@ fn hygiene_flags_wildcard_versions_and_placeholder_repository() {
     assert_eq!(found.len(), 2);
 }
 
+const DEPENDENCIES: &str = concat!(
+    "[dependencies]\n",
+    "maly-units.workspace = true\n",
+    "maly-wafer-geom = { path = \"../wafer-geom\" }\n",
+    "\n",
+    "[dev-dependencies]\n",
+    "maly-par.workspace = true\n",
+);
+
+#[test]
+fn hygiene_flags_a_dependency_no_source_names() {
+    // `maly_wafer_geometry` and a `maly-wafer-geom` string are not the
+    // identifier; a dev-dependency is out of the rule's scope.
+    let sources = vec![
+        "use maly_units::Dollars;\n".to_string(),
+        "// maly_wafer_geometry, \"maly-wafer-geom\"\n".to_string(),
+    ];
+    let found = rules::dead_dependencies("crates/fixture/Cargo.toml", DEPENDENCIES, &sources);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, Rule::Hygiene);
+    assert_eq!(found[0].line, 3);
+    assert!(found[0].message.contains("`maly-wafer-geom`"));
+}
+
+#[test]
+fn hygiene_accepts_dependencies_a_source_names() {
+    let sources = vec![
+        "use maly_units::Dollars;\n".to_string(),
+        "fn f() { maly_wafer_geom::maly::dies_per_wafer(w, d); }\n".to_string(),
+    ];
+    assert!(rules::dead_dependencies("Cargo.toml", DEPENDENCIES, &sources).is_empty());
+}
+
 #[test]
 fn hygiene_requires_crate_root_headers() {
     let clean = "//! Docs.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
