@@ -71,6 +71,8 @@ cat > target/ci_requests.jsonl <<'REQ'
 [{"id": 5, "query": {"type": "surface_tile", "lambda_min": 0.52, "lambda_max": 0.92, "lambda_steps": 7, "n_tr_min": 8.0e4, "n_tr_max": 6.0e5, "n_tr_steps": 6}}]
 {"v": 1, "id": 6, "query": {"type": "chiplet_partition_sweep", "transistors": 2.0e6, "volume": 50000}}
 {"id": 7, "query": {"type": "scenario2_sweep", "x": 2.0, "lambda_min": 0.5, "lambda_max": 200.0, "steps": 3}}
+{"id": 8, "query": {"type": "surface_tile", "lambda_min": 0.61, "lambda_max": 1.01, "lambda_steps": 5, "n_tr_min": 1.0e5, "n_tr_max": 9.0e5, "n_tr_steps": 4}}
+[{"id": 9, "query": {"type": "surface_tile", "lambda_min": 0.61, "lambda_max": 1.01, "lambda_steps": 5, "n_tr_min": 1.0e5, "n_tr_max": 9.0e5, "n_tr_steps": 4}}]
 REQ
 cargo run -q -p maly-cli -- query --file target/ci_requests.jsonl \
     --trace-out target/trace_serve_ci.ndjson > target/ci_responses.jsonl
@@ -83,6 +85,14 @@ sed -n '4s/^\[{"id":5,"ok":\(.*\)}\]$/\1/p' target/ci_responses.jsonl \
     > target/ci_tile_warm.json
 grep -q '^{"kind":"surface",' target/ci_tile_cold.json
 cmp target/ci_tile_cold.json target/ci_tile_warm.json
+# A single-object cold tile line (id 8) and its repeat inside an array
+# line (id 9) resolve the same way: the same "ok" bytes.
+sed -n '7s/^{"id":8,"ok":\(.*\)}$/\1/p' target/ci_responses.jsonl \
+    > target/ci_tile_single.json
+sed -n '8s/^\[{"id":9,"ok":\(.*\)}\]$/\1/p' target/ci_responses.jsonl \
+    > target/ci_tile_array.json
+grep -q '^{"kind":"surface",' target/ci_tile_single.json
+cmp target/ci_tile_single.json target/ci_tile_array.json
 # A Scenario #2 window past the die-size trend's domain (id 7) is
 # answered with an error whose kind is in the wire registry.
 KIND=$(sed -n '6s/^{"id":7,"error":{"kind":"\([a-z-]*\)".*$/\1/p' target/ci_responses.jsonl)
@@ -90,10 +100,14 @@ test -n "$KIND"
 sed -n '/^pub const KIND_REGISTRY/,/^];/p' crates/model/src/error.rs | grep -q "\"$KIND\","
 grep -q '"name":"serve.request"' target/trace_serve_ci.ndjson
 grep -q '"name":"model.queries"' target/trace_serve_ci.ndjson
-# The cold surface-tile request (id 4) is the trace's one tile-cache
-# miss and its repeat (id 5) the one hit: each tile query counts once.
-grep -q '"name":"model.tile_misses","value":1}' target/trace_serve_ci.ndjson
-grep -q '"name":"model.tile_hits","value":1}' target/trace_serve_ci.ndjson
+# The cold surface-tile requests (ids 4 and 8) are the trace's two
+# tile-cache misses and their repeats (ids 5 and 9) the two hits: each
+# tile query counts once, on single and array lines alike.
+grep -q '"name":"model.tile_misses","value":2}' target/trace_serve_ci.ndjson
+grep -q '"name":"model.tile_hits","value":2}' target/trace_serve_ci.ndjson
+# Only the cold array line (id 4) issues a batch's fused dispatch: the
+# single tile line (id 8) moves no plan.* counter.
+grep -q '"name":"plan.fused_dispatches","value":1}' target/trace_serve_ci.ndjson
 # Every context registers its eviction counter, so a trace tells
 # whether misses followed evictions even when none happened.
 grep -q '"name":"model.tile_evictions"' target/trace_serve_ci.ndjson

@@ -24,8 +24,9 @@ use crate::{CostError, TransistorCostModel, WaferCostModel};
 /// count. Each block pays its own buffers, a few percent of a 56 × 48
 /// surface at 512 cells, so blocks are 1024 cells. A dense surface
 /// dispatches whole λ-rows, `max(1, CELL_BLOCK / n_tr_steps)` per
-/// block, on every executor, serial included, so its memory is one
-/// block's temporaries per thread plus the result.
+/// block, and a cell list ([`Eq1Kernel::eval_cells_with`]) `CELL_BLOCK`
+/// cells per block, on every executor, serial included, so memory is
+/// one block's temporaries per thread plus the result.
 const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
@@ -226,16 +227,15 @@ impl Eq1Kernel {
     }
 
     /// Evaluates the given `(λ index, N_tr index)` cells across the
-    /// executor in fixed-size blocks (one block on a serial executor);
-    /// `None` marks infeasible cells (die too large, yield collapsed).
-    /// Blocks map back in index order and elements are independent, so
-    /// the output is bit-identical at every thread count and under any
-    /// chunking or ordering of `cells`.
+    /// executor in `CELL_BLOCK`-cell blocks, on every executor (a
+    /// serial one too), so a block's temporaries stay bounded however
+    /// many cells come in; `None` marks infeasible cells (die too
+    /// large, yield collapsed). Blocks map back in index order and
+    /// elements are independent, so the output is bit-identical at
+    /// every thread count and under any chunking or ordering of
+    /// `cells`.
     #[must_use]
     pub fn eval_cells_with(&self, exec: &Executor, cells: &[(usize, usize)]) -> Vec<Option<f64>> {
-        if exec.threads() <= 1 {
-            return self.eq1_for_slice(cells);
-        }
         let blocks: Vec<&[(usize, usize)]> = cells.chunks(CELL_BLOCK).collect();
         exec.map(&blocks, |block| self.eq1_for_slice(block))
             .concat()

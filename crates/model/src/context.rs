@@ -9,15 +9,21 @@
 //! re-exports it).
 //!
 //! On top of the static artifacts, [`EvalContext`] owns a bounded cache
-//! of *surface tiles* keyed by quantized query parameters. An entry is
-//! the tile's serialized `ok` body ([`SurfaceBody`]), written straight
-//! from the grid once, when the tile enters the cache; the grid is then
+//! of *surface tiles*, keyed by the exact bits of each request's window
+//! and step counts: one key is one window, so a cached body is only
+//! ever served for the request it was written for. An entry is the
+//! tile's serialized `ok` body ([`SurfaceBody`]), written straight from
+//! the grid once, when the tile enters the cache; the grid is then
 //! dropped. A repeated `surface_tile` query for the same window answers
 //! with a reference-count bump — no grid cell re-evaluated, no number
 //! re-formatted — and the response splices the body into its envelope
-//! through [`crate::json::Json::Raw`]. The obs counters below make
-//! that checkable: the warm-cache integration test asserts
-//! `model.tile_cells` does not move on a repeat query.
+//! through [`crate::json::Json::Raw`].
+//!
+//! The cache is a plain store: a lookup counts nothing, and an insert
+//! counts only the evictions it makes. [`crate::plan`] resolves every
+//! tile — a single query's or a whole batch's — and keeps the
+//! `model.tile_{hits,misses,cells}` ledger; the warm-cache integration
+//! test asserts `model.tile_cells` does not move on a repeat query.
 //!
 //! A full cache makes room one tile at a time: the new tile overwrites
 //! one slot, picked by the context's own SplitMix64 sequence. Clients
@@ -27,10 +33,6 @@
 //! once per eviction, so the victims depend only on the order tiles
 //! enter the cache, and a hit stays a read-locked lookup with no
 //! bookkeeping.
-//!
-//! The tile cache is the context's only state. A cold tile computes
-//! eq. (4) directly, as every library sweep does: the die count is a
-//! pure function of wafer and die, and warm tiles never reach it.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -38,7 +40,6 @@ use std::sync::{OnceLock, RwLock};
 use maly_cost_model::roadmap::CostRoadmap;
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_paper_data::table3::{self, Table3Row};
-use maly_par::Executor;
 use maly_tech_trend::diesize::DieSizeTrend;
 use maly_tech_trend::fit::{CostEscalationFit, ExponentialFit};
 use maly_tech_trend::{datasets, fit};
@@ -51,15 +52,18 @@ pub const FIG8_LAMBDA_RANGE: (f64, f64, usize) = (0.4, 1.5, 56);
 /// The Fig 8 grid the reports render: `(N_tr min, N_tr max, steps)`.
 pub const FIG8_N_TR_RANGE: (f64, f64, usize) = (2.0e4, 4.0e6, 48);
 
-/// Grid cells evaluated for surface tiles (cache misses only). A
-/// thread-count-invariant work counter: the warm-cache test asserts a
-/// repeat query adds exactly zero here.
+/// Grid cells of the surface tiles that missed, each tile's full count
+/// (counted in [`crate::plan`]). A thread-count-invariant work counter:
+/// the warm-cache test asserts a repeat query adds exactly zero here.
 pub static TILE_CELLS: maly_obs::Counter = maly_obs::Counter::work("model.tile_cells");
-/// Queries answered through [`crate::query::Query::evaluate_with`].
+/// Queries answered, one per query of a single line or a batch.
 pub static QUERIES: maly_obs::Counter = maly_obs::Counter::work("model.queries");
-/// Surface-tile cache hits (diagnostic: depends on request history).
+/// Tile queries answered without pricing their tile: from the cache, or
+/// from a tile resolved earlier in the same batch (diagnostic: depends
+/// on request history). Counted in [`crate::plan`].
 pub static TILE_HITS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_hits");
-/// Surface-tile cache misses (diagnostic).
+/// Tile queries whose tile was priced for them, one per cold key
+/// (diagnostic). Counted in [`crate::plan`].
 pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_misses");
 /// Tile bodies dropped to make room in a full cache, one per eviction
 /// (diagnostic). Registered when a context is built, so `server_stats`
@@ -141,33 +145,26 @@ pub fn shared() -> &'static SharedContext {
     })
 }
 
-/// Cache key for a computed surface tile. Axis endpoints are quantized
-/// (λ at 1 nλ, `N_tr` at a relative 2⁻³² grain) so two requests that
-/// differ only in float noise share an entry, while the step counts
-/// stay exact.
+/// Cache key for a surface tile: the exact bits of its four window
+/// endpoints and its two step counts, so one key is one window. Two
+/// requests that differ only in float noise are two windows, each
+/// cached under its own key with its own bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TileKey {
-    lambda_min_nm: u64,
-    lambda_max_nm: u64,
-    n_tr_min_q: u64,
-    n_tr_max_q: u64,
-    lambda_steps: usize,
-    n_tr_steps: usize,
+    bounds: [u64; 4],
+    steps: [usize; 2],
 }
 
 impl TileKey {
-    pub(crate) fn new(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) -> Self {
-        // λ arrives in µm; 1e-3 µm = 1 nm grain. N_tr spans orders of
-        // magnitude, so quantize its log instead of its value.
-        let q_nm = |v: f64| (v * 1.0e3).round() as u64;
-        let q_log = |v: f64| (v.ln() * 1.0e6).round() as u64;
+    pub(crate) fn exact(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) -> Self {
         Self {
-            lambda_min_nm: q_nm(lambda_range.0),
-            lambda_max_nm: q_nm(lambda_range.1),
-            n_tr_min_q: q_log(n_tr_range.0),
-            n_tr_max_q: q_log(n_tr_range.1),
-            lambda_steps: lambda_range.2,
-            n_tr_steps: n_tr_range.2,
+            bounds: [
+                lambda_range.0.to_bits(),
+                lambda_range.1.to_bits(),
+                n_tr_range.0.to_bits(),
+                n_tr_range.1.to_bits(),
+            ],
+            steps: [lambda_range.2, n_tr_range.2],
         }
     }
 }
@@ -179,12 +176,6 @@ impl TileKey {
 /// from is not kept, so every hit is a reference-count bump and one
 /// copy.
 const TILE_CACHE_CAPACITY: usize = 64;
-
-/// The tile bodies a batch fused for its own queries, keyed like the
-/// cache. They answer that batch's tile queries ahead of the cache and
-/// enter it only after the batch's answers, so no fused tile can evict
-/// another one before its query reads it.
-pub(crate) type FusedTiles = HashMap<TileKey, SurfaceBody>;
 
 /// The tile bodies behind [`EvalContext`]'s lock, with the slots random
 /// replacement picks its victims from.
@@ -265,59 +256,20 @@ impl EvalContext {
         CONTEXT.get_or_init(EvalContext::new)
     }
 
-    /// The serialized body of a surface tile for the given ranges:
-    /// taken from `fused` when the query's batch fused it, cached when
-    /// warm; computed on the executor (and counted in
-    /// [`struct@TILE_CELLS`]), then serialized once, when cold. Each
-    /// cache lookup counts one hit or one miss; the batch that fused a
-    /// tile has already counted its queries' ledger (see
-    /// [`crate::plan`]), so a `fused` answer counts nothing.
-    ///
-    /// The caller must have validated the ranges
-    /// (ascending-positive, ≥ 2 steps) — `CostSurface::compute` panics
-    /// on degenerate grids by contract.
-    pub(crate) fn surface_tile(
-        &self,
-        exec: &Executor,
-        params: &SurfaceParameters,
-        lambda_range: (f64, f64, usize),
-        n_tr_range: (f64, f64, usize),
-        fused: &FusedTiles,
-    ) -> SurfaceBody {
-        let key = TileKey::new(lambda_range, n_tr_range);
-        if let Some(body) = fused.get(&key) {
-            return body.clone();
-        }
-        if let Ok(cache) = self.tiles.read() {
-            if let Some(body) = cache.bodies.get(&key) {
-                TILE_HITS.incr();
-                return body.clone();
-            }
-        }
-        TILE_MISSES.incr();
-        TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
-        let tile = CostSurface::compute_with(exec, params, lambda_range, n_tr_range);
-        let body = serialize_tile(&tile);
-        self.store_tile(key, body.clone());
-        body
+    /// The cached body for this key, if any. Counts nothing: the
+    /// resolver in [`crate::plan`] keeps the tile ledger.
+    pub(crate) fn cached_tile(&self, key: &TileKey) -> Option<SurfaceBody> {
+        self.tiles.read().ok()?.bodies.get(key).cloned()
     }
 
-    /// Whether a tile for this key is cached. Bumps no counters: the
-    /// batch path probes with this to pick the tiles to fuse, and a
-    /// warm tile's own lookup counts its hit.
-    pub(crate) fn has_tile(&self, key: &TileKey) -> bool {
-        self.tiles
-            .read()
-            .map(|c| c.bodies.contains_key(key))
-            .unwrap_or(false)
-    }
-
-    /// Caches a cold tile's body, evicting one body if the cache is
-    /// full. Counts nothing: the lookup that missed, or the batch that
-    /// fused the tile, has counted it.
-    pub(crate) fn store_tile(&self, key: TileKey, body: SurfaceBody) {
+    /// Caches cold tiles' bodies in order, evicting one body per new
+    /// tile once the cache is full. Counts no hit or miss: the resolver
+    /// that priced the tiles has.
+    pub(crate) fn store_tiles(&self, tiles: Vec<(TileKey, SurfaceBody)>) {
         if let Ok(mut cache) = self.tiles.write() {
-            TILE_CACHE_BYTES.add(cache.insert(key, body));
+            for (key, body) in tiles {
+                TILE_CACHE_BYTES.add(cache.insert(key, body));
+            }
         }
     }
 
@@ -367,28 +319,41 @@ pub(crate) fn counter_test_lock() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use std::sync::Arc;
 
+    use maly_par::Executor;
+
     use super::*;
     use crate::json::Json;
-    use crate::query::SurfaceReport;
+    use crate::{Query, QueryResponse};
 
-    /// The body the tree writer gives a tile: the cache must hold
-    /// exactly these bytes.
-    fn oracle(tile: &CostSurface) -> String {
-        SurfaceReport {
-            lambda_axis: tile.lambda_axis().to_vec(),
-            n_tr_axis: tile.n_tr_axis().to_vec(),
-            values: tile.values().to_vec(),
-            optimal_lambda_per_n_tr: tile.optimal_lambda_per_n_tr_with(&Executor::serial()),
-            global_minimum: tile.global_minimum(),
-        }
-        .to_json()
-        .write()
-    }
+    type Window = ((f64, f64, usize), (f64, f64, usize));
 
     /// A 2 × 2 tile window, distinct for every `i`.
-    fn small_tile(i: usize) -> ((f64, f64, usize), (f64, f64, usize)) {
+    fn small_tile(i: usize) -> Window {
         let lo = 0.4 + 0.01 * i as f64;
         ((lo, lo + 0.2, 2), (1.0e5, 2.0e5, 2))
+    }
+
+    fn tile_query((lambda, n_tr): Window) -> Query {
+        Query::SurfaceTile {
+            lambda_min: lambda.0,
+            lambda_max: lambda.1,
+            lambda_steps: lambda.2,
+            n_tr_min: n_tr.0,
+            n_tr_max: n_tr.1,
+            n_tr_steps: n_tr.2,
+        }
+    }
+
+    /// One tile query's body, evaluated on its own against `ctx`.
+    fn answer(ctx: &EvalContext, window: Window) -> SurfaceBody {
+        match tile_query(window).evaluate_with(&Executor::serial(), ctx) {
+            Ok(QueryResponse::Surface(body)) => body,
+            other => panic!("a tile query answers with a surface: {other:?}"),
+        }
+    }
+
+    fn is_cached(ctx: &EvalContext, (lambda, n_tr): Window) -> bool {
+        ctx.cached_tile(&TileKey::exact(lambda, n_tr)).is_some()
     }
 
     #[test]
@@ -417,14 +382,12 @@ mod tests {
     fn tile_cache_hits_on_repeat() {
         let _guard = counter_test_lock();
         let ctx = EvalContext::new();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
-        let ranges = ((0.4, 1.2, 6), (1.0e5, 1.0e6, 5));
+        let window = ((0.4, 1.2, 6), (1.0e5, 1.0e6, 5));
         let (hits0, misses0) = (TILE_HITS.value(), TILE_MISSES.value());
-        let first = ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
+        let first = answer(&ctx, window);
         assert_eq!(TILE_MISSES.value() - misses0, 1, "cold query is one miss");
         assert_eq!(TILE_HITS.value() - hits0, 0);
-        let again = ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
+        let again = answer(&ctx, window);
         assert!(
             Arc::ptr_eq(&first.0, &again.0),
             "repeat must answer with the cached body itself"
@@ -442,24 +405,14 @@ mod tests {
         let _guard = counter_test_lock();
         let ctx = EvalContext::new();
         let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
-        let (lambda, n_tr) = ((0.5, 1.0, 4), (1.0e5, 1.0e6, 3));
-        let query = crate::Query::SurfaceTile {
-            lambda_min: lambda.0,
-            lambda_max: lambda.1,
-            lambda_steps: lambda.2,
-            n_tr_min: n_tr.0,
-            n_tr_max: n_tr.1,
-            n_tr_steps: n_tr.2,
-        };
-        let key = TileKey::new(lambda, n_tr);
-        assert!(!ctx.has_tile(&key));
+        let window = ((0.5, 1.0, 4), (1.0e5, 1.0e6, 3));
+        assert!(!is_cached(&ctx, window));
         let (hits0, misses0, cells0) = (TILE_HITS.value(), TILE_MISSES.value(), TILE_CELLS.value());
-        let answers = crate::Query::evaluate_batch(&exec, &ctx, &[query]);
-        let Ok(crate::QueryResponse::Surface(first)) = &answers[0] else {
+        let answers = Query::evaluate_batch(&exec, &ctx, &[tile_query(window)]);
+        let Ok(QueryResponse::Surface(first)) = &answers[0] else {
             panic!("a tile query answers with a surface: {answers:?}");
         };
-        assert!(ctx.has_tile(&key), "the fused tile enters the cache");
+        assert!(is_cached(&ctx, window), "the fused tile enters the cache");
         assert_eq!(TILE_MISSES.value() - misses0, 1);
         assert_eq!(TILE_CELLS.value() - cells0, 12);
         assert_eq!(
@@ -467,9 +420,7 @@ mod tests {
             0,
             "the tile's own query is its miss"
         );
-        let tile = CostSurface::compute_with(&exec, &params, lambda, n_tr);
-        assert_eq!(first.as_str(), oracle(&tile));
-        let again = ctx.surface_tile(&exec, &params, lambda, n_tr, &FusedTiles::new());
+        let again = answer(&ctx, window);
         assert_eq!(TILE_HITS.value() - hits0, 1, "a repeat is one hit");
         assert_eq!(TILE_MISSES.value() - misses0, 1, "and no further miss");
         assert!(
@@ -482,30 +433,21 @@ mod tests {
     fn cached_bodies_parse_back_to_themselves() {
         let _guard = counter_test_lock();
         let ctx = EvalContext::new();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
-        // Direct cold tiles — one whose largest dies do not fit the
+        // Single cold tiles — one whose largest dies do not fit the
         // wafer, so it holds `null` cells and optima — plus a fused
         // batch.
-        for ranges in [
+        for window in [
             ((0.4, 1.5, 7), (2.0e4, 4.0e6, 6)),
             ((0.4, 1.5, 3), (1.0e6, 1.0e9, 3)),
             ((0.8, 1.2, 2), (1.0e5, 2.0e5, 2)),
         ] {
-            ctx.surface_tile(&exec, &params, ranges.0, ranges.1, &FusedTiles::new());
+            answer(&ctx, window);
         }
-        let batch: Vec<crate::Query> = [0.5, 0.6]
+        let batch: Vec<Query> = [0.5, 0.6]
             .iter()
-            .map(|&lo| crate::Query::SurfaceTile {
-                lambda_min: lo,
-                lambda_max: lo + 0.4,
-                lambda_steps: 5,
-                n_tr_min: 2.0e4,
-                n_tr_max: 4.0e6,
-                n_tr_steps: 4,
-            })
+            .map(|&lo| tile_query(((lo, lo + 0.4, 5), (2.0e4, 4.0e6, 4))))
             .collect();
-        let answers = crate::Query::evaluate_batch(&exec, &ctx, &batch);
+        let answers = Query::evaluate_batch(&Executor::serial(), &ctx, &batch);
         assert!(answers.iter().all(Result::is_ok));
         let cache = ctx.tiles.read().unwrap();
         assert_eq!(cache.bodies.len(), 5);
@@ -523,8 +465,6 @@ mod tests {
     #[test]
     fn cache_bytes_gauge_tracks_inserts_evictions_and_drops() {
         let _guard = counter_test_lock();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
         let bytes0 = TILE_CACHE_BYTES.value();
         let ctx = EvalContext::new();
         let held = |ctx: &EvalContext| -> i64 {
@@ -537,8 +477,7 @@ mod tests {
                 .sum()
         };
         for i in 0..TILE_CACHE_CAPACITY {
-            let (l, n) = small_tile(i);
-            ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
+            answer(&ctx, small_tile(i));
             assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held(&ctx), "tile {i}");
         }
         assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
@@ -569,11 +508,10 @@ mod tests {
         // Each tile past capacity evicts exactly one body.
         for i in TILE_CACHE_CAPACITY..2 * TILE_CACHE_CAPACITY {
             let evictions0 = TILE_EVICTIONS.value();
-            let (l, n) = small_tile(i);
-            let body = ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
+            let body = answer(&ctx, small_tile(i));
             assert_eq!(TILE_EVICTIONS.value() - evictions0, 1, "tile {i}");
             assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY, "tile {i}");
-            assert!(ctx.has_tile(&TileKey::new(l, n)), "tile {i} is cached");
+            assert!(is_cached(&ctx, small_tile(i)), "tile {i} is cached");
             assert_eq!(TILE_CACHE_BYTES.value() - bytes0, held(&ctx), "tile {i}");
             assert!(body.as_str().starts_with("{\"kind\":\"surface\""));
         }
@@ -588,24 +526,21 @@ mod tests {
     #[test]
     fn reinserting_a_cached_key_evicts_nothing() {
         let _guard = counter_test_lock();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
         let ctx = EvalContext::new();
         for i in 0..TILE_CACHE_CAPACITY {
-            let (l, n) = small_tile(i);
-            ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
+            answer(&ctx, small_tile(i));
         }
-        // The batch path materializes a window a connection worker has
-        // just cached: the full cache takes it back in place.
+        // Two connection workers that miss the same window both store
+        // it: the full cache takes the second body back in place.
         let (l, n) = small_tile(TILE_CACHE_CAPACITY - 1);
-        let tile = CostSurface::compute_with(&exec, &params, l, n);
+        let key = TileKey::exact(l, n);
+        let body = ctx.cached_tile(&key).expect("the last tile is cached");
         let evictions0 = TILE_EVICTIONS.value();
-        ctx.store_tile(TileKey::new(l, n), serialize_tile(&tile));
+        ctx.store_tiles(vec![(key, body)]);
         assert_eq!(ctx.cached_tiles(), TILE_CACHE_CAPACITY);
         assert_eq!(TILE_EVICTIONS.value(), evictions0);
         let (hits0, cells0) = (TILE_HITS.value(), TILE_CELLS.value());
-        let (l, n) = small_tile(0);
-        ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
+        answer(&ctx, small_tile(0));
         assert_eq!(TILE_HITS.value() - hits0, 1, "the oldest tile still hits");
         assert_eq!(TILE_CELLS.value(), cells0, "and evaluates no cell");
     }
@@ -613,8 +548,6 @@ mod tests {
     #[test]
     fn fresh_contexts_evict_the_same_tiles() {
         let _guard = counter_test_lock();
-        let exec = Executor::serial();
-        let params = SurfaceParameters::fig8();
         // A cyclic sweep over one and a half cache's worth of windows,
         // twice: 3 × capacity requests, evicting and hitting.
         let run = || {
@@ -625,8 +558,7 @@ mod tests {
                 TILE_EVICTIONS.value(),
             );
             for k in 0..3 * TILE_CACHE_CAPACITY {
-                let (l, n) = small_tile(k % (3 * TILE_CACHE_CAPACITY / 2));
-                ctx.surface_tile(&exec, &params, l, n, &FusedTiles::new());
+                answer(&ctx, small_tile(k % (3 * TILE_CACHE_CAPACITY / 2)));
             }
             let deltas = (
                 TILE_HITS.value() - hits0,
@@ -647,11 +579,34 @@ mod tests {
     }
 
     #[test]
-    fn tile_key_quantization_absorbs_float_noise() {
-        let a = TileKey::new((0.4, 1.5, 10), (2.0e4, 4.0e6, 8));
-        let b = TileKey::new((0.4 + 1e-9, 1.5 - 1e-9, 10), (2.0e4, 4.0e6, 8));
-        assert_eq!(a, b);
-        let c = TileKey::new((0.4, 1.5, 11), (2.0e4, 4.0e6, 8));
-        assert_ne!(a, c, "step counts stay exact");
+    fn distinct_windows_never_share_a_key() {
+        let window = ((0.4, 1.5, 10), (2.0e4, 4.0e6, 8));
+        let a = TileKey::exact(window.0, window.1);
+        assert_eq!(a, TileKey::exact(window.0, window.1));
+        let next_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let ((l_min, l_max, l_steps), (n_min, n_max, n_steps)) = window;
+        // One ulp on any endpoint, or one step on either axis, is
+        // another window.
+        for other in [
+            ((next_up(l_min), l_max, l_steps), window.1),
+            ((l_min, next_up(l_max), l_steps), window.1),
+            (window.0, (next_up(n_min), n_max, n_steps)),
+            (window.0, (n_min, next_up(n_max), n_steps)),
+            ((l_min, l_max, l_steps + 1), window.1),
+            (window.0, (n_min, n_max, n_steps + 1)),
+        ] {
+            assert_ne!(a, TileKey::exact(other.0, other.1), "{other:?}");
+        }
+        // Pairs a 1 nm λ grain and a 1e-6 `ln N_tr` grain clamped at 0
+        // would merge.
+        let lambda = (0.4, 1.5, 10);
+        let n_tr = (1.0e5, 1.0e6, 8);
+        for (a, b) in [
+            ((lambda, (0.25, 0.5, 8)), (lambda, (0.6, 0.9, 8))),
+            ((lambda, n_tr), ((0.4004, 1.5, 10), n_tr)),
+            ((lambda, n_tr), (lambda, (1.0e5, 1.000_000_4e6, 8))),
+        ] {
+            assert_ne!(TileKey::exact(a.0, a.1), TileKey::exact(b.0, b.1), "{b:?}");
+        }
     }
 }

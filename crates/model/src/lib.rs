@@ -12,7 +12,8 @@
 //!   artifacts (moved here from `maly-repro`) plus the [`EvalContext`]
 //!   surface-tile cache that makes warm repeat queries measurably
 //!   cheaper (asserted via obs Work counters, not wall clock).
-//! * [`plan`] — the batch path behind [`Query::evaluate_batch`]: the
+//! * [`plan`] — the one place surface tiles are resolved, for a single
+//!   query and for the batch path behind [`Query::evaluate_batch`]: the
 //!   cold surface tiles of *all* requests fuse into one lane-batched
 //!   kernel dispatch, then every query evaluates on its own
 //!   (bit-identical by contract to the direct per-query oracle

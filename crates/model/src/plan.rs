@@ -1,40 +1,39 @@
-//! The batch path: the cold surface tiles of a whole batch priced in
-//! one fused eq. (1) dispatch, then every query through the per-query
-//! path.
+//! The one place surface tiles are resolved, and the batch path built
+//! on it.
 //!
-//! [`Query::evaluate_batch`] collects the batch's cold tile keys in
-//! first-occurrence order and materializes them through one
-//! [`Eq1Kernel`] dispatch over the union of their axis values, each
-//! unique `(λ, N_tr)` cell evaluated once. Every query then runs
-//! through [`Query::evaluate_with`]'s path under the executor's
-//! index-ordered `map_indexed`, a fused tile answering from the
-//! batch's own bodies and any other tile from the context's cache.
-//! The fused bodies enter the cache after the answers, in
-//! first-occurrence order, so the victims they pick are deterministic
-//! and no fused tile is evicted before its queries read it; tiles that
-//! were warm when the batch started stay warm through it.
+//! An evaluation — one query through [`Query::evaluate_with`], or a
+//! whole batch through [`Query::evaluate_batch`] — resolves its tile
+//! queries once, in request order, each keyed by its exact window: a
+//! key already resolved in this evaluation is a hit; otherwise the
+//! cache is read once, and a body found there is kept in the
+//! evaluation's own map and counted as a hit; every remaining key is a
+//! miss (its full cell count in `model.tile_cells`), priced in one
+//! fused [`Eq1Kernel`] dispatch over the union of the cold tiles' axis
+//! values, each bit-unique `(λ, N_tr)` cell evaluated once. Answers
+//! come only from that map, so each tile query counts one hit or one
+//! miss whatever other connections evict meanwhile; the fused bodies
+//! enter the cache afterwards, in first-occurrence order, so their
+//! victims are deterministic. Nothing else moves
+//! `model.tile_{hits,misses,cells}`.
 //!
-//! Tile ledger: each tile query counts one lookup, as it would on the
-//! unplanned path. The batch counts its fused tiles' share as it
-//! collects them: the first query for a cold key is that key's miss
-//! (with the tile's full cell count in `model.tile_cells`), and each
-//! repeat in the batch is a hit. A warm tile's query counts its own
-//! hit in the cache.
+//! Only a batch counts `plan.*` nodes and opens a `model.plan` span; its
+//! non-tile queries evaluate through [`Query::evaluate_with`] under the
+//! executor's index-ordered `map_indexed`.
 //!
 //! Determinism contract: the batch path is bit-identical to
 //! [`Query::evaluate_batch_unplanned`] at every executor width.
 //! `Eq1Kernel` cells depend only on their own `(λ, N_tr)` bits, and
 //! cells only fuse when their axis values are *bit-equal*, so a fused
-//! tile holds exactly the bytes a per-tile `CostSurface::compute_with`
-//! would. Tiles keep the ranges of their first requester (tile keys
-//! match the cache grain), as a left-to-right evaluation against a
-//! shared context would cache them. The `plan_fusion` property tests
-//! and the serve loopback suite diff the two paths.
+//! tile holds exactly the bytes of its window priced alone, and one key
+//! is one window. The `plan_fusion` property tests and the serve
+//! loopback suite diff the two paths.
+
+use std::collections::HashMap;
 
 use maly_cost_model::surface::{self, Eq1Kernel};
 use maly_par::Executor;
 
-use crate::context::{self, EvalContext, FusedTiles, TileKey};
+use crate::context::{self, EvalContext, TileKey};
 use crate::error::Error;
 use crate::query::{Query, QueryResponse, SurfaceBody};
 
@@ -42,17 +41,82 @@ use crate::query::{Query, QueryResponse, SurfaceBody};
 /// query plus one node per other query. Work counter — determined by
 /// batch contents alone.
 pub static NODES_REQUESTED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_requested");
-/// Grid nodes actually evaluated: the fused dispatch's cells plus one
-/// node per non-tile query. The fusion goldens assert this stays well
-/// under [`static@NODES_REQUESTED`] on overlapping batches.
+/// Grid nodes a batch actually evaluated: the fused dispatch's cells
+/// plus one node per non-tile query. The fusion goldens assert this
+/// stays well under [`static@NODES_REQUESTED`] on overlapping batches.
 pub static NODES_EVALUATED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_evaluated");
-/// Fused kernel dispatches issued (one per batch with ≥ 1 cold tile).
+/// Fused kernel dispatches issued by batches (one per batch with ≥ 1
+/// cold tile).
 pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.fused_dispatches");
+
+/// A well-formed tile query's λ and `N_tr` ranges.
+pub(crate) type TileRequest = ((f64, f64, usize), (f64, f64, usize));
 
 /// A cold tile: its cache key and its λ and `N_tr` axis values.
 type ColdTile = (TileKey, Vec<f64>, Vec<f64>);
 
-/// Evaluates a batch: fused cold tiles first, then every query in
+/// Tile bodies with their keys, in first-occurrence order.
+type Fused = Vec<(TileKey, SurfaceBody)>;
+
+/// Resolves `requests` in order, counting one hit or one miss each.
+/// Returns every requested key's body, the fused ones (to cache after
+/// the answers) and the cells the fused dispatch evaluated.
+fn resolve<'a>(
+    exec: &Executor,
+    ctx: &EvalContext,
+    requests: impl IntoIterator<Item = &'a TileRequest>,
+) -> (HashMap<TileKey, SurfaceBody>, Fused, usize) {
+    let mut bodies = HashMap::new();
+    let mut cold: Vec<ColdTile> = Vec::new();
+    for &(lambda_range, n_tr_range) in requests {
+        let key = TileKey::exact(lambda_range, n_tr_range);
+        if bodies.contains_key(&key) || cold.iter().any(|(k, ..)| *k == key) {
+            context::TILE_HITS.incr();
+        } else if let Some(body) = ctx.cached_tile(&key) {
+            context::TILE_HITS.incr();
+            bodies.insert(key, body);
+        } else if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
+            // Axes from the same arithmetic as a dense surface: the
+            // bit-equality fusion keys on is meaningful only because of
+            // that. Fusion's saving shows in `eq1.cells` and
+            // `plan.nodes_evaluated`, not in `model.tile_cells`.
+            context::TILE_MISSES.incr();
+            context::TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
+            cold.push((key, l, n));
+        }
+    }
+    let (fused, cells) = fuse_cold_tiles(exec, cold);
+    bodies.extend(fused.iter().cloned());
+    (bodies, fused, cells)
+}
+
+/// A resolved request's answer. A validated request's axes always
+/// build, so its body is always there.
+fn answer(
+    bodies: &HashMap<TileKey, SurfaceBody>,
+    (l, n): TileRequest,
+) -> Result<QueryResponse, Error> {
+    let body = bodies.get(&TileKey::exact(l, n)).cloned();
+    body.map(QueryResponse::Surface)
+        .ok_or_else(|| Error::InvalidField {
+            field: "lambda_min",
+            message: "the window has no surface grid".to_string(),
+        })
+}
+
+/// Answers one well-formed tile query outside a batch: the same
+/// resolver, with no `plan.*` counter and no `model.plan` span.
+pub(crate) fn tile(
+    exec: &Executor,
+    ctx: &EvalContext,
+    request: TileRequest,
+) -> Result<QueryResponse, Error> {
+    let (bodies, fused, _) = resolve(exec, ctx, [&request]);
+    ctx.store_tiles(fused);
+    answer(&bodies, request)
+}
+
+/// Evaluates a batch: its tiles resolved first, then every query in
 /// index order, then the fused tiles into the cache. Per-element
 /// errors, input order and the `model.*` ledger match the unplanned
 /// path; only the amount of grid work differs.
@@ -62,55 +126,34 @@ pub(crate) fn evaluate(
     queries: &[Query],
 ) -> Vec<Result<QueryResponse, Error>> {
     let _span = maly_obs::span("model.plan").with_histogram(&context::PLAN_NS);
-    let mut requested = 0u64;
-    let mut singles = 0u64;
-    let mut cold: Vec<ColdTile> = Vec::new();
-    for q in queries {
-        let Some((lambda_range, n_tr_range)) = q.tile_request() else {
-            requested += 1;
-            singles += 1;
-            continue;
-        };
-        let cells = (lambda_range.2 * n_tr_range.2) as u64;
-        requested += cells;
-        let key = TileKey::new(lambda_range, n_tr_range);
-        if cold.iter().any(|(k, ..)| *k == key) {
-            context::TILE_HITS.incr();
-            continue;
-        }
-        if ctx.has_tile(&key) {
-            continue;
-        }
-        // Axes from the same arithmetic as the compute path: the
-        // bit-equality fusion keys on is meaningful only because of that.
-        if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
-            // The tile's full cell count even when fusion evaluates
-            // fewer, so `model.tile_cells` reads as on the unplanned
-            // path; the saving shows in `eq1.cells` and
-            // `plan.nodes_evaluated` instead.
-            context::TILE_MISSES.incr();
-            context::TILE_CELLS.add(cells);
-            cold.push((key, l, n));
-        }
+    let requests: Vec<Option<TileRequest>> = queries.iter().map(Query::tile_request).collect();
+    let (bodies, fused, cells) = resolve(exec, ctx, requests.iter().flatten());
+    let nodes = |r: &Option<TileRequest>| r.map_or(1, |(l, n)| (l.2 * n.2) as u64);
+    NODES_REQUESTED.add(requests.iter().map(nodes).sum());
+    NODES_EVALUATED.add(requests.iter().filter(|r| r.is_none()).count() as u64 + cells as u64);
+    if cells > 0 {
+        FUSED_DISPATCHES.incr();
     }
-    NODES_REQUESTED.add(requested);
-    NODES_EVALUATED.add(singles);
-    let fused = fuse_cold_tiles(exec, cold);
-    let batch: FusedTiles = fused.iter().cloned().collect();
-    let answers = exec.map_indexed(queries.len(), |i| queries[i].evaluate_in(exec, ctx, &batch));
-    for (key, body) in fused {
-        ctx.store_tile(key, body);
-    }
+    let answers = exec.map_indexed(queries.len(), |i| match requests[i] {
+        Some(request) => {
+            let _span = maly_obs::span("model.query").with_histogram(&context::EVAL_NS);
+            context::QUERIES.incr();
+            answer(&bodies, request)
+        }
+        None => queries[i].evaluate_with(exec, ctx),
+    });
+    ctx.store_tiles(fused);
     answers
 }
 
 /// Materializes the cold tiles in one kernel dispatch: union the
 /// tiles' axis values, evaluate each bit-unique `(λ, N_tr)` cell
 /// exactly once, scatter per-tile grids back out, and serialize each
-/// tile's body, in the order the tiles came.
-fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> Vec<(TileKey, SurfaceBody)> {
+/// tile's body, in the order the tiles came. Returns the bodies and
+/// the number of cells the dispatch evaluated.
+fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> (Fused, usize) {
     if tiles.is_empty() {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let lambdas = bit_union(tiles.iter().map(|t| &t.1));
     let n_trs = bit_union(tiles.iter().map(|t| &t.2));
@@ -146,8 +189,6 @@ fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> Vec<(TileKey, Surfa
             }
         }
     }
-    NODES_EVALUATED.add(cells.len() as u64);
-    FUSED_DISPATCHES.incr();
     let values = Eq1Kernel::new(&context::shared().fig8_params, &lambdas, &n_trs)
         .eval_cells_with(exec, &cells);
     let mut bodies = Vec::with_capacity(tiles.len());
@@ -165,7 +206,7 @@ fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> Vec<(TileKey, Surfa
             bodies.push((key, context::serialize_tile(&tile)));
         }
     }
-    bodies
+    (bodies, cells.len())
 }
 
 /// The sorted, bit-deduped union of some axes. Bit-equal values are
@@ -219,8 +260,8 @@ mod tests {
     #[test]
     fn batch_fuses_each_cold_tile_key_once() {
         let _guard = counter_test_lock();
-        // A repeat, and float noise within the 1 nm key grain: three
-        // distinct requests, one cached tile.
+        // A repeat, and a window one float-noise step away: four tile
+        // requests, three keys.
         let batch = [
             tile(0.5, 1.0),
             Query::Table3,
@@ -239,14 +280,16 @@ mod tests {
                 &TILE_CELLS,
             ],
         );
-        // Two cold keys, one dispatch; each of the four tile queries is
-        // one lookup: the first of each key claims its miss, the two
-        // repeats hit.
-        assert_eq!(delta, [4 * 9 * 24 + 1, 1, 2, 2, 2 * 9 * 24]);
-        // The first requester's ranges win, as in a left-to-right
-        // evaluation against a shared context.
+        // Three cold keys, one dispatch; each of the four tile queries
+        // is one lookup: the first of each key is its miss, the repeat
+        // hits.
+        assert_eq!(delta, [4 * 9 * 24 + 1, 1, 1, 3, 3 * 9 * 24]);
         assert_eq!(bytes[2], bytes[0]);
-        assert_eq!(bytes[3], bytes[0]);
+        // The noisy window is its own tile, with the bytes of its own
+        // request evaluated alone.
+        assert_ne!(bytes[3], bytes[0]);
+        let (alone, _) = run(&EvalContext::new(), &batch[3..4], []);
+        assert_eq!(bytes[3], alone[0]);
         assert_ne!(bytes[4], bytes[0]);
     }
 

@@ -28,9 +28,10 @@ use maly_fabline_sim::process::ProcessFlow;
 use maly_par::Executor;
 use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, TransistorCount};
 
-use crate::context::{self, EvalContext, FusedTiles};
+use crate::context::{self, EvalContext};
 use crate::error::Error;
 use crate::json::{self, Json};
+use crate::plan::TileRequest;
 
 /// Most grid steps a single sweep/scan may request — a service bound,
 /// far above anything the paper's figures need (Fig 6/7 use ≤ 481).
@@ -793,7 +794,10 @@ fn check_partition_shape(chiplets: usize, spares: usize, volume: u64) -> Result<
     Ok(())
 }
 
-fn check_tile(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) -> Result<(), Error> {
+fn check_tile(
+    lambda_range: (f64, f64, usize),
+    n_tr_range: (f64, f64, usize),
+) -> Result<TileRequest, Error> {
     let (lambda_min, lambda_max, lambda_steps) = lambda_range;
     let (n_tr_min, n_tr_max, n_tr_steps) = n_tr_range;
     check_window(lambda_min, lambda_max, lambda_steps, MAX_TILE_STEPS)?;
@@ -809,7 +813,7 @@ fn check_tile(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) ->
             message: format!("steps {n_tr_steps} outside 2..={MAX_TILE_STEPS}"),
         });
     }
-    Ok(())
+    Ok((lambda_range, n_tr_range))
 }
 
 impl Query {
@@ -1070,17 +1074,6 @@ impl Query {
         exec: &Executor,
         ctx: &EvalContext,
     ) -> Result<QueryResponse, Error> {
-        self.evaluate_in(exec, ctx, &FusedTiles::new())
-    }
-
-    /// [`Query::evaluate_with`] inside a batch: a surface tile the
-    /// batch fused answers from `fused` ahead of the context's cache.
-    pub(crate) fn evaluate_in(
-        &self,
-        exec: &Executor,
-        ctx: &EvalContext,
-        fused: &FusedTiles,
-    ) -> Result<QueryResponse, Error> {
         let _span = maly_obs::span("model.query").with_histogram(&context::EVAL_NS);
         context::QUERIES.incr();
         match self {
@@ -1165,17 +1158,11 @@ impl Query {
                 n_tr_max,
                 n_tr_steps,
             } => {
-                check_tile(
+                let request = check_tile(
                     (*lambda_min, *lambda_max, *lambda_steps),
                     (*n_tr_min, *n_tr_max, *n_tr_steps),
                 )?;
-                Ok(QueryResponse::Surface(ctx.surface_tile(
-                    exec,
-                    &context::shared().fig8_params,
-                    (*lambda_min, *lambda_max, *lambda_steps),
-                    (*n_tr_min, *n_tr_max, *n_tr_steps),
-                    fused,
-                )))
+                crate::plan::tile(exec, ctx, request)
             }
             Query::OptimalLambda {
                 spec,
@@ -1351,38 +1338,37 @@ impl Query {
     }
 
     /// The validated grid ranges when this query is a well-formed
-    /// [`Query::SurfaceTile`] — the tiles the batch path fuses.
+    /// [`Query::SurfaceTile`] — the tiles the batch path resolves.
     /// Malformed tiles return `None` and keep their per-query typed
     /// error from [`Query::evaluate_with`].
-    pub(crate) fn tile_request(&self) -> Option<((f64, f64, usize), (f64, f64, usize))> {
-        if let Query::SurfaceTile {
-            lambda_min,
-            lambda_max,
-            lambda_steps,
-            n_tr_min,
-            n_tr_max,
-            n_tr_steps,
-        } = self
-        {
-            let lambda_range = (*lambda_min, *lambda_max, *lambda_steps);
-            let n_tr_range = (*n_tr_min, *n_tr_max, *n_tr_steps);
-            if check_tile(lambda_range, n_tr_range).is_ok() {
-                return Some((lambda_range, n_tr_range));
-            }
+    pub(crate) fn tile_request(&self) -> Option<TileRequest> {
+        match self {
+            Query::SurfaceTile {
+                lambda_min,
+                lambda_max,
+                lambda_steps,
+                n_tr_min,
+                n_tr_max,
+                n_tr_steps,
+            } => check_tile(
+                (*lambda_min, *lambda_max, *lambda_steps),
+                (*n_tr_min, *n_tr_max, *n_tr_steps),
+            )
+            .ok(),
+            _ => None,
         }
-        None
     }
 
     /// Evaluates a batch of queries, preserving input order. Each
     /// element fails independently.
     ///
-    /// The cold surface tiles of the whole batch are priced first, in
-    /// one fused kernel dispatch that evaluates each shared grid cell
-    /// once ([`crate::plan`]); then every query evaluates through
-    /// [`Query::evaluate_with`]'s path, its tiles answering from the
-    /// batch's fused bodies or the cache. Results are bit-identical to [`Query::evaluate_batch_unplanned`]
-    /// (and to per-query [`Query::evaluate_with`]) at every executor
-    /// width.
+    /// The surface tiles of the whole batch are resolved first, each
+    /// key once, the cold ones priced in one fused kernel dispatch that
+    /// evaluates each shared grid cell once ([`crate::plan`]); every
+    /// tile query then answers from that resolution and every other
+    /// query evaluates through [`Query::evaluate_with`]. Results are
+    /// bit-identical to [`Query::evaluate_batch_unplanned`] (and to
+    /// per-query [`Query::evaluate_with`]) at every executor width.
     #[must_use]
     pub fn evaluate_batch(
         exec: &Executor,

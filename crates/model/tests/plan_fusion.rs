@@ -137,8 +137,8 @@ fn random_query(s: &mut Sampler) -> Query {
             }
         }
         2 => {
-            // Arbitrary window, sometimes float-noise-shifted within
-            // the 1 nm cache-key grain.
+            // Arbitrary window, sometimes shifted by float noise: a
+            // window of its own, with a tile key of its own.
             let lo = s.uniform(0.45, 0.9);
             let noise = if s.below(2) == 0 { 1.0e-10 } else { 0.0 };
             Query::SurfaceTile {

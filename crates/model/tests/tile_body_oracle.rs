@@ -298,3 +298,70 @@ fn random_batches_on_a_full_cache_count_each_tile_query_once() {
     }
     assert_eq!(ctx.cached_tiles(), 64);
 }
+
+/// Window pairs a tile key quantized to 1 nm in λ and to 1e-6 in
+/// `ln N_tr` (clamped at 0) would merge: sub-unit `N_tr` ranges, a
+/// 0.4 nm λ shift and a 4e-7 relative `N_tr` shift.
+const NEAR_PAIRS: [[(Range, Range); 2]; 3] = [
+    [
+        ((0.5, 1.0, 6), (0.25, 0.5, 5)),
+        ((0.5, 1.0, 6), (0.6, 0.9, 5)),
+    ],
+    [
+        ((0.4, 1.2, 6), (1.0e5, 1.0e6, 5)),
+        ((0.4004, 1.2, 6), (1.0e5, 1.0e6, 5)),
+    ],
+    [
+        ((0.5, 1.0, 6), (1.0e5, 1.0e6, 5)),
+        ((0.5, 1.0, 6), (1.0e5, 1.000_000_4e6, 5)),
+    ],
+];
+
+#[test]
+fn near_windows_answer_their_own_bytes_on_a_shared_context() {
+    let _guard = lock();
+    for threads in THREADS {
+        let exec = Executor::with_threads(threads);
+        // Each window evaluated alone on a fresh context.
+        let alone =
+            |(l, n): (Range, Range)| served(&tile(l, n).evaluate_with(&exec, &EvalContext::new()));
+        for pair in NEAR_PAIRS {
+            let expected = pair.map(alone);
+            assert_ne!(expected[0], expected[1], "{pair:?} are different windows");
+            // Single queries, the second after the first is cached.
+            let ctx = EvalContext::new();
+            for (&(l, n), want) in pair.iter().zip(&expected) {
+                let got = served(&tile(l, n).evaluate_with(&exec, &ctx));
+                assert_eq!(&got, want, "single {l:?} × {n:?} at {threads} threads");
+            }
+            // A batch on a context that already holds the first window.
+            let ctx = EvalContext::new();
+            assert!(tile(pair[0].0, pair[0].1)
+                .evaluate_with(&exec, &ctx)
+                .is_ok());
+            let warm: Vec<Query> = pair.iter().map(|&(l, n)| tile(l, n)).collect();
+            for (answer, want) in Query::evaluate_batch(&exec, &ctx, &warm)
+                .iter()
+                .zip(&expected)
+            {
+                assert_eq!(&served(answer), want, "warm batch at {threads} threads");
+            }
+        }
+        // One cold batch holding all three pairs, each window twice.
+        let windows: Vec<(Range, Range)> = NEAR_PAIRS.iter().flatten().copied().collect();
+        let batch: Vec<Query> = windows
+            .iter()
+            .chain(&windows)
+            .map(|&(l, n)| tile(l, n))
+            .collect();
+        let answers = Query::evaluate_batch(&exec, &EvalContext::new(), &batch);
+        for (k, answer) in answers.iter().enumerate() {
+            let window = windows[k % windows.len()];
+            assert_eq!(
+                served(answer),
+                alone(window),
+                "batch slot {k}, {window:?} at {threads} threads"
+            );
+        }
+    }
+}

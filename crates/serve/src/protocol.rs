@@ -10,7 +10,11 @@
 //! A line holding a JSON *array* of such objects is a batch: the server
 //! prices the cold surface tiles of all its queries in one fused kernel
 //! dispatch, evaluates every query, and answers with one JSON array
-//! line, element `i` answering request `i`.
+//! line, element `i` answering request `i`. Single and array lines
+//! resolve their tiles the same way, against a tile cache keyed by each
+//! request's exact window, so a tile's `ok` payload is the same bytes
+//! whichever line shape asked for it, and whatever other windows were
+//! asked for before it.
 //!
 //! The envelope is versioned: `v` names the protocol version, and an
 //! absent `v` means version 1, so every pre-envelope client (and every
@@ -90,17 +94,11 @@ pub fn response_line(id: &Json, result: &Result<QueryResponse, Error>) -> String
     response_json(id, result).write()
 }
 
-/// The serialized response line for a transport-level failure.
+/// The serialized response line for a failed request: `id` is the
+/// request's echoed id, one recovered from an oversized line's prefix
+/// via [`recover_id`], or [`Json::Null`] when none can be attributed.
 #[must_use]
-pub fn error_line(error: &Error) -> String {
-    error_json(&Json::Null, error).write()
-}
-
-/// The serialized response line for a transport-level failure where
-/// some request `id` could still be attributed (e.g. recovered from an
-/// oversized line's prefix via [`recover_id`]).
-#[must_use]
-pub fn error_line_with_id(id: &Json, error: &Error) -> String {
+pub fn error_line(id: &Json, error: &Error) -> String {
     error_json(id, error).write()
 }
 
@@ -223,8 +221,9 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
 ///
 /// Array lines go through [`Query::evaluate_batch`], so overlapping
 /// surface tiles in one line fuse their shared grid work
-/// (`maly_model::plan`) and a repeated tile answers from the cache; the
-/// served bytes are those of evaluating each query on its own.
+/// (`maly_model::plan`) and a repeated tile answers from the line's own
+/// resolution or the cache. A tile is cached under its exact window, so
+/// the served bytes are those of evaluating each query on its own.
 #[must_use]
 pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
     let exec = &Executor::serial();
@@ -236,7 +235,7 @@ pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
     };
     let parsed = match parsed {
         Ok(v) => v,
-        Err(e) => return error_line(&Error::from(e)),
+        Err(e) => return error_line(&Json::Null, &Error::from(e)),
     };
     match parsed {
         Json::Arr(items) => {
@@ -278,7 +277,7 @@ pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
                     let _write = maly_obs::span("serve.write").with_histogram(&WRITE_NS);
                     response_line(&id, &result)
                 }
-                Err(e) => error_json(&id, &e).write(),
+                Err(e) => error_line(&id, &e),
             }
         }
     }

@@ -23,7 +23,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use maly_model::{Error, EvalContext};
+use maly_model::{Error, EvalContext, Json};
 use maly_par::Executor;
 
 use crate::config::ServeConfig;
@@ -175,7 +175,7 @@ impl Server {
                     // `overloaded` and close instead of queueing
                     // without bound.
                     REFUSED.incr();
-                    let line = protocol::error_line(&Error::Overloaded);
+                    let line = protocol::error_line(&Json::Null, &Error::Overloaded);
                     drop(write_line(&mut stream, line));
                 }
             }
@@ -242,7 +242,7 @@ fn handle_connection(stream: TcpStream, max_line_bytes: usize) {
             // `id` key conventionally leads the request object, so its
             // bytes usually sit inside the retained prefix.
             let id = protocol::recover_id(&String::from_utf8_lossy(&buf));
-            let line = protocol::error_line_with_id(
+            let line = protocol::error_line(
                 &id,
                 &Error::PayloadTooLarge {
                     limit: max_line_bytes,

@@ -331,6 +331,99 @@ fn concurrent_clients_get_correct_interleaved_answers() {
     join.join().expect("server thread exits cleanly");
 }
 
+/// A 3 × 3 window no other test requests, distinct for every `k`.
+fn sliding_window(k: usize) -> Query {
+    let lambda_min = 0.41 + 0.005 * k as f64;
+    Query::SurfaceTile {
+        lambda_min,
+        lambda_max: lambda_min + 0.3,
+        lambda_steps: 3,
+        n_tr_min: 1.5e5,
+        n_tr_max: 1.5e6,
+        n_tr_steps: 3,
+    }
+}
+
+#[test]
+fn concurrent_clients_sliding_past_the_cache_match_the_oracle() {
+    let _guard = lock();
+    // 96 windows, more than the 64 tiles the cache holds, plus a head
+    // tile every batch line repeats at both ends.
+    const WINDOWS: usize = 96;
+    const CLIENTS: usize = 4;
+    const PER_LINE: usize = 3;
+    let head = sliding_window(WINDOWS);
+    // The oracle: each window evaluated alone on a fresh context.
+    let oracle: Vec<String> = (0..=WINDOWS)
+        .map(|k| {
+            let result = sliding_window(k).evaluate_with(&Executor::serial(), &EvalContext::new());
+            result.expect("window evaluates").to_json().write()
+        })
+        .collect();
+    let element = |id: usize, q: &Query| {
+        Json::obj(vec![("id", Json::Num(id as f64)), ("query", q.to_json())]).write()
+    };
+    // Client `c` slides over every window from its own offset, so the
+    // four streams overlap, evict each other's tiles and race on the
+    // same keys. Ids encode the window: id = 1000 × line + window.
+    let lines_for = |c: usize| -> Vec<String> {
+        (0..WINDOWS / PER_LINE)
+            .map(|line| {
+                let mut items = vec![element(1000 * line + WINDOWS, &head)];
+                for j in 0..PER_LINE {
+                    let k = (c * WINDOWS / CLIENTS + line * PER_LINE + j) % WINDOWS;
+                    items.push(element(1000 * line + k, &sliding_window(k)));
+                }
+                items.push(element(1000 * line + WINDOWS, &head));
+                format!("[{}]", items.join(", "))
+            })
+            .collect()
+    };
+    let sent = (CLIENTS * (WINDOWS / PER_LINE) * (PER_LINE + 2)) as u64;
+    let (handle, join) = start(ServeConfig::default().workers(CLIENTS));
+    let addr = handle.addr().to_string();
+    let ledger = || {
+        (
+            maly_model::context::TILE_HITS.value() + maly_model::context::TILE_MISSES.value(),
+            maly_model::context::TILE_EVICTIONS.value(),
+        )
+    };
+    let (lookups0, evictions0) = ledger();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addr, oracle, lines) = (&addr, &oracle, lines_for(c));
+                scope.spawn(move || {
+                    let got = client::query_lines(addr, &lines).expect("round trip");
+                    for (line, response) in got.iter().enumerate() {
+                        let Ok(Json::Arr(items)) = json::parse(response) else {
+                            panic!("client {c}, line {line}: not an array: {response}");
+                        };
+                        assert_eq!(items.len(), PER_LINE + 2);
+                        for item in &items {
+                            let id = item.get("id").and_then(Json::as_f64).expect("id") as usize;
+                            let ok = item.get("ok").expect("ok payload").write();
+                            assert_eq!(ok, oracle[id % 1000], "client {c}, line {line}, id {id}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+    });
+    let (lookups, evictions) = ledger();
+    assert_eq!(
+        lookups - lookups0,
+        sent,
+        "each tile query is one hit or one miss"
+    );
+    assert!(evictions > evictions0, "the sweep evicts tiles");
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}
+
 #[test]
 fn malformed_requests_are_rejected_with_typed_errors() {
     let _guard = lock();
