@@ -1,7 +1,8 @@
 //! Benchmark crate: shared fixtures and a std-only timing harness.
 //!
 //! The benches live in `benches/sweeps.rs` (serial vs parallel sweep
-//! hot paths, an owned eq. (4) memo cold and warm, and batch fusion).
+//! hot paths, an owned eq. (4) memo cold and warm, and a cold tile
+//! batch against its per-query oracle).
 //! Run with `cargo bench -p maly-bench --bench sweeps`; add
 //! `-- --json <path>` to write a machine-readable baseline like
 //! `BENCH_sweeps.json`.

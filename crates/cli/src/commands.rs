@@ -53,8 +53,8 @@ $/system on the fig8 MCM calibration (see DESIGN.md §15).
 Every command also accepts --trace-out FILE: enable maly-obs and write
 an ndjson trace (spans, counters, histograms) of the run to FILE.
 Batched queries (JSON-array lines, sweep, query --file) price the cold
-surface tiles of all requests in one fused dispatch, each shared grid
-cell once (output bit-identical to evaluating each query independently).
+surface tiles of all requests in one dispatch over each tile's own cells
+(output bit-identical to evaluating each query independently).
 All dollars are 1994 dollars; λ is the minimum feature size in µm."
         .to_string()
 }

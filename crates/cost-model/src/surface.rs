@@ -31,10 +31,10 @@ const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
 /// thread-count-invariant Work counter: every consumer (dense scans
-/// and planned batch fusion) prices its cells through the kernel's one
-/// batch routine, once each, so this is the ground truth
-/// for "how many eq. (1) evaluations actually ran" — the fusion
-/// goldens diff it directly instead of trusting wall clock.
+/// and `maly-model`'s cold-tile dispatch) prices its cells through the
+/// kernel's one batch routine, once each, so this is the ground truth
+/// for "how many eq. (1) evaluations actually ran" — the plan goldens
+/// diff it directly instead of trusting wall clock.
 pub static EQ1_CELLS: maly_obs::Counter = maly_obs::Counter::work("eq1.cells");
 
 /// Parameters of a cost-surface study.
@@ -104,16 +104,15 @@ struct Eq1Row {
 /// The lane-batched eq. (1) kernel over a fixed `(λ × N_tr)` grid of
 /// caller-supplied axis values. The dense scan prices a surface through
 /// it one block of λ-rows at a time, and `maly-model`'s batch path
-/// unions the λ and `N_tr` axis values of every cold tile in a query
-/// batch, evaluates each unique `(λ, N_tr)` cell exactly once, and
-/// scatters the results back per tile.
+/// concatenates the axes of every cold tile in an evaluation, lists
+/// each tile's own cells, and splits the values back per tile.
 ///
 /// Per-cell values depend only on the cell's own `(λ, N_tr)` pair —
-/// never on which axes, tiles, or chunks surround it — so any tile
-/// whose axis values appear bit-equal in these sets receives values
-/// bit-identical to a direct [`CostSurface::compute_with`] over that
-/// tile alone. That independence is what makes cross-request fusion
-/// safe under the workspace's bit-identical-output contract.
+/// never on which axes, tiles, or chunks surround it — so a tile priced
+/// beside others receives values bit-identical to a direct
+/// [`CostSurface::compute_with`] over that tile alone. That
+/// independence is what lets one dispatch price many tiles under the
+/// workspace's bit-identical-output contract.
 ///
 /// Construction hoists everything that depends on one axis alone: the
 /// wafer cost `C_w(λ)` and the effective defect density `D/λ^p` per
@@ -249,10 +248,10 @@ fn ascending_positive(lo: f64, hi: f64) -> bool {
 /// The exact λ axis (linear spacing) and `N_tr` axis (logarithmic, one
 /// `exp` per point) [`CostSurface::compute`] derives for these ranges,
 /// or `None` when either range is degenerate (not ascending-positive,
-/// or fewer than 2 steps). `maly-model`'s batch path keys its
-/// cell-level fusion on bit-equality of axis values, so they must come
-/// from the same arithmetic as the compute path; the panicking contract
-/// stays with `compute`.
+/// or fewer than 2 steps). `maly-model` prices served tiles over these
+/// axes, so they must come from the same arithmetic as the compute
+/// path for a served tile to hold a dense surface's bytes; the
+/// panicking contract stays with `compute`.
 #[must_use]
 pub fn tile_axes(
     lambda_range: (f64, f64, usize),
@@ -269,8 +268,8 @@ pub fn tile_axes(
     ))
 }
 
-/// Assembles a [`CostSurface`] from externally computed parts (the
-/// fused batch path's scatter), or `None` when the value grid's shape does
+/// Assembles a [`CostSurface`] from externally computed parts (one
+/// tile's block of a batched dispatch), or `None` when the value grid's shape does
 /// not match the axes or an axis is shorter than 2 entries.
 #[must_use]
 pub fn surface_from_grid(

@@ -4,7 +4,7 @@
 //! The generator drives a live server (either an external `--addr` or a
 //! self-hosted loopback instance) with a seeded mix of request lines:
 //! single `product` and `table3_row` queries plus duplicate-heavy batch
-//! lines that exercise the evaluation-plan fusion path. Send times are
+//! lines that exercise the batch path's tile resolution. Send times are
 //! paced open-loop — request *i* on a connection departs at
 //! `i * pace_ns` regardless of how fast responses return — so a slow
 //! server accumulates visible queueing latency instead of silently
@@ -439,8 +439,8 @@ fn single(id: f64, kind: usize, query: &Query) -> Request {
 }
 
 /// A duplicate-heavy batch: one tile window repeated 2–3 times plus a
-/// Table 3 row — the plan fusion path answers the repeats from one
-/// evaluation.
+/// Table 3 row — the batch path prices the window once and answers
+/// the repeats as tile hits.
 fn tile_dup_batch(id: f64, rng: &mut Xoshiro256PlusPlus) -> Request {
     let tile = tile_query(rng);
     let copies = 2 + (rng.next_u64() % 2);
@@ -452,7 +452,7 @@ fn tile_dup_batch(id: f64, rng: &mut Xoshiro256PlusPlus) -> Request {
 }
 
 /// A mixed batch: a duplicated product, a tile, and a product-mix
-/// study — fusion dedups the product pair, the rest evaluate fresh.
+/// study — every element evaluates, the repeated product included.
 fn mixed_batch(id: f64, rng: &mut Xoshiro256PlusPlus) -> Request {
     let product = Query::Product(product_spec(rng));
     let elements = vec![

@@ -71,8 +71,8 @@ pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_
 pub static TILE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_evictions");
 /// Per-query evaluation latency, attached to the `model.query` span.
 pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.eval_ns");
-/// Whole-batch latency (the fused cold-tile dispatch, every query's
-/// evaluation and the fused tiles' cache inserts), attached to the
+/// Whole-batch latency (the cold-tile dispatch, every query's
+/// evaluation and the cold tiles' cache inserts), attached to the
 /// `model.plan` span.
 pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.plan_ns");
 /// Writing one cold tile into its cached body, attached to the

@@ -8,13 +8,12 @@
 //! cache is read once, and a body found there is kept in the
 //! evaluation's own map and counted as a hit; every remaining key is a
 //! miss (its full cell count in `model.tile_cells`), priced in one
-//! fused [`Eq1Kernel`] dispatch over the union of the cold tiles' axis
-//! values, each bit-unique `(λ, N_tr)` cell evaluated once. Answers
-//! come only from that map, so each tile query counts one hit or one
-//! miss whatever other connections evict meanwhile; the fused bodies
-//! enter the cache afterwards, in first-occurrence order, so their
-//! victims are deterministic. Nothing else moves
-//! `model.tile_{hits,misses,cells}`.
+//! [`Eq1Kernel`] dispatch over the cold tiles' concatenated axes that
+//! lists each tile's own cells and nothing else. Answers come only from
+//! that map, so each tile query counts one hit or one miss whatever
+//! other connections evict meanwhile; the priced bodies enter the cache
+//! afterwards, in first-occurrence order, so their victims are
+//! deterministic. Nothing else moves `model.tile_{hits,misses,cells}`.
 //!
 //! Only a batch counts `plan.*` nodes and opens a `model.plan` span; its
 //! non-tile queries evaluate through [`Query::evaluate_with`] under the
@@ -22,11 +21,10 @@
 //!
 //! Determinism contract: the batch path is bit-identical to
 //! [`Query::evaluate_batch_unplanned`] at every executor width.
-//! `Eq1Kernel` cells depend only on their own `(λ, N_tr)` bits, and
-//! cells only fuse when their axis values are *bit-equal*, so a fused
-//! tile holds exactly the bytes of its window priced alone, and one key
-//! is one window. The `plan_fusion` property tests and the serve
-//! loopback suite diff the two paths.
+//! `Eq1Kernel` cells depend only on their own `(λ, N_tr)` bits, so a
+//! tile priced beside others holds exactly the bytes of its window
+//! priced alone, and one key is one window. The `plan_fusion` property
+//! tests and the serve loopback suite diff the two paths.
 
 use std::collections::HashMap;
 
@@ -41,12 +39,12 @@ use crate::query::{Query, QueryResponse, SurfaceBody};
 /// query plus one node per other query. Work counter — determined by
 /// batch contents alone.
 pub static NODES_REQUESTED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_requested");
-/// Grid nodes a batch actually evaluated: the fused dispatch's cells
-/// plus one node per non-tile query. The fusion goldens assert this
-/// stays well under [`static@NODES_REQUESTED`] on overlapping batches.
+/// Grid nodes a batch actually evaluated: the cold tiles' cells plus
+/// one node per non-tile query. Below [`static@NODES_REQUESTED`] only by
+/// the cells of tiles answered from the cache or repeated in the batch.
 pub static NODES_EVALUATED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_evaluated");
-/// Fused kernel dispatches issued by batches (one per batch with ≥ 1
-/// cold tile).
+/// Kernel dispatches issued by batches (one per batch with ≥ 1 cold
+/// tile).
 pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.fused_dispatches");
 
 /// A well-formed tile query's λ and `N_tr` ranges.
@@ -56,16 +54,16 @@ pub(crate) type TileRequest = ((f64, f64, usize), (f64, f64, usize));
 type ColdTile = (TileKey, Vec<f64>, Vec<f64>);
 
 /// Tile bodies with their keys, in first-occurrence order.
-type Fused = Vec<(TileKey, SurfaceBody)>;
+type Priced = Vec<(TileKey, SurfaceBody)>;
 
 /// Resolves `requests` in order, counting one hit or one miss each.
-/// Returns every requested key's body, the fused ones (to cache after
-/// the answers) and the cells the fused dispatch evaluated.
+/// Returns every requested key's body, the cold ones (to cache after
+/// the answers) and the cells their dispatch evaluated.
 fn resolve<'a>(
     exec: &Executor,
     ctx: &EvalContext,
     requests: impl IntoIterator<Item = &'a TileRequest>,
-) -> (HashMap<TileKey, SurfaceBody>, Fused, usize) {
+) -> (HashMap<TileKey, SurfaceBody>, Priced, usize) {
     let mut bodies = HashMap::new();
     let mut cold: Vec<ColdTile> = Vec::new();
     for &(lambda_range, n_tr_range) in requests {
@@ -76,18 +74,16 @@ fn resolve<'a>(
             context::TILE_HITS.incr();
             bodies.insert(key, body);
         } else if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
-            // Axes from the same arithmetic as a dense surface: the
-            // bit-equality fusion keys on is meaningful only because of
-            // that. Fusion's saving shows in `eq1.cells` and
-            // `plan.nodes_evaluated`, not in `model.tile_cells`.
+            // Axes from the same arithmetic as a dense surface, so the
+            // priced tile holds the bytes of its window computed alone.
             context::TILE_MISSES.incr();
             context::TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
             cold.push((key, l, n));
         }
     }
-    let (fused, cells) = fuse_cold_tiles(exec, cold);
-    bodies.extend(fused.iter().cloned());
-    (bodies, fused, cells)
+    let (priced, cells) = price_cold_tiles(exec, cold);
+    bodies.extend(priced.iter().cloned());
+    (bodies, priced, cells)
 }
 
 /// A resolved request's answer. A validated request's axes always
@@ -111,15 +107,15 @@ pub(crate) fn tile(
     ctx: &EvalContext,
     request: TileRequest,
 ) -> Result<QueryResponse, Error> {
-    let (bodies, fused, _) = resolve(exec, ctx, [&request]);
-    ctx.store_tiles(fused);
+    let (bodies, priced, _) = resolve(exec, ctx, [&request]);
+    ctx.store_tiles(priced);
     answer(&bodies, request)
 }
 
 /// Evaluates a batch: its tiles resolved first, then every query in
-/// index order, then the fused tiles into the cache. Per-element
+/// index order, then the cold tiles into the cache. Per-element
 /// errors, input order and the `model.*` ledger match the unplanned
-/// path; only the amount of grid work differs.
+/// path.
 pub(crate) fn evaluate(
     exec: &Executor,
     ctx: &EvalContext,
@@ -127,7 +123,7 @@ pub(crate) fn evaluate(
 ) -> Vec<Result<QueryResponse, Error>> {
     let _span = maly_obs::span("model.plan").with_histogram(&context::PLAN_NS);
     let requests: Vec<Option<TileRequest>> = queries.iter().map(Query::tile_request).collect();
-    let (bodies, fused, cells) = resolve(exec, ctx, requests.iter().flatten());
+    let (bodies, priced, cells) = resolve(exec, ctx, requests.iter().flatten());
     let nodes = |r: &Option<TileRequest>| r.map_or(1, |(l, n)| (l.2 * n.2) as u64);
     NODES_REQUESTED.add(requests.iter().map(nodes).sum());
     NODES_EVALUATED.add(requests.iter().filter(|r| r.is_none()).count() as u64 + cells as u64);
@@ -142,81 +138,46 @@ pub(crate) fn evaluate(
         }
         None => queries[i].evaluate_with(exec, ctx),
     });
-    ctx.store_tiles(fused);
+    ctx.store_tiles(priced);
     answers
 }
 
-/// Materializes the cold tiles in one kernel dispatch: union the
-/// tiles' axis values, evaluate each bit-unique `(λ, N_tr)` cell
-/// exactly once, scatter per-tile grids back out, and serialize each
-/// tile's body, in the order the tiles came. Returns the bodies and
-/// the number of cells the dispatch evaluated.
-fn fuse_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> (Fused, usize) {
+/// Prices the cold tiles in one kernel dispatch over their
+/// concatenated axes: tile *t* owns rows `r_t..r_t + L_t` and columns
+/// `c_t..c_t + N_t`, only its own cells are listed, and the output
+/// splits back into consecutive row-major `L_t × N_t` blocks. Each
+/// tile's body is serialized in the order the tiles came. Returns the
+/// bodies and the number of cells the dispatch evaluated.
+fn price_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> (Priced, usize) {
     if tiles.is_empty() {
         return (Vec::new(), 0);
     }
-    let lambdas = bit_union(tiles.iter().map(|t| &t.1));
-    let n_trs = bit_union(tiles.iter().map(|t| &t.2));
-    // Every axis value is in its union by construction, and `total_cmp`
-    // orders distinct bit patterns distinctly, so the search always
-    // lands on the entry carrying exactly `v`'s bits.
-    let ranks = |axis: &[f64], union: &[f64]| -> Vec<usize> {
-        axis.iter()
-            .map(|v| {
-                union
-                    .binary_search_by(|p| p.total_cmp(v))
-                    .unwrap_or_else(|i| i)
-            })
-            .collect()
-    };
-    let tile_idx: Vec<(Vec<usize>, Vec<usize>)> = tiles
-        .iter()
-        .map(|(_, l, n)| (ranks(l, &lambdas), ranks(n, &n_trs)))
-        .collect();
-    // First-occurrence unique cells over the union grid; `slot` maps a
-    // union cell to its position in the dispatch.
-    let n_cols = n_trs.len();
-    let mut slot = vec![usize::MAX; lambdas.len() * n_cols];
-    let mut cells: Vec<(usize, usize)> = Vec::new();
-    for (l_idx, n_idx) in &tile_idx {
-        for &ri in l_idx {
-            for &ci in n_idx {
-                let k = ri * n_cols + ci;
-                if slot[k] == usize::MAX {
-                    slot[k] = cells.len();
-                    cells.push((ri, ci));
-                }
-            }
+    let lambdas: Vec<f64> = tiles.iter().flat_map(|t| t.1.iter().copied()).collect();
+    let n_trs: Vec<f64> = tiles.iter().flat_map(|t| t.2.iter().copied()).collect();
+    let mut cells = Vec::new();
+    let (mut r, mut c) = (0, 0);
+    for (_, l, n) in &tiles {
+        for i in r..r + l.len() {
+            cells.extend((c..c + n.len()).map(|j| (i, j)));
         }
+        (r, c) = (r + l.len(), c + n.len());
     }
     let values = Eq1Kernel::new(&context::shared().fig8_params, &lambdas, &n_trs)
         .eval_cells_with(exec, &cells);
-    let mut bodies = Vec::with_capacity(tiles.len());
-    for ((key, l_axis, n_axis), (l_idx, n_idx)) in tiles.into_iter().zip(&tile_idx) {
-        let grid = l_idx
-            .iter()
-            .map(|&ri| {
-                n_idx
-                    .iter()
-                    .map(|&ci| values[slot[ri * n_cols + ci]])
-                    .collect()
-            })
-            .collect();
-        if let Some(tile) = surface::surface_from_grid(l_axis, n_axis, grid) {
-            bodies.push((key, context::serialize_tile(&tile)));
-        }
-    }
-    (bodies, cells.len())
-}
-
-/// The sorted, bit-deduped union of some axes. Bit-equal values are
-/// indistinguishable and everything else is strictly ordered by
-/// `total_cmp`, so an unstable sort cannot change the result.
-fn bit_union<'a>(axes: impl Iterator<Item = &'a Vec<f64>>) -> Vec<f64> {
-    let mut union: Vec<f64> = axes.flatten().copied().collect();
-    union.sort_unstable_by(f64::total_cmp);
-    union.dedup_by(|a, b| a.to_bits() == b.to_bits());
-    union
+    let priced = cells.len();
+    drop(cells);
+    let mut values = values.into_iter();
+    let bodies = tiles
+        .into_iter()
+        .filter_map(|(key, l, n)| {
+            let grid = (0..l.len())
+                .map(|_| values.by_ref().take(n.len()).collect())
+                .collect();
+            let tile = surface::surface_from_grid(l, n, grid)?;
+            Some((key, context::serialize_tile(&tile)))
+        })
+        .collect();
+    (bodies, priced)
 }
 
 #[cfg(test)]
@@ -315,7 +276,7 @@ mod tests {
         }
         assert_eq!(ctx.cached_tiles(), 64, "the cache is full");
         // Forty new tiles in one batch: each inserted body evicts one,
-        // but only after every query has its answer, so no fused tile
+        // but only after every query has its answer, so no cold tile
         // is computed twice.
         let batch: Vec<Query> = (64..104).map(small).collect();
         let (bytes, delta) = run(

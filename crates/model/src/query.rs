@@ -1363,10 +1363,10 @@ impl Query {
     /// element fails independently.
     ///
     /// The surface tiles of the whole batch are resolved first, each
-    /// key once, the cold ones priced in one fused kernel dispatch that
-    /// evaluates each shared grid cell once ([`crate::plan`]); every
-    /// tile query then answers from that resolution and every other
-    /// query evaluates through [`Query::evaluate_with`]. Results are
+    /// key once, the cold ones priced together in one kernel dispatch
+    /// over their own cells ([`crate::plan`]); every tile query then
+    /// answers from that resolution and every other query evaluates
+    /// through [`Query::evaluate_with`]. Results are
     /// bit-identical to [`Query::evaluate_batch_unplanned`] (and to
     /// per-query [`Query::evaluate_with`]) at every executor width.
     #[must_use]
@@ -1379,9 +1379,9 @@ impl Query {
     }
 
     /// The direct batch path: every query scheduled independently
-    /// across the executor, no cross-request fusion. Kept only as the
-    /// batch path's bit-identity oracle for tests and benches; no
-    /// service path calls it.
+    /// across the executor, each cold tile priced in a dispatch of its
+    /// own. Kept only as the batch path's bit-identity oracle for tests
+    /// and benches; no service path calls it.
     #[must_use]
     pub fn evaluate_batch_unplanned(
         exec: &Executor,

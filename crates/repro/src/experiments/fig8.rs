@@ -75,14 +75,6 @@ pub fn report() -> ExperimentReport {
         .collect();
     let minima = count_local_minima(&slice);
 
-    // The serve-path analogue: a client sweeping this surface tile by
-    // tile sends overlapping windows in one batch, and the batch path
-    // fuses their shared grid nodes into a single kernel
-    // dispatch. Run the 4-tile acceptance batch on a fresh context and
-    // report the plan counters — the same numbers the fusion goldens
-    // gate on.
-    let plan_note = fused_batch_demo();
-
     let body = format!(
         "```text\n{plot}\n```\n\nOptimal feature size per design size \
          (the \"different λ^opt for each die size\" observation):\n\n{}\n\n\
@@ -90,7 +82,7 @@ pub fn report() -> ExperimentReport {
          minima (the dies-per-wafer floor() injects ripples — the paper's \
          \"number of local optima\"). The optimum never sits at the \
          smallest λ: the `D/λ^p` defect acceleration forbids deep shrinks \
-         at this calibration.\n\n{plan_note}\n",
+         at this calibration.\n",
         table.render(),
     );
     ExperimentReport {
@@ -98,41 +90,6 @@ pub fn report() -> ExperimentReport {
         title: "Cost contours and feature-size optima",
         body,
     }
-}
-
-/// Routes a 4-tile overlapping surface batch through the planned
-/// [`maly_model::Query::evaluate_batch`] path and summarizes the
-/// `plan.*` counter deltas.
-fn fused_batch_demo() -> String {
-    use maly_model::{plan, EvalContext, Query};
-    let batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
-        .iter()
-        .map(|&lo| Query::SurfaceTile {
-            lambda_min: lo,
-            lambda_max: lo + 0.5,
-            lambda_steps: 9,
-            n_tr_min: 2.0e4,
-            n_tr_max: 4.0e6,
-            n_tr_steps: 24,
-        })
-        .collect();
-    let requested0 = plan::NODES_REQUESTED.value();
-    let evaluated0 = plan::NODES_EVALUATED.value();
-    let answered =
-        Query::evaluate_batch(&maly_par::Executor::serial(), &EvalContext::new(), &batch)
-            .iter()
-            .filter(|r| r.is_ok())
-            .count();
-    let requested = plan::NODES_REQUESTED.value() - requested0;
-    let evaluated = plan::NODES_EVALUATED.value() - evaluated0;
-    format!(
-        "Batched tile queries: a 4-window overlapping sweep ({answered} \
-         tiles answered) compiled to an evaluation plan — {requested} \
-         grid nodes requested, {evaluated} evaluated after \
-         cross-request fusion ({:.0}% of the per-query work; the rest \
-         answered from shared nodes).",
-        100.0 * evaluated as f64 / requested.max(1) as f64,
-    )
 }
 
 /// The Fig 8 surface as long-form CSV (`lambda_um, n_tr, ctr_usd`),
@@ -181,7 +138,6 @@ mod tests {
         let r = report();
         assert!(r.body.contains("λ^opt"));
         assert!(r.body.contains("local"));
-        assert!(r.body.contains("Batched tile queries"));
     }
 
     #[test]

@@ -113,8 +113,9 @@ pub fn decode_response(line: &str) -> Result<Json, Error> {
 }
 
 /// The response line the server would produce for `query` evaluated
-/// directly in-process — what the loopback determinism tests compare
-/// served bytes against.
+/// directly in-process, as [`crate::protocol::response_line`] writes it.
+/// No workspace crate calls it; perfbench's answer check does, so it
+/// stays until that benchmark moves to `response_line`.
 #[must_use]
 pub fn expected_line(id: &Json, result: &Result<QueryResponse, Error>) -> String {
     crate::protocol::response_line(id, result)

@@ -219,8 +219,8 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
 /// output (no trailing newline) — transport errors aside, a client can
 /// match responses to requests by line position alone.
 ///
-/// Array lines go through [`Query::evaluate_batch`], so overlapping
-/// surface tiles in one line fuse their shared grid work
+/// Array lines go through [`Query::evaluate_batch`], so the cold
+/// surface tiles in one line are priced in one kernel dispatch
 /// (`maly_model::plan`) and a repeated tile answers from the line's own
 /// resolution or the cache. A tile is cached under its exact window, so
 /// the served bytes are those of evaluating each query on its own.

@@ -25,7 +25,7 @@
 //! sample counts are scheduler noise several-× wide — the tail gate
 //! catches catastrophic stalls, the median gate catches regressions.
 //!
-//! The parallel and fusion speedup gates apply only to gated groups the
+//! The parallel speedup gate applies only to gated groups the
 //! **baseline** actually covers: a serve-latency baseline knows nothing
 //! about the sweep benchmarks, so checking a candidate against it must
 //! not demand sweep speedup records.
@@ -67,19 +67,6 @@ pub const MIN_PARALLEL_SPEEDUP: f64 = 1.1;
 /// executor's serial path, but each of these groups carries at
 /// least one workload big enough to scale.
 pub const PARALLEL_GATED_GROUPS: &[&str] = &["sweeps/fig8_surface", "sweeps/contours", "sweeps/mc"];
-
-/// Minimum fused-over-unfused batch speedup the fused batch path must
-/// demonstrate on its acceptance batch. Unlike the parallel gate this
-/// is active on every machine: the comparison runs both engines at one
-/// thread, so the ratio measures eliminated work, not scheduling.
-pub const MIN_FUSION_SPEEDUP: f64 = 1.5;
-
-/// Groups whose `_vs_` engine-comparison records feed the fusion gate.
-/// The gate keys on the **best** `_vs_` record per group (the inverse
-/// of the parallel gate's eligibility: here engines are exactly what is
-/// compared); a candidate run missing the records fails, so fusion
-/// coverage cannot silently disappear.
-pub const FUSION_GATED_GROUPS: &[&str] = &["sweeps/fused_batch"];
 
 /// One `benches` record from a harness baseline file.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,9 +163,6 @@ pub struct BenchReport {
     /// Parallel-speedup verdicts for [`PARALLEL_GATED_GROUPS`], from
     /// the candidate run.
     pub speedup_gate: Vec<SpeedupVerdict>,
-    /// Fusion-speedup verdicts for [`FUSION_GATED_GROUPS`], from the
-    /// candidate run (active on every core count).
-    pub fusion_gate: Vec<SpeedupVerdict>,
 }
 
 impl BenchReport {
@@ -190,7 +174,6 @@ impl BenchReport {
     pub fn is_ok(&self) -> bool {
         self.counter_diffs.is_empty()
             && self.speedup_failures().is_empty()
-            && self.fusion_failures().is_empty()
             && self.groups.iter().all(|g| {
                 g.normalized_ratio <= 1.0 + MAX_MEDIAN_REGRESSION
                     && g.p99_ratio.map_or(true, |r| r <= 1.0 + MAX_P99_REGRESSION)
@@ -211,21 +194,6 @@ impl BenchReport {
                 !v.best
                     .as_ref()
                     .is_some_and(|&(_, s)| s >= MIN_PARALLEL_SPEEDUP)
-            })
-            .collect()
-    }
-
-    /// Fusion-gated groups whose best `_vs_` speedup falls short of
-    /// [`MIN_FUSION_SPEEDUP`] (or that recorded none). Active on every
-    /// machine: both engines run at one thread.
-    #[must_use]
-    pub fn fusion_failures(&self) -> Vec<&SpeedupVerdict> {
-        self.fusion_gate
-            .iter()
-            .filter(|v| {
-                !v.best
-                    .as_ref()
-                    .is_some_and(|&(_, s)| s >= MIN_FUSION_SPEEDUP)
             })
             .collect()
     }
@@ -308,29 +276,6 @@ impl BenchReport {
                 }
             }
         }
-        for v in &self.fusion_gate {
-            match &v.best {
-                Some((name, s)) => {
-                    let marker = if *s >= MIN_FUSION_SPEEDUP {
-                        ""
-                    } else {
-                        "  TOO SLOW"
-                    };
-                    let _ = writeln!(
-                        out,
-                        "  fusion   {:<21} {s:>7.2}x best ({name}){marker}",
-                        v.group
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  fusion   {:<21} no _vs_ speedup record  MISSING",
-                        v.group
-                    );
-                }
-            }
-        }
         if self.is_ok() {
             let _ = writeln!(
                 out,
@@ -341,9 +286,8 @@ impl BenchReport {
             let _ = writeln!(
                 out,
                 "bench-check: FAIL — group median beyond {:.0}% of baseline, \
-                 p99 tail beyond {:.0}%, work counters drifted, a parallel \
-                 speedup fell below {MIN_PARALLEL_SPEEDUP}x, or a fusion \
-                 speedup fell below {MIN_FUSION_SPEEDUP}x",
+                 p99 tail beyond {:.0}%, work counters drifted, or a \
+                 parallel speedup fell below {MIN_PARALLEL_SPEEDUP}x",
                 MAX_MEDIAN_REGRESSION * 100.0,
                 MAX_P99_REGRESSION * 100.0
             );
@@ -478,28 +422,6 @@ pub fn speedup_verdicts(candidate: &[SpeedupRecord]) -> Vec<SpeedupVerdict> {
         .collect()
 }
 
-/// The per-group fusion-gate verdicts over a candidate run's speedup
-/// records: for each of [`FUSION_GATED_GROUPS`], the best recorded
-/// `_vs_` engine comparison (the fused path against its unfused
-/// reference).
-#[must_use]
-pub fn fusion_verdicts(candidate: &[SpeedupRecord]) -> Vec<SpeedupVerdict> {
-    FUSION_GATED_GROUPS
-        .iter()
-        .map(|&group| {
-            let best = candidate
-                .iter()
-                .filter(|s| s.group == group && s.name.contains("_vs_"))
-                .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
-                .map(|s| (s.name.clone(), s.speedup));
-            SpeedupVerdict {
-                group: group.to_string(),
-                best,
-            }
-        })
-        .collect()
-}
-
 /// Exact comparison of baseline work counters against the candidate.
 /// Counters the candidate adds are ignored (they enter the contract at
 /// the next baseline refresh); counters it drops or changes are diffs.
@@ -623,7 +545,6 @@ pub fn compare(baseline: &[BenchRecord], candidate: &[BenchRecord]) -> Result<Be
         counter_diffs: Vec::new(),
         cores: 1,
         speedup_gate: Vec::new(),
-        fusion_gate: Vec::new(),
     })
 }
 
@@ -644,17 +565,12 @@ pub fn run_bench_check(baseline_path: &str, candidate_path: &str) -> Result<Benc
     report.counters = base_counters.len();
     report.counter_diffs = diff_counters(&base_counters, &parse_counters(&candidate));
     report.cores = parse_parallelism(&candidate).unwrap_or(1);
-    // Speedup gates only bind where the baseline has coverage: checking
-    // a serve-latency baseline must not demand sweep speedup records.
-    let covered = |group: &str| base_records.iter().any(|b| b.group == group);
-    let cand_speedups = parse_speedups(&candidate);
-    report.speedup_gate = speedup_verdicts(&cand_speedups)
+    // The speedup gate only binds where the baseline has coverage:
+    // checking a serve-latency baseline must not demand sweep speedup
+    // records.
+    report.speedup_gate = speedup_verdicts(&parse_speedups(&candidate))
         .into_iter()
-        .filter(|v| covered(&v.group))
-        .collect();
-    report.fusion_gate = fusion_verdicts(&cand_speedups)
-        .into_iter()
-        .filter(|v| covered(&v.group))
+        .filter(|v| base_records.iter().any(|b| b.group == v.group))
         .collect();
     Ok(report)
 }
@@ -929,44 +845,9 @@ mod tests {
     }
 
     #[test]
-    fn fusion_gate_is_active_on_one_core() {
-        let base = vec![record("g1", "a", 100.0)];
-        let mut report = compare(&base, &base).expect("compares");
-        report.cores = 1;
-        report.fusion_gate = fusion_verdicts(&[speedup(
-            "sweeps/fused_batch",
-            "batch_4tiles_unfused_vs_fused",
-            1.2,
-        )]);
-        assert_eq!(report.fusion_failures().len(), 1);
-        assert!(!report.is_ok(), "{}", report.render());
-        assert!(report.render().contains("TOO SLOW"));
-    }
-
-    #[test]
-    fn fusion_gate_passes_above_threshold_and_fails_when_missing() {
-        let base = vec![record("g1", "a", 100.0)];
-        let mut report = compare(&base, &base).expect("compares");
-        report.fusion_gate = fusion_verdicts(&[speedup(
-            "sweeps/fused_batch",
-            "batch_4tiles_unfused_vs_fused",
-            2.1,
-        )]);
-        assert!(report.fusion_failures().is_empty());
-        assert!(report.is_ok(), "{}", report.render());
-        // Non-_vs_ records do not satisfy the gate, and a candidate
-        // with no fused_batch records at all fails it.
-        let verdicts = fusion_verdicts(&[speedup("sweeps/fused_batch", "batch_4tiles/fused", 9.0)]);
-        assert!(verdicts.iter().all(|v| v.best.is_none()));
-        report.fusion_gate = verdicts;
-        assert!(!report.is_ok());
-        assert!(report.render().contains("MISSING"));
-    }
-
-    #[test]
     fn speedup_gates_bind_only_to_baseline_covered_groups() {
-        // A serve-only baseline: no sweeps groups, so neither the
-        // parallel nor the fusion gate may demand their records.
+        // A serve-only baseline: no sweeps groups, so the parallel
+        // gate may not demand their records.
         let dir = std::env::temp_dir();
         let base_path = dir.join(format!("bench_gate_base_{}.json", std::process::id()));
         let cand_path = dir.join(format!("bench_gate_cand_{}.json", std::process::id()));
@@ -986,7 +867,6 @@ mod tests {
         )
         .expect("checks");
         assert!(report.speedup_gate.is_empty());
-        assert!(report.fusion_gate.is_empty());
         assert!(report.is_ok(), "{}", report.render());
         drop(std::fs::remove_file(&base_path));
         drop(std::fs::remove_file(&cand_path));
