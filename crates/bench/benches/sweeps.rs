@@ -294,7 +294,9 @@ fn bench_fused_batch() {
 
     group("sweeps/fused_batch");
     // Four λ windows sliding by half a window over a shared N_tr
-    // range: 4 × 9 × 24 = 864 cold cells, priced in one dispatch.
+    // range: 4 × 9 × 24 = 864 cold cells, each tile priced as the dense
+    // surface of its own window. The record names keep the planned
+    // path's old "fused" label and the per-query oracle's "unfused".
     let batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
         .iter()
         .map(|&lo| Query::SurfaceTile {
@@ -307,8 +309,8 @@ fn bench_fused_batch() {
         })
         .collect();
     let exec = Executor::serial();
-    // Correctness before timing: the fused batch must be byte-identical
-    // to the unfused one.
+    // Correctness before timing: the planned batch must be
+    // byte-identical to the per-query oracle.
     let fused_out = Query::evaluate_batch(&exec, &EvalContext::new(), &batch);
     let unfused_out = Query::evaluate_batch_unplanned(&exec, &EvalContext::new(), &batch);
     assert_eq!(fused_out.len(), unfused_out.len());
@@ -338,7 +340,8 @@ fn bench_fused_batch() {
         plan::FUSED_DISPATCHES.value() - dispatches0,
     );
     // Fresh context per iteration: both paths price every tile cold,
-    // at one thread.
+    // at one thread, through the same `CostSurface::compute_with`, so
+    // the pair measures only the planner's resolve overhead.
     bench_pair(
         "batch_4tiles/unfused",
         || {

@@ -52,9 +52,9 @@ size × chiplet count × spares over a λ window) for the cheapest
 $/system on the fig8 MCM calibration (see DESIGN.md §15).
 Every command also accepts --trace-out FILE: enable maly-obs and write
 an ndjson trace (spans, counters, histograms) of the run to FILE.
-Batched queries (JSON-array lines, sweep, query --file) price the cold
-surface tiles of all requests in one dispatch over each tile's own cells
-(output bit-identical to evaluating each query independently).
+Batched queries (JSON-array lines, sweep, query --file) price each cold
+surface tile once, as the dense surface of its own window, before any
+query runs (output bit-identical to evaluating each query independently).
 All dollars are 1994 dollars; λ is the minimum feature size in µm."
         .to_string()
 }

@@ -10,7 +10,7 @@
 
 use maly_par::Executor;
 use maly_units::{
-    DefectDensity, DesignDensity, Dollars, Microns, Probability, ReferenceDefectDensity,
+    Centimeters, DesignDensity, Dollars, Microns, Probability, ReferenceDefectDensity,
     TransistorCount,
 };
 use maly_wafer_geom::{maly, DieDimensions, Wafer};
@@ -23,18 +23,20 @@ use crate::{CostError, TransistorCostModel, WaferCostModel};
 /// any other map item, and the work split never depends on the thread
 /// count. Each block pays its own buffers, a few percent of a 56 × 48
 /// surface at 512 cells, so blocks are 1024 cells. A dense surface
-/// dispatches whole λ-rows, `max(1, CELL_BLOCK / n_tr_steps)` per
-/// block, and a cell list ([`Eq1Kernel::eval_cells_with`]) `CELL_BLOCK`
+/// (every served tile is one) dispatches whole λ-rows,
+/// `max(1, CELL_BLOCK / n_tr_steps)` per block, and a cell list
+/// ([`Eq1Kernel::eval_cells_with`], the chiplet sweep) `CELL_BLOCK`
 /// cells per block, on every executor, serial included, so memory is
 /// one block's temporaries per thread plus the result.
 const CELL_BLOCK: usize = 1024;
 
 /// Eq. (1) grid cells dispatched through the lane-batched kernel. A
-/// thread-count-invariant Work counter: every consumer (dense scans
-/// and `maly-model`'s cold-tile dispatch) prices its cells through the
-/// kernel's one batch routine, once each, so this is the ground truth
-/// for "how many eq. (1) evaluations actually ran" — the plan goldens
-/// diff it directly instead of trusting wall clock.
+/// thread-count-invariant Work counter: every consumer (dense scans,
+/// among them every served tile, and `maly-chiplet`'s partition sweep)
+/// prices its cells through the kernel's one batch routine, once each,
+/// so this is the ground truth for "how many eq. (1) evaluations
+/// actually ran" — the plan goldens diff it directly instead of
+/// trusting wall clock.
 pub static EQ1_CELLS: maly_obs::Counter = maly_obs::Counter::work("eq1.cells");
 
 /// Parameters of a cost-surface study.
@@ -89,6 +91,9 @@ impl SurfaceParameters {
     }
 }
 
+/// An edge no wafer holds: eq. (4) counts zero such dies.
+const NO_DIE_EDGE: Centimeters = Centimeters::const_new(f64::MAX);
+
 /// Per-λ-row hoisted state of [`Eq1Kernel`]: the wafer cost `C_w(λ)`
 /// and the eq. (7) exponent scale `−D/λ^p` — both depend only on λ, so
 /// computing them once per row removes two `powf` calls from every
@@ -102,17 +107,16 @@ struct Eq1Row {
 }
 
 /// The lane-batched eq. (1) kernel over a fixed `(λ × N_tr)` grid of
-/// caller-supplied axis values. The dense scan prices a surface through
-/// it one block of λ-rows at a time, and `maly-model`'s batch path
-/// concatenates the axes of every cold tile in an evaluation, lists
-/// each tile's own cells, and splits the values back per tile.
+/// caller-supplied axis values. The dense scan
+/// ([`CostSurface::compute_with`], which also prices every served
+/// tile) runs it one block of λ-rows at a time, and `maly-chiplet`'s
+/// partition sweep prices a cell list through
+/// [`Eq1Kernel::eval_cells_with`].
 ///
 /// Per-cell values depend only on the cell's own `(λ, N_tr)` pair —
-/// never on which axes, tiles, or chunks surround it — so a tile priced
-/// beside others receives values bit-identical to a direct
-/// [`CostSurface::compute_with`] over that tile alone. That
-/// independence is what lets one dispatch price many tiles under the
-/// workspace's bit-identical-output contract.
+/// never on which axes or chunks surround it — so any block split and
+/// any thread count give bit-identical values, as the workspace's
+/// output contract requires.
 ///
 /// Construction hoists everything that depends on one axis alone: the
 /// wafer cost `C_w(λ)` and the effective defect density `D/λ^p` per
@@ -149,11 +153,13 @@ impl Eq1Kernel {
                     lambda,
                     wafer_cost: params.wafer_cost.wafer_cost(lambda),
                     // The eq. (7) effective density D/λ^p, negated so
-                    // the per-point exponent is a single multiply.
-                    neg_d_eff: -DefectDensity::clamped(
-                        params.defect_d.value() / lambda.value().powf(params.defect_p),
-                    )
-                    .value(),
+                    // the per-point exponent is a single multiply. A λ
+                    // whose λ^p underflows gives +∞ (zero yield, an
+                    // infeasible row), so the floor is taken with
+                    // `max`, which keeps ∞ where `DefectDensity::clamped`
+                    // would reject it.
+                    neg_d_eff: -(params.defect_d.value() / lambda.value().powf(params.defect_p))
+                        .max(f64::MIN_POSITIVE),
                 }
             })
             .collect();
@@ -192,11 +198,16 @@ impl Eq1Kernel {
         let dies: Vec<DieDimensions> = indices
             .iter()
             .map(|&(i, j)| {
-                DieDimensions::square_with_area(crate::density::die_area(
-                    self.cols[j],
-                    self.density,
-                    self.rows[i].lambda,
-                ))
+                let area =
+                    crate::density::die_area(self.cols[j], self.density, self.rows[i].lambda);
+                // An area that under- or overflows (λ²·N_tr outside
+                // f64's range) has no positive finite side: price it as
+                // a die no wafer holds, an infeasible cell.
+                if area.value() > 0.0 && area.value().is_finite() {
+                    DieDimensions::square_with_area(area)
+                } else {
+                    DieDimensions::square(NO_DIE_EDGE)
+                }
             })
             .collect();
         let counts = maly::dies_per_wafer_batch(&self.wafer, &dies);
@@ -241,36 +252,10 @@ impl Eq1Kernel {
     }
 }
 
-fn ascending_positive(lo: f64, hi: f64) -> bool {
-    lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi
-}
-
-/// The exact λ axis (linear spacing) and `N_tr` axis (logarithmic, one
-/// `exp` per point) [`CostSurface::compute`] derives for these ranges,
-/// or `None` when either range is degenerate (not ascending-positive,
-/// or fewer than 2 steps). `maly-model` prices served tiles over these
-/// axes, so they must come from the same arithmetic as the compute
-/// path for a served tile to hold a dense surface's bytes; the
-/// panicking contract stays with `compute`.
-#[must_use]
-pub fn tile_axes(
-    lambda_range: (f64, f64, usize),
-    n_tr_range: (f64, f64, usize),
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    let valid = |(min, max, steps): (f64, f64, usize)| steps >= 2 && ascending_positive(min, max);
-    if !valid(lambda_range) || !valid(n_tr_range) {
-        return None;
-    }
-    let ((l_min, l_max, l_steps), (n_min, n_max, n_steps)) = (lambda_range, n_tr_range);
-    Some((
-        linear_axis(l_min, l_max, l_steps),
-        log_axis(n_min, n_max, n_steps),
-    ))
-}
-
-/// Assembles a [`CostSurface`] from externally computed parts (one
-/// tile's block of a batched dispatch), or `None` when the value grid's shape does
-/// not match the axes or an axis is shorter than 2 entries.
+/// Assembles a [`CostSurface`] from externally computed parts (a
+/// hand-made grid, as in `maly-cost-optim`'s contour tests), or `None`
+/// when the value grid's shape does not match the axes or an axis is
+/// shorter than 2 entries.
 #[must_use]
 pub fn surface_from_grid(
     lambda_axis: Vec<f64>,
@@ -444,8 +429,18 @@ impl CostSurface {
 
 /// The linearly spaced λ axis of [`CostSurface::compute`].
 fn linear_axis(min: f64, max: f64, steps: usize) -> Vec<f64> {
+    let (span, last) = (max - min, (steps - 1) as f64);
     (0..steps)
-        .map(|i| min + (max - min) * i as f64 / (steps - 1) as f64)
+        .map(|i| {
+            let scaled = span * i as f64;
+            if scaled.is_finite() {
+                min + scaled / last
+            } else {
+                // A span near f64::MAX: scale the step instead, which
+                // cannot overflow past `max`.
+                (min + span / last * i as f64).min(max)
+            }
+        })
         .collect()
 }
 
@@ -565,10 +560,12 @@ mod tests {
                 "feasible cell at {threads} threads"
             );
         }
-        let (lambda_axis, n_tr_axis) = tile_axes(lambda_range, n_tr_range).unwrap();
-        let points: Vec<(Microns, TransistorCount)> = lambda_axis
-            .into_iter()
-            .flat_map(|l| n_tr_axis.iter().map(move |&n| (l, n)))
+        let serial =
+            CostSurface::compute_with(&Executor::serial(), &params, lambda_range, n_tr_range);
+        let points: Vec<(Microns, TransistorCount)> = serial
+            .lambda_axis()
+            .iter()
+            .flat_map(|&l| serial.n_tr_axis().iter().map(move |&n| (l, n)))
             .map(|(l, n)| (Microns::clamped(l), TransistorCount::clamped(n)))
             .collect();
         for &(lambda, n) in &points {

@@ -12,7 +12,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use maly_cost_model::surface::{tile_axes, CostSurface, Eq1Kernel, SurfaceParameters, EQ1_CELLS};
+use maly_cost_model::surface::{CostSurface, Eq1Kernel, SurfaceParameters, EQ1_CELLS};
 use maly_par::Executor;
 use maly_units::{Microns, TransistorCount};
 
@@ -242,12 +242,14 @@ fn row_blocks_match_one_flat_kernel_call() {
         (3, 2049),
     ] {
         let (lambda_range, n_tr_range) = ((0.35, 1.45, rows), (2.0e4, 4.0e6, cols));
-        let (lambda_axis, n_tr_axis) = tile_axes(lambda_range, n_tr_range).unwrap();
+        let serial =
+            CostSurface::compute_with(&Executor::serial(), &params, lambda_range, n_tr_range);
+        let (lambda_axis, n_tr_axis) = (serial.lambda_axis(), serial.n_tr_axis());
         let cells: Vec<(usize, usize)> = (0..rows)
             .flat_map(|i| (0..cols).map(move |j| (i, j)))
             .collect();
         let expected = bits(
-            &Eq1Kernel::new(&params, &lambda_axis, &n_tr_axis)
+            &Eq1Kernel::new(&params, lambda_axis, n_tr_axis)
                 .eval_cells_with(&Executor::serial(), &cells),
         );
         for threads in [1, 2, 8] {
@@ -259,8 +261,8 @@ fn row_blocks_match_one_flat_kernel_call() {
                 (rows * cols) as u64,
                 "{rows}x{cols}: eq1.cells must count each cell once"
             );
-            assert_eq!(surface.lambda_axis(), &lambda_axis[..]);
-            assert_eq!(surface.n_tr_axis(), &n_tr_axis[..]);
+            assert_eq!(surface.lambda_axis(), lambda_axis);
+            assert_eq!(surface.n_tr_axis(), n_tr_axis);
             assert!(surface.values().iter().all(|row| row.len() == cols));
             assert_eq!(
                 surface_bits(&surface),

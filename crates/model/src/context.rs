@@ -71,7 +71,7 @@ pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_
 pub static TILE_EVICTIONS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_evictions");
 /// Per-query evaluation latency, attached to the `model.query` span.
 pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.eval_ns");
-/// Whole-batch latency (the cold-tile dispatch, every query's
+/// Whole-batch latency (pricing the cold tiles, every query's
 /// evaluation and the cold tiles' cache inserts), attached to the
 /// `model.plan` span.
 pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.plan_ns");
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn cold_insert_counts_like_an_unplanned_miss() {
-        // A one-tile batch fuses its tile: its query is the tile's one
+        // A one-tile batch prices its tile: its query is the tile's one
         // miss and answers from the batch, and the body enters the
         // cache after, so a repeat is one hit on the same body.
         let _guard = counter_test_lock();
@@ -412,7 +412,7 @@ mod tests {
         let Ok(QueryResponse::Surface(first)) = &answers[0] else {
             panic!("a tile query answers with a surface: {answers:?}");
         };
-        assert!(is_cached(&ctx, window), "the fused tile enters the cache");
+        assert!(is_cached(&ctx, window), "the batch's tile enters the cache");
         assert_eq!(TILE_MISSES.value() - misses0, 1);
         assert_eq!(TILE_CELLS.value() - cells0, 12);
         assert_eq!(
@@ -434,7 +434,7 @@ mod tests {
         let _guard = counter_test_lock();
         let ctx = EvalContext::new();
         // Single cold tiles — one whose largest dies do not fit the
-        // wafer, so it holds `null` cells and optima — plus a fused
+        // wafer, so it holds `null` cells and optima — plus a cold
         // batch.
         for window in [
             ((0.4, 1.5, 7), (2.0e4, 4.0e6, 6)),

@@ -57,7 +57,7 @@ pub enum Error {
     /// A Table 3 row id outside 1..=17.
     UnknownTableRow {
         /// The requested id.
-        id: u8,
+        id: u32,
     },
     /// A request line exceeded the server's size bound.
     PayloadTooLarge {

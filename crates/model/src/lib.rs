@@ -14,10 +14,10 @@
 //!   cheaper (asserted via obs Work counters, not wall clock).
 //! * [`plan`] — the one place surface tiles are resolved, for a single
 //!   query and for the batch path behind [`Query::evaluate_batch`]: the
-//!   cold surface tiles of *all* requests fuse into one lane-batched
-//!   kernel dispatch, then every query evaluates on its own
-//!   (bit-identical by contract to the direct per-query oracle
-//!   [`Query::evaluate_batch_unplanned`]).
+//!   surface tiles of *all* requests are resolved first, each cold one
+//!   priced as the dense surface of its own window, then every query
+//!   evaluates on its own (bit-identical by construction to the direct
+//!   per-query oracle [`Query::evaluate_batch_unplanned`]).
 //! * [`error`] — the consolidated [`Error`] type with `From` impls for
 //!   every subsystem failure, mapped to stable wire `kind` tags.
 //! * [`json`] — a std-only, deterministic, line-oriented JSON value

@@ -7,28 +7,28 @@
 //! key already resolved in this evaluation is a hit; otherwise the
 //! cache is read once, and a body found there is kept in the
 //! evaluation's own map and counted as a hit; every remaining key is a
-//! miss (its full cell count in `model.tile_cells`), priced in one
-//! [`Eq1Kernel`] dispatch over the cold tiles' concatenated axes that
-//! lists each tile's own cells and nothing else. Answers come only from
-//! that map, so each tile query counts one hit or one miss whatever
-//! other connections evict meanwhile; the priced bodies enter the cache
-//! afterwards, in first-occurrence order, so their victims are
-//! deterministic. Nothing else moves `model.tile_{hits,misses,cells}`.
+//! miss (its full cell count in `model.tile_cells`), priced as the
+//! dense surface of its own window by [`CostSurface::compute_with`].
+//! Answers come only from that map, so each tile query counts one hit
+//! or one miss whatever other connections evict meanwhile; the priced
+//! bodies enter the cache afterwards, in first-occurrence order, so
+//! their victims are deterministic. Nothing else moves
+//! `model.tile_{hits,misses,cells}`.
 //!
 //! Only a batch counts `plan.*` nodes and opens a `model.plan` span; its
 //! non-tile queries evaluate through [`Query::evaluate_with`] under the
 //! executor's index-ordered `map_indexed`.
 //!
 //! Determinism contract: the batch path is bit-identical to
-//! [`Query::evaluate_batch_unplanned`] at every executor width.
-//! `Eq1Kernel` cells depend only on their own `(λ, N_tr)` bits, so a
-//! tile priced beside others holds exactly the bytes of its window
-//! priced alone, and one key is one window. The `plan_fusion` property
-//! tests and the serve loopback suite diff the two paths.
+//! [`Query::evaluate_batch_unplanned`] at every executor width, by
+//! construction — a batch prices each cold tile with the same
+//! `compute_with` call a single tile query makes, and one key is one
+//! window. The `plan_fusion` property tests and the serve loopback
+//! suite diff the two paths.
 
 use std::collections::HashMap;
 
-use maly_cost_model::surface::{self, Eq1Kernel};
+use maly_cost_model::surface::CostSurface;
 use maly_par::Executor;
 
 use crate::context::{self, EvalContext, TileKey};
@@ -43,70 +43,54 @@ pub static NODES_REQUESTED: maly_obs::Counter = maly_obs::Counter::work("plan.no
 /// one node per non-tile query. Below [`static@NODES_REQUESTED`] only by
 /// the cells of tiles answered from the cache or repeated in the batch.
 pub static NODES_EVALUATED: maly_obs::Counter = maly_obs::Counter::work("plan.nodes_evaluated");
-/// Kernel dispatches issued by batches (one per batch with ≥ 1 cold
-/// tile).
+/// Batch evaluations that priced at least one cold tile (one each,
+/// however many cold tiles the batch held). Work counter; perfbench
+/// and `ci.sh` read it under this name.
 pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.fused_dispatches");
 
 /// A well-formed tile query's λ and `N_tr` ranges.
 pub(crate) type TileRequest = ((f64, f64, usize), (f64, f64, usize));
-
-/// A cold tile: its cache key and its λ and `N_tr` axis values.
-type ColdTile = (TileKey, Vec<f64>, Vec<f64>);
 
 /// Tile bodies with their keys, in first-occurrence order.
 type Priced = Vec<(TileKey, SurfaceBody)>;
 
 /// Resolves `requests` in order, counting one hit or one miss each.
 /// Returns every requested key's body, the cold ones (to cache after
-/// the answers) and the cells their dispatch evaluated.
+/// the answers) and the cells pricing them evaluated.
 fn resolve<'a>(
     exec: &Executor,
     ctx: &EvalContext,
     requests: impl IntoIterator<Item = &'a TileRequest>,
 ) -> (HashMap<TileKey, SurfaceBody>, Priced, usize) {
     let mut bodies = HashMap::new();
-    let mut cold: Vec<ColdTile> = Vec::new();
-    for &(lambda_range, n_tr_range) in requests {
-        let key = TileKey::exact(lambda_range, n_tr_range);
-        if bodies.contains_key(&key) || cold.iter().any(|(k, ..)| *k == key) {
+    let mut cold: Vec<(TileKey, TileRequest)> = Vec::new();
+    for &request in requests {
+        let key = TileKey::exact(request.0, request.1);
+        if bodies.contains_key(&key) || cold.iter().any(|(k, _)| *k == key) {
             context::TILE_HITS.incr();
         } else if let Some(body) = ctx.cached_tile(&key) {
             context::TILE_HITS.incr();
             bodies.insert(key, body);
-        } else if let Some((l, n)) = surface::tile_axes(lambda_range, n_tr_range) {
-            // Axes from the same arithmetic as a dense surface, so the
-            // priced tile holds the bytes of its window computed alone.
+        } else {
             context::TILE_MISSES.incr();
-            context::TILE_CELLS.add((lambda_range.2 * n_tr_range.2) as u64);
-            cold.push((key, l, n));
+            context::TILE_CELLS.add((request.0 .2 * request.1 .2) as u64);
+            cold.push((key, request));
         }
     }
-    let (priced, cells) = price_cold_tiles(exec, cold);
+    let (priced, cells) = price_cold_tiles(exec, &cold);
     bodies.extend(priced.iter().cloned());
     (bodies, priced, cells)
 }
 
-/// A resolved request's answer. A validated request's axes always
-/// build, so its body is always there.
-fn answer(
-    bodies: &HashMap<TileKey, SurfaceBody>,
-    (l, n): TileRequest,
-) -> Result<QueryResponse, Error> {
-    let body = bodies.get(&TileKey::exact(l, n)).cloned();
-    body.map(QueryResponse::Surface)
-        .ok_or_else(|| Error::InvalidField {
-            field: "lambda_min",
-            message: "the window has no surface grid".to_string(),
-        })
+/// A resolved request's answer: [`resolve`] holds a body for every key
+/// it was given.
+fn answer(bodies: &HashMap<TileKey, SurfaceBody>, (l, n): TileRequest) -> QueryResponse {
+    QueryResponse::Surface(bodies[&TileKey::exact(l, n)].clone())
 }
 
 /// Answers one well-formed tile query outside a batch: the same
 /// resolver, with no `plan.*` counter and no `model.plan` span.
-pub(crate) fn tile(
-    exec: &Executor,
-    ctx: &EvalContext,
-    request: TileRequest,
-) -> Result<QueryResponse, Error> {
+pub(crate) fn tile(exec: &Executor, ctx: &EvalContext, request: TileRequest) -> QueryResponse {
     let (bodies, priced, _) = resolve(exec, ctx, [&request]);
     ctx.store_tiles(priced);
     answer(&bodies, request)
@@ -134,7 +118,7 @@ pub(crate) fn evaluate(
         Some(request) => {
             let _span = maly_obs::span("model.query").with_histogram(&context::EVAL_NS);
             context::QUERIES.incr();
-            answer(&bodies, request)
+            Ok(answer(&bodies, request))
         }
         None => queries[i].evaluate_with(exec, ctx),
     });
@@ -142,42 +126,19 @@ pub(crate) fn evaluate(
     answers
 }
 
-/// Prices the cold tiles in one kernel dispatch over their
-/// concatenated axes: tile *t* owns rows `r_t..r_t + L_t` and columns
-/// `c_t..c_t + N_t`, only its own cells are listed, and the output
-/// splits back into consecutive row-major `L_t × N_t` blocks. Each
-/// tile's body is serialized in the order the tiles came. Returns the
-/// bodies and the number of cells the dispatch evaluated.
-fn price_cold_tiles(exec: &Executor, tiles: Vec<ColdTile>) -> (Priced, usize) {
-    if tiles.is_empty() {
-        return (Vec::new(), 0);
-    }
-    let lambdas: Vec<f64> = tiles.iter().flat_map(|t| t.1.iter().copied()).collect();
-    let n_trs: Vec<f64> = tiles.iter().flat_map(|t| t.2.iter().copied()).collect();
-    let mut cells = Vec::new();
-    let (mut r, mut c) = (0, 0);
-    for (_, l, n) in &tiles {
-        for i in r..r + l.len() {
-            cells.extend((c..c + n.len()).map(|j| (i, j)));
-        }
-        (r, c) = (r + l.len(), c + n.len());
-    }
-    let values = Eq1Kernel::new(&context::shared().fig8_params, &lambdas, &n_trs)
-        .eval_cells_with(exec, &cells);
-    let priced = cells.len();
-    drop(cells);
-    let mut values = values.into_iter();
-    let bodies = tiles
-        .into_iter()
-        .filter_map(|(key, l, n)| {
-            let grid = (0..l.len())
-                .map(|_| values.by_ref().take(n.len()).collect())
-                .collect();
-            let tile = surface::surface_from_grid(l, n, grid)?;
-            Some((key, context::serialize_tile(&tile)))
-        })
-        .collect();
-    (bodies, priced)
+/// Prices each cold tile as the dense surface of its own window, in
+/// the order the tiles came. Returns the bodies and the cells priced.
+fn price_cold_tiles(exec: &Executor, cold: &[(TileKey, TileRequest)]) -> (Priced, usize) {
+    let params = &context::shared().fig8_params;
+    // `check_tile` admitted every request, and it is strictly tighter
+    // than `compute_with`'s asserts (finite bounds, 0 < min < max,
+    // 2..=MAX_TILE_STEPS steps), so no cold tile can panic here.
+    let priced = exec.map(cold, |&(key, (l, n))| {
+        let tile = CostSurface::compute_with(exec, params, l, n);
+        (key, context::serialize_tile(&tile))
+    });
+    let cells = cold.iter().map(|(_, (l, n))| l.2 * n.2).sum();
+    (priced, cells)
 }
 
 #[cfg(test)]
@@ -241,7 +202,7 @@ mod tests {
                 &TILE_CELLS,
             ],
         );
-        // Three cold keys, one dispatch; each of the four tile queries
+        // Three cold keys, one counted dispatch; each of the four tile queries
         // is one lookup: the first of each key is its miss, the repeat
         // hits.
         assert_eq!(delta, [4 * 9 * 24 + 1, 1, 1, 3, 3 * 9 * 24]);
@@ -306,6 +267,6 @@ mod tests {
             bytes[0].starts_with("err:"),
             "the malformed tile keeps its error"
         );
-        assert_eq!(delta, [1, 1, 0], "one node each, nothing to fuse");
+        assert_eq!(delta, [1, 1, 0], "one node each, nothing to price");
     }
 }

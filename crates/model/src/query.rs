@@ -723,13 +723,14 @@ fn f64_field_or(v: &Json, field: &'static str, default: f64) -> Result<f64, Erro
 
 fn usize_field(v: &Json, field: &'static str) -> Result<usize, Error> {
     let raw = f64_field(v, field)?;
-    if raw.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&raw) {
-        return Err(Error::InvalidField {
-            field,
-            message: format!("expected a non-negative integer, got {raw}"),
-        });
-    }
-    Ok(raw as usize)
+    let message = if raw.fract() != 0.0 || raw < 0.0 {
+        format!("expected a non-negative integer, got {raw}")
+    } else if raw > f64::from(u32::MAX) {
+        format!("integer {raw} above {}", u32::MAX)
+    } else {
+        return Ok(raw as usize);
+    };
+    Err(Error::InvalidField { field, message })
 }
 
 fn usize_field_or(v: &Json, field: &'static str, default: usize) -> Result<usize, Error> {
@@ -833,7 +834,7 @@ impl Query {
             "product" => Ok(Query::Product(ProductSpec::from_json(v)?)),
             "table3_row" => {
                 let id = usize_field(v, "id")?;
-                let id = u8::try_from(id).map_err(|_| Error::UnknownTableRow { id: u8::MAX })?;
+                let id = u8::try_from(id).map_err(|_| Error::UnknownTableRow { id: id as u32 })?;
                 Ok(Query::Table3Row { id })
             }
             "table3" => Ok(Query::Table3),
@@ -1096,7 +1097,7 @@ impl Query {
                 let row = rows
                     .iter()
                     .find(|r| r.id == *id)
-                    .ok_or(Error::UnknownTableRow { id: *id })?;
+                    .ok_or(Error::UnknownTableRow { id: u32::from(*id) })?;
                 Ok(QueryResponse::Table3(vec![table3_report(row)?]))
             }
             Query::Table3 => {
@@ -1162,7 +1163,7 @@ impl Query {
                     (*lambda_min, *lambda_max, *lambda_steps),
                     (*n_tr_min, *n_tr_max, *n_tr_steps),
                 )?;
-                crate::plan::tile(exec, ctx, request)
+                Ok(crate::plan::tile(exec, ctx, request))
             }
             Query::OptimalLambda {
                 spec,
@@ -1363,10 +1364,10 @@ impl Query {
     /// element fails independently.
     ///
     /// The surface tiles of the whole batch are resolved first, each
-    /// key once, the cold ones priced together in one kernel dispatch
-    /// over their own cells ([`crate::plan`]); every tile query then
-    /// answers from that resolution and every other query evaluates
-    /// through [`Query::evaluate_with`]. Results are
+    /// key once, the cold ones priced as the dense surface of their own
+    /// windows ([`crate::plan`]); every tile query then answers from
+    /// that resolution and every other query evaluates through
+    /// [`Query::evaluate_with`]. Results are
     /// bit-identical to [`Query::evaluate_batch_unplanned`] (and to
     /// per-query [`Query::evaluate_with`]) at every executor width.
     #[must_use]
@@ -1379,9 +1380,9 @@ impl Query {
     }
 
     /// The direct batch path: every query scheduled independently
-    /// across the executor, each cold tile priced in a dispatch of its
-    /// own. Kept only as the batch path's bit-identity oracle for tests
-    /// and benches; no service path calls it.
+    /// across the executor, each cold tile priced by its own query.
+    /// Kept only as the batch path's bit-identity oracle for tests and
+    /// benches; no service path calls it.
     #[must_use]
     pub fn evaluate_batch_unplanned(
         exec: &Executor,
@@ -1712,6 +1713,20 @@ mod tests {
             Query::from_json(&no_type),
             Err(Error::MissingField { field: "type" })
         ));
+        // A whole number past the bound is told the bound, not that it
+        // is not a non-negative integer; a fraction keeps that message.
+        let err = |text: &str| Query::from_json(&json::parse(text).unwrap()).unwrap_err();
+        let huge = err("{\"type\":\"table3_row\",\"id\":5000000000}");
+        assert_eq!(huge.kind(), "invalid-field");
+        assert!(
+            huge.to_string()
+                .contains("integer 5000000000 above 4294967295"),
+            "{huge}"
+        );
+        let fraction = err("{\"type\":\"table3_row\",\"id\":1.5}");
+        assert!(fraction
+            .to_string()
+            .contains("expected a non-negative integer, got 1.5"));
     }
 
     #[test]
@@ -1735,6 +1750,58 @@ mod tests {
     fn surface_tile_validates_before_compute() {
         // CostSurface::compute panics on degenerate grids; the query
         // layer must reject them as typed errors instead.
+        let _guard = context::counter_test_lock();
+        let tile = |(lambda_min, lambda_max, lambda_steps), (n_tr_min, n_tr_max, n_tr_steps)| {
+            Query::SurfaceTile {
+                lambda_min,
+                lambda_max,
+                lambda_steps,
+                n_tr_min,
+                n_tr_max,
+                n_tr_steps,
+            }
+            .evaluate_with(&Executor::serial(), &EvalContext::new())
+        };
+        let (lambda, n_tr) = ((0.4, 1.5, 8), (2.0e4, 4.0e6, 6));
+        for (lo, hi) in [
+            (f64::NAN, 1.5),
+            (0.4, f64::NAN),
+            (f64::NEG_INFINITY, 1.5),
+            (0.4, f64::INFINITY),
+            (f64::INFINITY, f64::INFINITY),
+            (1.0, 1.0),
+            (0.0, 1.5),
+        ] {
+            for got in [tile((lo, hi, 8), n_tr), tile(lambda, (lo, hi, 6))] {
+                assert!(
+                    matches!(got, Err(Error::InvalidField { .. })),
+                    "{lo}..{hi}: {got:?}"
+                );
+            }
+        }
+        // Every window `check_tile` admits prices without a panic, to a
+        // body whose axes are numbers, at its extremes too: subnormal
+        // and 1e308 endpoints with 2 and 512 steps on either axis, and
+        // the widest window there is.
+        let tiny = f64::from_bits(1);
+        for (lo, hi) in [(tiny, 1.5), (0.4, 1e308), (tiny, 1e308), (tiny, f64::MAX)] {
+            for (a, b) in [(2, 2), (2, 512), (512, 2)] {
+                for got in [
+                    tile((lo, hi, a), (2.0e4, 4.0e6, b)),
+                    tile((0.4, 1.5, a), (lo, hi, b)),
+                    tile((lo, hi, a), (lo, hi, b)),
+                ] {
+                    let body = json::parse(&got.unwrap().to_json().write()).unwrap();
+                    for axis in ["lambda_axis", "n_tr_axis"] {
+                        let values = body.get(axis).and_then(Json::as_arr).unwrap();
+                        assert!(
+                            values.iter().all(|v| v.as_f64().is_some()),
+                            "{axis} of {lo}..{hi}, {a}x{b}"
+                        );
+                    }
+                }
+            }
+        }
         let q = Query::SurfaceTile {
             lambda_min: 0.4,
             lambda_max: 1.5,
@@ -1770,6 +1837,12 @@ mod tests {
             Query::Table3Row { id: 99 }.evaluate(),
             Err(Error::UnknownTableRow { id: 99 })
         ));
+        // An id past `u8` echoes the id asked for.
+        let wire = json::parse("{\"type\":\"table3_row\",\"id\":300}").unwrap();
+        let err = Query::from_json(&wire).unwrap_err();
+        assert_eq!(err, Error::UnknownTableRow { id: 300 });
+        assert_eq!(err.kind(), "unknown-table-row");
+        assert!(err.to_string().contains("no row 300"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The batch planner's two contracts, checked from counters and bytes:
+//! The batch planner's contracts, checked from counters and bytes:
 //!
-//! * **One dispatch prices exactly the cells asked for.** A cold 4-tile
-//!   batch makes one kernel dispatch that evaluates each tile's own
-//!   cells and nothing else: `plan.nodes_requested`,
-//!   `plan.nodes_evaluated` and the eq. (1) cell counter all read the
-//!   864 cells the four tiles hold, proven from Work counters rather
-//!   than wall clock.
+//! * **A cold batch prices exactly the cells asked for.** Each cold
+//!   tile of a 4-tile batch is priced once, as the dense surface of its
+//!   own window: `plan.nodes_requested`, `plan.nodes_evaluated` and the
+//!   eq. (1) cell counter all read the 864 cells the four tiles hold,
+//!   and the batch counts one `plan.fused_dispatches`, proven from Work
+//!   counters rather than wall clock.
 //! * **Batching changes no bytes.** Randomized batches (overlapping
-//!   tiles, float-noise near-duplicates, exact duplicates, non-tile
-//!   queries) answer bit-identically to sequential per-query
-//!   evaluation, at 1, 2, and 8 executor threads, and move the tile
-//!   hit, miss and cell counters exactly as the unplanned path does.
+//!   tiles, float-noise near-duplicates, exact duplicates, a tall
+//!   3 × 512 tile priced in two λ-row blocks, non-tile queries) answer
+//!   bit-identically to sequential per-query evaluation, at 1, 2, and
+//!   8 executor threads, and move the tile hit, miss and cell counters
+//!   exactly as the unplanned path does.
 //! * **Every query is counted once.** A mixed batch requests and
 //!   evaluates one node per non-tile query, duplicates included.
 //!
@@ -35,7 +36,7 @@ fn lock() -> MutexGuard<'static, ()> {
 /// Four λ windows sliding by half a window over a shared `N_tr` range:
 /// 4·9·24 = 864 cells. The dyadic endpoints put the 9-step linear axes
 /// on bit-identical λ = k/16 grid values, so the windows share rows,
-/// which the dispatch prices once per tile all the same.
+/// which the batch prices once per tile all the same.
 fn overlapping_tiles() -> Vec<Query> {
     [0.5, 0.625, 0.75, 0.875]
         .iter()
@@ -107,9 +108,9 @@ impl Sampler {
 }
 
 fn random_query(s: &mut Sampler) -> Query {
-    match s.below(6) {
+    match s.below(7) {
         0 | 1 => {
-            // Overlapping dyadic windows — the fusion-friendly case.
+            // Overlapping dyadic windows: tiles that share λ rows.
             let lo = 0.5 + 0.125 * s.below(4) as f64;
             Query::SurfaceTile {
                 lambda_min: lo,
@@ -147,6 +148,19 @@ fn random_query(s: &mut Sampler) -> Query {
         4 => Query::Table3Row {
             id: 1 + s.below(17) as u8,
         },
+        5 => {
+            // A tall 3 × 512 tile: two rows fill one 1024-cell block, so
+            // it prices in two λ-row blocks.
+            let lo = s.uniform(0.4, 0.8);
+            Query::SurfaceTile {
+                lambda_min: lo,
+                lambda_max: lo + 0.6,
+                lambda_steps: 3,
+                n_tr_min: 2.0e4,
+                n_tr_max: 4.0e6,
+                n_tr_steps: 512,
+            }
+        }
         _ => Query::Scenario1Sweep {
             x: 1.4,
             lambda_min: 0.4,
@@ -172,8 +186,21 @@ fn deltas<const N: usize>(
 fn planned_batches_match_sequential_evaluation_at_1_2_8_threads() {
     let _guard = lock();
     let mut s = Sampler(0x5EED_0F00D);
+    let mut tall_tiles = 0;
     for round in 0..6u32 {
         let mut batch: Vec<Query> = (0..8).map(|_| random_query(&mut s)).collect();
+        tall_tiles += batch
+            .iter()
+            .filter(|q| {
+                matches!(
+                    q,
+                    Query::SurfaceTile {
+                        n_tr_steps: 512,
+                        ..
+                    }
+                )
+            })
+            .count();
         // Exact duplicates: copy a few batch-mates verbatim.
         for _ in 0..3 {
             let src = s.below(batch.len() as u64) as usize;
@@ -219,6 +246,7 @@ fn planned_batches_match_sequential_evaluation_at_1_2_8_threads() {
             }
         }
     }
+    assert!(tall_tiles > 0, "the sample draws a tall tile");
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //!
 //! The server speaks line-delimited JSON on a plain `TcpListener`:
 //! one request per line, one response line per request, batches as
-//! JSON-array lines whose cold surface tiles fuse into one kernel
-//! dispatch (see [`protocol`] for the wire format). Parallelism comes from
+//! JSON-array lines whose surface tiles are resolved once per window
+//! before any query runs (see [`protocol`] for the wire format). Parallelism comes from
 //! connections: each worker answers its requests serially, with no
 //! per-request thread fan-out. Everything is `std`-only — the
 //! JSON codec is `maly_model::json`, the threads come from

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! A line holding a JSON *array* of such objects is a batch: the server
-//! prices the cold surface tiles of all its queries in one fused kernel
-//! dispatch, evaluates every query, and answers with one JSON array
-//! line, element `i` answering request `i`. Single and array lines
+//! resolves the surface tiles of all its queries first, pricing each
+//! cold window once, evaluates every query, and answers with one JSON
+//! array line, element `i` answering request `i`. Single and array lines
 //! resolve their tiles the same way, against a tile cache keyed by each
 //! request's exact window, so a tile's `ok` payload is the same bytes
 //! whichever line shape asked for it, and whatever other windows were
@@ -219,10 +219,9 @@ fn parse_request(v: &Json) -> (Json, Result<Query, Error>) {
 /// output (no trailing newline) — transport errors aside, a client can
 /// match responses to requests by line position alone.
 ///
-/// Array lines go through [`Query::evaluate_batch`], so the cold
-/// surface tiles in one line are priced in one kernel dispatch
-/// (`maly_model::plan`) and a repeated tile answers from the line's own
-/// resolution or the cache. A tile is cached under its exact window, so
+/// Array lines go through [`Query::evaluate_batch`], so each cold
+/// surface tile in one line is priced once (`maly_model::plan`) and a
+/// repeated tile answers from the line's own resolution or the cache. A tile is cached under its exact window, so
 /// the served bytes are those of evaluating each query on its own.
 #[must_use]
 pub fn handle_line(ctx: &EvalContext, line: &str) -> String {
